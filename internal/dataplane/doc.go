@@ -5,9 +5,11 @@
 // The paper's core performance claim (§4, Fig. 8–9) is that session-based
 // five-tuple rewriting is cheap enough for the packet path at line rate.
 // This package makes that claim testable in the repro: a sharded rewrite
-// table with lock-free, allocation-free lookups (per-shard immutable
-// snapshots swapped atomically; writers copy-on-write under a per-shard
-// mutex), a pool of per-core workers pulling fixed-size batches from
+// table with lock-free, allocation-free lookups and O(1) in-place
+// writes (per shard one open-addressing array of atomically published,
+// immutable entries; writers take a per-shard mutex and publish with a
+// single slot store, rebuilding the array only when half of it is used
+// up), a pool of per-core workers pulling fixed-size batches from
 // per-worker SPSC rings (the RSS model: one queue per core, flows pinned
 // to queues by hash), and control-plane install/remove operations
 // serialized through the shard writers.

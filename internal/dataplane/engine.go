@@ -94,6 +94,9 @@ type Engine struct {
 	cfg     Config
 	table   *Table
 	workers []*worker
+	// workerShift is packet.BucketShift(len(workers)), hoisted out of
+	// WorkerFor.
+	workerShift uint
 
 	stop    atomic.Bool
 	running bool
@@ -103,7 +106,7 @@ type Engine struct {
 // New builds an engine (not yet started) with its own table.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
-	e := &Engine{cfg: cfg, table: NewTable(cfg.Shards)}
+	e := &Engine{cfg: cfg, table: NewTable(cfg.Shards), workerShift: packet.BucketShift(cfg.Workers)}
 	e.workers = make([]*worker, cfg.Workers)
 	for i := range e.workers {
 		e.workers[i] = &worker{
@@ -125,10 +128,11 @@ func (e *Engine) Workers() int { return len(e.workers) }
 // WorkerFor returns the worker index a flow is pinned to. The hash is
 // rotated before bucketing so the worker choice stays independent of
 // the shard choice (both fold the same 64-bit hash; unrotated they
-// would share their top bits).
+// would share their top bits). This is packet.Bucket(rotated hash,
+// workers) with the log2 hoisted into New.
 func (e *Engine) WorkerFor(ft packet.FiveTuple) int {
 	h := ft.Hash()
-	return packet.Bucket(h<<32|h>>32, len(e.workers))
+	return int(((h<<32 | h>>32) * packet.FibMix) >> e.workerShift)
 }
 
 // SetRecording switches per-worker outcome recording. Must be called
@@ -157,9 +161,10 @@ func (e *Engine) Start() {
 }
 
 // Feed routes p onto its flow's worker ring, returning false when that
-// ring is full. Single-producer contract: all Feed calls must come from
-// one goroutine (use FeedWorker from multiple feeders that own disjoint
-// workers).
+// ring is full (every rejection by one of the four Feed variants is
+// counted in EngineStats.FeedFull). Single-producer contract: all Feed
+// calls must come from one goroutine (use FeedWorker from multiple
+// feeders that own disjoint workers).
 func (e *Engine) Feed(p *packet.Packet) bool {
 	return e.workers[e.WorkerFor(p.Tuple)].ring.Push(p)
 }
@@ -258,20 +263,25 @@ func (e *Engine) processRawOne(frame []byte) Verdict {
 
 // EngineStats aggregates the worker counters; valid after Stop.
 type EngineStats struct {
-	Processed uint64     `json:"processed"`
-	Rewritten uint64     `json:"rewritten"`
-	Rejected  uint64     `json:"rejected"`
-	Table     TableStats `json:"table"`
+	Processed uint64 `json:"processed"`
+	Rewritten uint64 `json:"rewritten"`
+	Rejected  uint64 `json:"rejected"`
+	// FeedFull counts Feed/FeedWorker/FeedRaw/FeedRawWorker calls that
+	// returned false because the target ring was full.
+	FeedFull uint64     `json:"feed_full"`
+	Table    TableStats `json:"table"`
 }
 
-// Stats returns the engine totals. Valid only after Stop (worker
-// counters are unsynchronized worker-local state).
+// Stats returns the engine totals. Valid only after Stop and after the
+// feeders have been joined (worker counters are unsynchronized
+// worker-local state, FeedFull is unsynchronized producer-local state).
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{Table: e.table.Stats()}
 	for _, w := range e.workers {
 		st.Processed += w.processed
 		st.Rewritten += w.rewritten
 		st.Rejected += w.rejected
+		st.FeedFull += w.ring.full
 	}
 	return st
 }

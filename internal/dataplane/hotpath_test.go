@@ -11,7 +11,7 @@ import (
 // allocfree proof over the dataplane hot-path roots (Table.Lookup and
 // worker.process): the lint hot-path coverage test in internal/core pins
 // those roots to this test by name. The reader fast path — hash, shard,
-// snapshot load, map read, epoch stamp, rule application — must allocate
+// array load, slot probe, epoch stamp, rule application — must allocate
 // nothing per packet.
 func TestDataplaneLookupZeroAlloc(t *testing.T) {
 	eng := New(Config{Workers: 1, Shards: 64})

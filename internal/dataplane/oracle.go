@@ -96,6 +96,47 @@ func churnKey(j int) packet.FiveTuple {
 	}
 }
 
+// chainBits is how many top slot bits two keys must share to count as
+// colliding: the same home slot in every slot array of up to
+// 1<<chainBits slots, neighboring slots in larger ones.
+const chainBits = 6
+
+// churnKeys returns the n distinct keys a run's control plane churns.
+// Even positions are churnKey(j) as is. Odd positions are picked — by
+// walking churnKey indices from n upward — to fall in the shard and on
+// the home slot of one of the stable tuples, so the churn writes its
+// replacements, tombstones and cluster-end nils into the very probe
+// chains the exact-match flows are read through. If the walk runs out of
+// distinct churnKey indices the remaining odd positions stay plain.
+func churnKeys(t *Table, n int, stable []packet.FiveTuple) []packet.FiveTuple {
+	type cell struct {
+		shard int
+		home  uint64
+	}
+	cellOf := func(ft packet.FiveTuple) cell {
+		h := ft.Hash()
+		return cell{t.shardIndex(h), t.slotBits(h) >> (64 - chainBits)}
+	}
+	homes := make(map[cell]bool, len(stable))
+	for _, ft := range stable {
+		homes[cellOf(ft)] = true
+	}
+	keys := make([]packet.FiveTuple, n)
+	next := n
+	for j := range keys {
+		keys[j] = churnKey(j)
+		for j%2 == 1 && next < 1<<16 {
+			k := churnKey(next)
+			next++
+			if homes[cellOf(k)] {
+				keys[j] = k
+				break
+			}
+		}
+	}
+	return keys
+}
+
 // churnVersionMax bounds churn rule versions so the version survives a
 // round trip through the packet fields checked for consistency.
 const churnVersionMax = 30000
@@ -103,7 +144,7 @@ const churnVersionMax = 30000
 // churnRule is version v of churn key j's entry. Every field is a
 // function of (key, v), so a reader that observed a mix of two versions
 // — a torn entry — would fail the consistency relation below. Immutable
-// snapshot entries make that impossible; this rule is how the oracle
+// entries make that impossible; this rule is how the oracle
 // would catch it if the protocol were broken.
 func churnRule(key packet.FiveTuple, v uint64) *Entry {
 	return &Entry{Dir: Ingress, Rule: core.Rule{
@@ -162,10 +203,13 @@ func RunDiff(cfg DiffConfig) error {
 	eng := New(cfg.Engine)
 	ref := NewRef(cfg.Engine)
 
-	for i := 0; i < cfg.Flows; i++ {
-		eng.table.Install(flowTuple(i), stableEntry(i))
-		ref.Install(flowTuple(i), stableEntry(i))
+	stable := make([]packet.FiveTuple, cfg.Flows)
+	for i := range stable {
+		stable[i] = flowTuple(i)
+		eng.table.Install(stable[i], stableEntry(i))
+		ref.Install(stable[i], stableEntry(i))
 	}
+	churn := churnKeys(eng.table, cfg.ChurnKeys, stable)
 
 	// Build the packet sequence and its expectations. Two identical
 	// packets are built per sequence slot: one is consumed by Ref now
@@ -188,7 +232,7 @@ func RunDiff(cfg DiffConfig) error {
 		feed = append(feed, pEng)
 	}
 	addChurn := func(j int) {
-		key := churnKey(j)
+		key := churn[j]
 		p := packet.NewTCP(key, packet.FlagACK, uint32(100000+j), uint32(200000+j), nil)
 		p.Window = 512
 		p.Opts.TS = &packet.Timestamp{Val: 90000, Ecr: 91000}
@@ -225,11 +269,11 @@ func RunDiff(cfg DiffConfig) error {
 			for op := 0; op < cfg.ChurnOps; op++ {
 				j := mine[crng.Intn(len(mine))]
 				if crng.Intn(3) == 0 {
-					eng.table.Remove(churnKey(j))
+					eng.table.Remove(churn[j])
 					continue
 				}
 				ver[j] = ver[j]%churnVersionMax + 1
-				eng.table.Install(churnKey(j), churnRule(churnKey(j), ver[j]))
+				eng.table.Install(churn[j], churnRule(churn[j], ver[j]))
 			}
 		}(c)
 	}

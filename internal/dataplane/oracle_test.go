@@ -101,3 +101,84 @@ func TestEngineDrainsOnStop(t *testing.T) {
 		t.Fatalf("rewritten %d with empty table", st.Rewritten)
 	}
 }
+
+// TestChurnKeysCollide: the oracles' churn must land in the stable
+// flows' probe chains, not merely in their shards — every odd churn key
+// shares a shard and a home slot (at any array size up to 1<<chainBits)
+// with some stable flow, and all keys are distinct.
+func TestChurnKeysCollide(t *testing.T) {
+	tb := NewTable(8)
+	stable := make([]packet.FiveTuple, 96)
+	for i := range stable {
+		stable[i] = flowTuple(i)
+	}
+	keys := churnKeys(tb, 48, stable)
+	seen := map[packet.FiveTuple]bool{}
+	for j, k := range keys {
+		if seen[k] {
+			t.Fatalf("churn key %d repeats %v", j, k)
+		}
+		seen[k] = true
+		if j%2 == 0 {
+			continue
+		}
+		h, shares := k.Hash(), false
+		for _, ft := range stable {
+			fh := ft.Hash()
+			if tb.shardIndex(h) == tb.shardIndex(fh) &&
+				tb.slotBits(h)>>(64-chainBits) == tb.slotBits(fh)>>(64-chainBits) {
+				shares = true
+				break
+			}
+		}
+		if !shares {
+			t.Fatalf("churn key %d (%v) shares no stable flow's home slot", j, k)
+		}
+	}
+}
+
+// TestEngineFeedFull: every rejection by a full ring is counted, for
+// all four Feed variants. The engine is never started, so nothing
+// consumes and each ring accepts exactly its capacity.
+func TestEngineFeedFull(t *testing.T) {
+	const ringSize, offered = 8, 20
+	eng := New(Config{Workers: 2, Shards: 1, RingSize: ringSize})
+	// One flow per worker, so Feed/FeedRaw fill both rings too.
+	flows := make([]packet.FiveTuple, 2)
+	for w := range flows {
+		for i := 0; ; i++ {
+			if ft := testTuple(i); eng.WorkerFor(ft) == w {
+				flows[w] = ft
+				break
+			}
+		}
+	}
+	accepted, rejected := 0, 0
+	count := func(ok bool) {
+		if ok {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	for i := 0; i < offered; i++ {
+		p := packet.NewTCP(flows[0], packet.FlagACK, uint32(i), 0, nil)
+		count(eng.Feed(p))
+		count(eng.FeedWorker(0, p))
+		frame := packet.NewTCP(flows[1], packet.FlagACK, uint32(i), 0, nil).Serialize()
+		count(eng.FeedRaw(frame))
+		count(eng.FeedRawWorker(1, frame))
+	}
+	if accepted != 2*ringSize {
+		t.Fatalf("two stopped rings of %d accepted %d items", ringSize, accepted)
+	}
+	if got := eng.Stats().FeedFull; got != uint64(rejected) || rejected != 4*offered-2*ringSize {
+		t.Fatalf("FeedFull = %d, callers saw %d rejections (want %d)", got, rejected, 4*offered-2*ringSize)
+	}
+	// The counter survives a run: draining the rings rejects nothing more.
+	eng.Start()
+	eng.Stop()
+	if st := eng.Stats(); st.FeedFull != uint64(rejected) || st.Processed != uint64(accepted) {
+		t.Fatalf("after drain: %+v", st)
+	}
+}

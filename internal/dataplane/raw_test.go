@@ -117,7 +117,7 @@ func TestRawKernelMatchesStructKernel(t *testing.T) {
 
 // TestRawDiffGrid runs the raw-vs-struct oracle across seeds × worker
 // counts × option-translation settings. Under -race the concurrent churn
-// also checks the snapshot protocol against the raw readers.
+// also checks the slot publication protocol against the raw readers.
 func TestRawDiffGrid(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for _, workers := range []int{1, 2, 4} {

@@ -26,9 +26,11 @@ type RawDiffConfig struct {
 	// Rejected.
 	Malformed int
 	// Churners/ChurnOps run a concurrent control plane over keys
-	// disjoint from every flow: no fed frame matches a churned entry,
-	// so the byte-level expectation stays deterministic while the
-	// snapshot-swap protocol still races the raw readers under -race.
+	// disjoint from every flow — half of them chosen to share a probe
+	// chain with an installed flow (churnKeys): no fed frame matches a
+	// churned entry, so the byte-level expectation stays deterministic
+	// while the slot stores, tombstones and rebuilds still race the raw
+	// readers, in the chains they read, under -race.
 	Churners int
 	ChurnOps int
 	// Engine configures the engine under test.
@@ -157,20 +159,25 @@ func corruptFrame(rng *rand.Rand, frame []byte) []byte {
 // is exactly the claim that incremental == full recompute on top of the
 // claim that the two kernels implement the same §3.4/§4.2 translation.
 // Corrupted frames must come back untouched and counted Rejected. Run it
-// under -race: concurrent churners swap shard snapshots while the raw
-// readers run.
+// under -race: concurrent churners store into, tombstone and rebuild
+// the shards' slot arrays while the raw readers run.
 func RunRawDiff(cfg RawDiffConfig) error {
 	cfg.fillDefaults()
 	eng := New(cfg.Engine)
 	ref := NewRef(cfg.Engine)
 
+	var stable []packet.FiveTuple
 	for i := 0; i < cfg.Flows; i++ {
 		if !rawFlowHasEntry(i) {
 			continue
 		}
+		stable = append(stable, rawFlowTuple(i))
 		eng.table.Install(rawFlowTuple(i), rawStableEntry(i))
 		ref.Install(rawFlowTuple(i), rawStableEntry(i))
 	}
+	// Each churner owns rawChurnKeys of the churn keys.
+	const rawChurnKeys = 64
+	churn := churnKeys(eng.table, rawChurnKeys*cfg.Churners, stable)
 
 	// Build the frame sequence and its expected bytes. Each slot builds
 	// the packet once, serializes it twice: one copy is pushed through
@@ -219,8 +226,8 @@ func RunRawDiff(cfg RawDiffConfig) error {
 	eng.Start()
 
 	// Concurrent control plane over keys disjoint from every fed frame:
-	// the churn exercises the snapshot swap against the raw readers
-	// without making any fed frame's expected bytes racy.
+	// the churn exercises the slot publication protocol against the raw
+	// readers without making any fed frame's expected bytes racy.
 	var churnWG sync.WaitGroup
 	for c := 0; c < cfg.Churners; c++ {
 		churnWG.Add(1)
@@ -228,12 +235,12 @@ func RunRawDiff(cfg RawDiffConfig) error {
 			defer churnWG.Done()
 			crng := rand.New(rand.NewSource(cfg.Seed + 1 + int64(c)))
 			for op := 0; op < cfg.ChurnOps; op++ {
-				j := c*cfg.ChurnOps + op%64
+				key := churn[c*rawChurnKeys+op%rawChurnKeys]
 				if crng.Intn(3) == 0 {
-					eng.table.Remove(churnKey(j))
+					eng.table.Remove(key)
 					continue
 				}
-				eng.table.Install(churnKey(j), churnRule(churnKey(j), uint64(op%churnVersionMax+1)))
+				eng.table.Install(key, churnRule(key, uint64(op%churnVersionMax+1)))
 			}
 		}(c)
 	}

@@ -43,6 +43,7 @@ type Ring struct {
 	head  atomic.Uint64 // next slot to pop; owned by the consumer
 	_     [64]byte
 	tail  atomic.Uint64 // next slot to push; owned by the producer
+	full  uint64        // pushes rejected on a full ring; producer-local, on tail's line
 	_     [64]byte
 }
 
@@ -64,7 +65,8 @@ func (r *Ring) Cap() int { return len(r.slots) }
 func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
 
 // Push enqueues p, returning false when the ring is full (the caller
-// decides whether to spin, drop, or backpressure). Producer side only.
+// decides whether to spin, drop, or backpressure; the ring counts the
+// rejection in full). Producer side only.
 func (r *Ring) Push(p *packet.Packet) bool {
 	return r.push(item{p: p})
 }
@@ -79,6 +81,7 @@ func (r *Ring) PushRaw(frame []byte) bool {
 func (r *Ring) push(it item) bool {
 	t := r.tail.Load()
 	if t-r.head.Load() > r.mask {
+		r.full++
 		return false
 	}
 	r.slots[t&r.mask] = it

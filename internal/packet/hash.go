@@ -40,9 +40,9 @@ func (ft FiveTuple) Hash() uint64 {
 	return h
 }
 
-// fibMix is 2^64 / φ (the Fibonacci hashing multiplier), odd so the
+// FibMix is 2^64 / φ (the Fibonacci hashing multiplier), odd so the
 // multiply is a bijection on uint64.
-const fibMix = 0x9E3779B97F4A7C15
+const FibMix = 0x9E3779B97F4A7C15
 
 // Bucket maps a Hash value onto one of n buckets, where n must be a
 // power of two. It multiplies by the Fibonacci constant and keeps the
@@ -50,9 +50,19 @@ const fibMix = 0x9E3779B97F4A7C15
 // upward, so the top bits mix every input byte, whereas the raw FNV-1a
 // low bits correlate for sequential inputs (adjacent ports from a port
 // allocator would pile onto a few shards). Every component that buckets
-// tuples — shard index, worker queue — goes through this one function.
+// tuples — shard index, worker queue — goes through this one function,
+// or through its two halves when n is fixed for the component's
+// lifetime: BucketShift(n) once at construction, then
+// (h * FibMix) >> shift per packet.
 func Bucket(h uint64, n int) int {
-	return int((h * fibMix) >> (64 - uint(trailingZeros(uint64(n)))))
+	return int((h * FibMix) >> BucketShift(n))
+}
+
+// BucketShift returns the right shift that leaves the top log2(n) bits
+// of a 64-bit product: 64 for n == 1, where Go's shift semantics make
+// every hash land in bucket 0.
+func BucketShift(n int) uint {
+	return 64 - uint(trailingZeros(uint64(n)))
 }
 
 // trailingZeros is math/bits.TrailingZeros64 restricted to the

@@ -22,6 +22,14 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test -race ./...
+
+# bench/ is its own module (bench/go.mod), so none of the three commands
+# above compiles it: vet it and run its smoke (all five workloads at
+# 1/20 scale plus the BENCHMARK.json schema pin, ~12 s) so a break of
+# the API surface it pins shows here and not first in the perf pipeline.
+go -C bench vet ./...
+go -C bench test ./...
+
 go run ./cmd/dyscolint -json ./... > LINT_report.json || { cat LINT_report.json; exit 1; }
 go run ./cmd/dyscolint -callgraph ./... > LINT_callgraph.txt
 go run ./cmd/dyscolint -wire ./... > LINT_wire.txt
