@@ -6,6 +6,8 @@
 package repro
 
 import (
+	"os"
+	"os/exec"
 	"testing"
 
 	"repro/internal/exp"
@@ -88,5 +90,24 @@ func BenchmarkLockModelExploration(b *testing.B) {
 		if _, v := model.Explore(model.NewLockState(&cfg), 0); v != nil {
 			b.Fatal(v)
 		}
+	}
+}
+
+// TestBenchModuleVets type-checks the perf ledger against this tree.
+// bench/ is a nested module, so `go test ./...` never compiles it and a
+// removed or renamed name it pins (BENCHMARK.json forbids editing bench/
+// to follow) would otherwise first show as a failed perf run.
+func TestBenchModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet on the bench module")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOFLAGS=", "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go -C bench vet ./...: %v\n%s", err, out)
 	}
 }

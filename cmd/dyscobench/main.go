@@ -13,14 +13,9 @@
 // metrics summary (rewrite latency, reconfiguration durations, event
 // counts) as JSON — CI archives that file as BENCH_obs.json.
 //
-// -dataplane runs the concurrent-engine load benchmark (wall-clock, so it
-// lives outside -exp all) and, with -dpout, writes the workers×shards
-// sweep with lookup-latency quantiles as JSON — CI archives that file as
-// BENCH_dataplane.json. The sweep includes the -raw wire-path comparison
-// (full Parse → rewrite → serialize round trip vs the zero-copy in-place
-// raw path) unless -raw=false:
-//
-//	dyscobench -dataplane -dpout BENCH_dataplane.json
+// Wall-clock performance of the concurrent rewrite engine is not measured
+// here: that is the perf ledger's job (go run -C bench ., see
+// bench/README.md).
 package main
 
 import (
@@ -42,9 +37,6 @@ func main() {
 		list   = flag.Bool("list", false, "list experiment ids")
 		short  = flag.Bool("short", false, "run only the observability micro-benchmark (fast, CI-friendly)")
 		obsout = flag.String("obsout", "", "with -short: write the metrics summary JSON to this file")
-		dp     = flag.Bool("dataplane", false, "run only the concurrent data-plane load benchmark (wall-clock)")
-		dpout  = flag.String("dpout", "", "with -dataplane: write the sweep report JSON to this file")
-		raw    = flag.Bool("raw", true, "with -dataplane: include the wire-path comparison sweep (struct round trip vs zero-copy raw)")
 	)
 	flag.Parse()
 
@@ -60,9 +52,6 @@ func main() {
 	sc := exp.QuickScale()
 	if *full {
 		sc = exp.FullScale()
-	}
-	if *dp {
-		os.Exit(runDataplane(sc, *seed, *dpout, *raw))
 	}
 	ids := []string{*id}
 	if *id == "all" {
@@ -108,36 +97,6 @@ func runShort(seed int64, obsout string) int {
 		return 1
 	}
 	return 0
-}
-
-// runDataplane executes the concurrent-engine load benchmark and
-// optionally persists the sweep report, returning the process exit code.
-func runDataplane(sc exp.Scale, seed int64, dpout string, raw bool) int {
-	start := time.Now()
-	r, rep := exp.LoadBench(sc, seed, raw)
-	fmt.Print(r.String())
-	fmt.Printf("(loadbench in %.1fs wall)\n", time.Since(start).Seconds())
-	if dpout != "" && rep != nil {
-		if err := writeDataplaneReport(dpout, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "dyscobench:", err)
-			return 1
-		}
-		fmt.Printf("sweep report written to %s\n", dpout)
-	}
-	if !r.Passed() {
-		fmt.Fprintln(os.Stderr, "loadbench checks failed")
-		return 1
-	}
-	return 0
-}
-
-// writeDataplaneReport persists the BENCH_dataplane.json sweep report.
-func writeDataplaneReport(path string, rep *exp.DataplaneReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // obsReport is the BENCH_obs.json schema: the causal-graph summary of the

@@ -171,7 +171,7 @@ func TestHotpathRootsCoverage(t *testing.T) {
 		"internal/core.Agent.applyIngress":        "TestRewritePathZeroAlloc",
 		"internal/core.Rule.ApplyEgress":          "TestRewritePathZeroAlloc",
 		"internal/core.Rule.ApplyIngress":         "TestRewritePathZeroAlloc",
-		"internal/dataplane.worker.process":       "TestDataplaneLookupZeroAlloc",
+		"internal/dataplane.Engine.ProcessInline": "TestDataplaneLookupZeroAlloc",
 		"internal/dataplane.Table.Lookup":         "TestDataplaneLookupZeroAlloc",
 		"internal/dataplane.worker.processRaw":    "TestRawPathZeroAlloc",
 		"internal/dataplane.RawRule.ApplyEgress":  "TestRawPathZeroAlloc",

@@ -14,15 +14,24 @@
 // to queues by hash), and control-plane install/remove operations
 // serialized through the shard writers.
 //
-// Correctness is anchored to the simulator, not re-argued from scratch:
-// both sides execute the identical core.Rule kernel, and the differential
-// oracle (RunDiff) replays one packet+control sequence through a
-// single-threaded reference table and through the concurrent engine under
-// -race, asserting identical verdicts and rewrites for stable flows and
-// self-consistent (never torn) rewrites for flows under concurrent
-// install/remove churn.
+// Serialized frames are the engine's one unit of work, as they are for
+// the paper's in-kernel agent (§4.1): rings, batches and workers carry
+// []byte, and RawRule rewrites them in place with incremental checksums.
+// The struct kernel is reachable only through Engine.ProcessInline, on
+// the caller's goroutine — it is the oracle the raw path is diffed
+// against, not a second data path.
 //
-// Table.Lookup and worker.process are hot-path roots: the allocfree and
-// blockfree lint rules statically prove the reader fast path allocates
-// nothing and cannot block.
+// Correctness is anchored to the simulator, not re-argued from scratch:
+// RawRule is compiled from the identical core.Rule the agent executes,
+// and the differential oracle (oracle_test.go) feeds one frame sequence
+// through the concurrent engine under -race and demands bytes identical
+// to Parse → core.Rule → Serialize for stable flows, untouched bytes for
+// malformed frames, and — for frames to keys under concurrent
+// install/remove churn — either untouched bytes or the exact rewrite of
+// one installed version (never a torn entry).
+//
+// Table.Lookup, Engine.ProcessInline, worker.processRaw and the RawRule
+// kernels are hot-path roots: the allocfree and blockfree lint rules
+// statically prove the reader fast path allocates nothing and cannot
+// block.
 package dataplane

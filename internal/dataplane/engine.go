@@ -20,7 +20,7 @@ type Config struct {
 	// RingSize is the per-worker SPSC ring capacity, rounded up to a
 	// power of two (default 1024).
 	RingSize int
-	// Batch is how many packets a worker pulls per ring pop (default 32).
+	// Batch is how many frames a worker pulls per ring pop (default 32).
 	Batch int
 	// DisableOptionTranslation switches off the §4.2 TCP option
 	// rewriting, exactly like core.Config.DisableOptionTranslation.
@@ -42,61 +42,46 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Verdict is the per-packet outcome of the rewrite path.
+// Verdict is the per-frame outcome of the rewrite path.
 type Verdict uint8
 
 const (
-	// Pass: no entry matched; the packet is unchanged.
+	// Pass: no entry matched; the frame is unchanged.
 	Pass Verdict = iota
 	// Rewritten: an entry matched and its Rule was applied in place.
 	Rewritten
-	// Rejected: a raw frame failed ParseView validation (truncated,
+	// Rejected: a frame failed ParseView validation (truncated,
 	// malformed options, bad lengths) and was left byte-for-byte
-	// untouched. The struct path never returns this: its callers parse
-	// before feeding, so malformed frames never reach the engine.
+	// untouched. ProcessInline never returns this: its caller has
+	// already parsed the packet.
 	Rejected
 )
 
-// Outcome records one processed packet's post-rewrite header for the
-// differential oracle (recording mode only; benchmarks leave it off).
-type Outcome struct {
-	Tuple   packet.FiveTuple
-	Seq     uint32
-	Ack     uint32
-	Window  uint16
-	TSVal   uint32 // 0 when the packet carries no timestamp option
-	TSEcr   uint32
-	Verdict Verdict
-}
-
 // worker is one run-to-completion loop: pop a batch from the own ring,
-// process each packet to completion, repeat. Counters are plain worker-
-// local fields — they are read only after Stop's WaitGroup barrier.
+// process each frame to completion, repeat. Counters are plain worker-
+// local fields — they are read only after Stop's WaitGroup barrier. The
+// pad keeps them off the cache line a feeder reads ring from on every
+// push: sharing it doubles the fed cost per frame (the worker's counter
+// stores keep invalidating the feeder's copy).
 type worker struct {
 	eng   *Engine
 	ring  *Ring
-	batch []item
+	batch [][]byte
+	_     [64]byte
 
 	processed uint64
 	rewritten uint64
 	rejected  uint64
-
-	record bool
-	out    []Outcome
 }
 
 // Engine is the concurrent rewrite engine: a shared sharded Table and a
 // pool of workers behind per-worker SPSC rings. Flows are pinned to
-// workers by hash (the RSS model), so per-flow packet order is preserved
-// end to end — the property the differential oracle's exact-match replay
-// depends on.
+// workers by hash (the RSS model), so per-flow frame order is preserved
+// end to end.
 type Engine struct {
 	cfg     Config
 	table   *Table
 	workers []*worker
-	// workerShift is packet.BucketShift(len(workers)), hoisted out of
-	// WorkerFor.
-	workerShift uint
 
 	stop    atomic.Bool
 	running bool
@@ -106,13 +91,13 @@ type Engine struct {
 // New builds an engine (not yet started) with its own table.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
-	e := &Engine{cfg: cfg, table: NewTable(cfg.Shards), workerShift: packet.BucketShift(cfg.Workers)}
+	e := &Engine{cfg: cfg, table: NewTable(cfg.Shards)}
 	e.workers = make([]*worker, cfg.Workers)
 	for i := range e.workers {
 		e.workers[i] = &worker{
 			eng:   e,
 			ring:  NewRing(cfg.RingSize),
-			batch: make([]item, cfg.Batch),
+			batch: make([][]byte, cfg.Batch),
 		}
 	}
 	return e
@@ -128,24 +113,15 @@ func (e *Engine) Workers() int { return len(e.workers) }
 // WorkerFor returns the worker index a flow is pinned to. The hash is
 // rotated before bucketing so the worker choice stays independent of
 // the shard choice (both fold the same 64-bit hash; unrotated they
-// would share their top bits). This is packet.Bucket(rotated hash,
-// workers) with the log2 hoisted into New.
+// would share their top bits). The worker count need not be a power of
+// two: the top 32 bits of the Fibonacci product are scaled onto
+// [0, workers) by a second multiply-shift, which for a power of two is
+// exactly packet.Bucket(rotated hash, workers).
 func (e *Engine) WorkerFor(ft packet.FiveTuple) int {
 	h := ft.Hash()
-	return int(((h<<32 | h>>32) * packet.FibMix) >> e.workerShift)
+	hi := ((h<<32 | h>>32) * packet.FibMix) >> 32
+	return int(hi * uint64(len(e.workers)) >> 32)
 }
-
-// SetRecording switches per-worker outcome recording. Must be called
-// before Start.
-func (e *Engine) SetRecording(on bool) {
-	for _, w := range e.workers {
-		w.record = on
-	}
-}
-
-// Outcomes returns worker i's recorded outcomes, in that worker's
-// arrival order. Valid only after Stop.
-func (e *Engine) Outcomes(i int) []Outcome { return e.workers[i].out }
 
 // Start launches the worker loops.
 func (e *Engine) Start() {
@@ -160,41 +136,28 @@ func (e *Engine) Start() {
 	}
 }
 
-// Feed routes p onto its flow's worker ring, returning false when that
-// ring is full (every rejection by one of the four Feed variants is
-// counted in EngineStats.FeedFull). Single-producer contract: all Feed
-// calls must come from one goroutine (use FeedWorker from multiple
-// feeders that own disjoint workers).
-func (e *Engine) Feed(p *packet.Packet) bool {
-	return e.workers[e.WorkerFor(p.Tuple)].ring.Push(p)
-}
-
-// FeedWorker pushes p directly onto worker i's ring, for feeders that
-// pre-partition traffic (one feeder per worker, the per-queue NIC
-// model). The single-producer-per-ring contract still applies.
-func (e *Engine) FeedWorker(i int, p *packet.Packet) bool {
-	return e.workers[i].ring.Push(p)
-}
-
-// FeedRaw routes a serialized frame onto its flow's worker ring for the
-// zero-copy fast path, returning false when that ring is full. The
-// worker rewrites the frame bytes in place; the caller must not touch
-// them until after Stop. Flow pinning uses the same tuple hash as Feed,
-// so a flow's raw and struct packets land on the same worker; frames
+// FeedRaw routes a serialized frame onto its flow's worker ring,
+// returning false when that ring is full (every such rejection is
+// counted in EngineStats.FeedFull). The worker rewrites the frame bytes
+// in place; the caller must not touch them until after Stop. Frames
 // ParseView rejects have no tuple and go to worker 0, which re-validates
-// and counts them Rejected. Single-producer contract as Feed.
+// and counts them Rejected. Single-producer contract: all FeedRaw calls
+// must come from one goroutine (use FeedRawWorker from multiple feeders
+// that own disjoint workers).
 func (e *Engine) FeedRaw(frame []byte) bool {
 	w := 0
 	if v, err := packet.ParseView(frame); err == nil {
 		w = e.WorkerFor(v.Tuple())
 	}
-	return e.workers[w].ring.PushRaw(frame)
+	return e.workers[w].ring.Push(frame)
 }
 
-// FeedRawWorker pushes a frame directly onto worker i's ring, the raw
-// counterpart of FeedWorker.
+// FeedRawWorker pushes a frame directly onto worker i's ring, for
+// feeders that pre-partition traffic (one feeder per worker, the
+// per-queue NIC model). The single-producer-per-ring contract still
+// applies.
 func (e *Engine) FeedRawWorker(i int, frame []byte) bool {
-	return e.workers[i].ring.PushRaw(frame)
+	return e.workers[i].ring.Push(frame)
 }
 
 // Stop asks the workers to drain their rings and exit, then waits for
@@ -208,18 +171,14 @@ func (e *Engine) Stop() {
 	e.running = false
 }
 
-// ProcessInline runs the lookup+rewrite path on the caller's goroutine,
-// bypassing the rings: the caller acts as its own run-to-completion
-// worker. This is the path the throughput benchmarks drive from N
-// goroutines — it measures table+kernel scalability without a feeder
-// thread in the way.
+// ProcessInline runs the struct kernel on an already-parsed packet, on
+// the caller's goroutine: one table lookup, then the direction's side of
+// the core.Rule rewrite, in place. Workers never run it — it is the
+// reference the raw path is diffed against (Parse → ProcessInline →
+// Serialize) and the ledger's struct_ns_per_frame. Hot-path root: Lookup
+// and the Rule kernel under it are proven alloc-free and non-blocking by
+// the lint rules.
 func (e *Engine) ProcessInline(p *packet.Packet) Verdict {
-	return e.processOne(p)
-}
-
-// processOne is the shared per-packet kernel: one table lookup, then the
-// direction's side of the core.Rule rewrite, in place.
-func (e *Engine) processOne(p *packet.Packet) Verdict {
 	ent := e.table.Lookup(p.Tuple)
 	if ent == nil {
 		return Pass
@@ -233,9 +192,9 @@ func (e *Engine) processOne(p *packet.Packet) Verdict {
 }
 
 // ProcessRawInline runs the zero-copy rewrite on the caller's goroutine,
-// bypassing the rings — the raw counterpart of ProcessInline and the
-// path the raw throughput benchmark drives. The frame is validated,
-// looked up, and rewritten in place; Rejected frames are untouched.
+// bypassing the rings: the caller acts as its own run-to-completion
+// worker. The frame is validated, looked up, and rewritten in place;
+// Rejected frames are untouched.
 func (e *Engine) ProcessRawInline(frame []byte) Verdict {
 	return e.processRawOne(frame)
 }
@@ -266,8 +225,8 @@ type EngineStats struct {
 	Processed uint64 `json:"processed"`
 	Rewritten uint64 `json:"rewritten"`
 	Rejected  uint64 `json:"rejected"`
-	// FeedFull counts Feed/FeedWorker/FeedRaw/FeedRawWorker calls that
-	// returned false because the target ring was full.
+	// FeedFull counts FeedRaw/FeedRawWorker calls that returned false
+	// because the target ring was full.
 	FeedFull uint64     `json:"feed_full"`
 	Table    TableStats `json:"table"`
 }
@@ -287,7 +246,7 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // run is the worker loop: run-to-completion batches, spin-yield when
-// idle, exit once stopped AND drained (packets fed before Stop are
+// idle, exit once stopped AND drained (frames fed before Stop are
 // never dropped).
 func (w *worker) run() {
 	defer w.eng.wg.Done()
@@ -301,48 +260,22 @@ func (w *worker) run() {
 			continue
 		}
 		w.processed += uint64(n)
-		for _, it := range w.batch[:n] {
-			if it.raw != nil {
-				w.processRaw(it.raw)
-				continue
-			}
-			p := it.p
-			v := w.process(p)
-			if w.record {
-				o := Outcome{Tuple: p.Tuple, Seq: p.Seq, Ack: p.Ack, Window: p.Window, Verdict: v}
-				if p.Opts.TS != nil {
-					o.TSVal, o.TSEcr = p.Opts.TS.Val, p.Opts.TS.Ecr
-				}
-				w.out = append(w.out, o)
-			}
+		for _, frame := range w.batch[:n] {
+			w.processRaw(frame)
 		}
 	}
 }
 
-// process handles one packet to completion. Hot-path root: everything
-// reachable from here (Lookup, the Rule kernel) is proven alloc-free
-// and non-blocking by the lint rules; recording and counters stay in
-// run, outside the proven region.
-func (w *worker) process(p *packet.Packet) Verdict {
-	v := w.eng.processOne(p)
-	if v == Rewritten {
-		w.rewritten++
-	}
-	return v
-}
-
-// processRaw handles one raw frame to completion, in place. Hot-path
-// root like process: ParseView, the table lookup, and the RawRule
-// kernel under it are proven alloc-free and non-blocking by the lint
-// rules, and TestRawPathZeroAlloc pins the same claim dynamically.
-func (w *worker) processRaw(frame []byte) Verdict {
-	v := w.eng.processRawOne(frame)
-	switch v {
+// processRaw handles one frame to completion, in place. Hot-path root:
+// ParseView, the table lookup, and the RawRule kernel under it are
+// proven alloc-free and non-blocking by the lint rules, and
+// TestRawPathZeroAlloc pins the same claim dynamically.
+func (w *worker) processRaw(frame []byte) {
+	switch w.eng.processRawOne(frame) {
 	case Rewritten:
 		w.rewritten++
 	case Rejected:
 		w.rejected++
 	case Pass:
 	}
-	return v
 }

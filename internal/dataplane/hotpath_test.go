@@ -9,10 +9,10 @@ import (
 
 // TestDataplaneLookupZeroAlloc is the dynamic counterpart of the static
 // allocfree proof over the dataplane hot-path roots (Table.Lookup and
-// worker.process): the lint hot-path coverage test in internal/core pins
-// those roots to this test by name. The reader fast path — hash, shard,
-// array load, slot probe, epoch stamp, rule application — must allocate
-// nothing per packet.
+// Engine.ProcessInline): the lint hot-path coverage test in
+// internal/core pins those roots to this test by name. The reader fast
+// path — hash, shard, array load, slot probe, epoch stamp, rule
+// application — must allocate nothing per packet.
 func TestDataplaneLookupZeroAlloc(t *testing.T) {
 	eng := New(Config{Workers: 1, Shards: 64})
 	tb := eng.Table()
@@ -29,7 +29,7 @@ func TestDataplaneLookupZeroAlloc(t *testing.T) {
 		t.Fatalf("Lookup(miss) allocates %.1f/op", n)
 	}
 
-	// The full per-packet worker path: lookup + rewrite in place.
+	// The full struct kernel: lookup + rewrite in place.
 	egr := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
 	tb.Install(egr, &Entry{Dir: Egress, Rule: core.Rule{
 		To:     packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: 9, DstIP: 8, SrcPort: 7, DstPort: 6},
@@ -37,12 +37,11 @@ func TestDataplaneLookupZeroAlloc(t *testing.T) {
 	}})
 	p := packet.NewTCP(egr, packet.FlagACK, 100, 200, make([]byte, 256))
 	p.Opts.TS = &packet.Timestamp{Val: 1, Ecr: 2}
-	w := eng.workers[0]
 	if n := testing.AllocsPerRun(1000, func() {
-		p.Tuple = egr // re-arm: process rewrites the tuple in place
-		w.process(p)
+		p.Tuple = egr // re-arm: ProcessInline rewrites the tuple in place
+		eng.ProcessInline(p)
 	}); n != 0 {
-		t.Fatalf("worker.process allocates %.1f/op", n)
+		t.Fatalf("ProcessInline allocates %.1f/op", n)
 	}
 
 	// Hash and Bucket, the bucketing primitives under the path.

@@ -61,8 +61,8 @@ func CompileRaw(r *core.Rule, dir Dir) RawRule {
 // checksum via RFC 1624 (packet.ChecksumUpdate16/32) instead of a
 // recompute, and the tuple substitution patches the IP header checksum
 // the same way — which is why the result is byte-identical to
-// Parse → ApplyEgress → Serialize (the equivalence RunRawDiff and
-// FuzzRawRewrite pin): both sides compute the same one's-complement
+// Parse → ApplyEgress → Serialize (the equivalence the differential
+// oracle and FuzzRawRewrite pin): both sides compute the same one's-complement
 // residue, and neither representation of zero can arise because the
 // pseudo-header's protocol byte keeps every full sum nonzero.
 func (r *RawRule) ApplyEgress(v *packet.View, translateOptions bool) {

@@ -115,29 +115,6 @@ func TestRawKernelMatchesStructKernel(t *testing.T) {
 	}
 }
 
-// TestRawDiffGrid runs the raw-vs-struct oracle across seeds × worker
-// counts × option-translation settings. Under -race the concurrent churn
-// also checks the slot publication protocol against the raw readers.
-func TestRawDiffGrid(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		for _, workers := range []int{1, 2, 4} {
-			for _, noOpts := range []bool{false, true} {
-				name := fmt.Sprintf("seed=%d/workers=%d/noOpts=%v", seed, workers, noOpts)
-				t.Run(name, func(t *testing.T) {
-					cfg := RawDiffConfig{
-						Seed: seed, Flows: 96, PacketsPerFlow: 6, Malformed: 40,
-						Engine: Config{Workers: workers, Shards: 8, RingSize: 128,
-							DisableOptionTranslation: noOpts},
-					}
-					if err := RunRawDiff(cfg); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestRawRejectsMalformed feeds hand-corrupted frames through the inline
 // raw path: every one must come back Rejected and byte-identical.
 func TestRawRejectsMalformed(t *testing.T) {
@@ -218,8 +195,8 @@ func fuzzEngine() (*Engine, *Ref) {
 	eng := New(Config{Workers: 1})
 	ref := NewRef(Config{})
 	for i := 0; i < 2; i++ {
-		eng.Table().Install(rawFlowTuple(i), rawStableEntry(i))
-		ref.Install(rawFlowTuple(i), rawStableEntry(i))
+		eng.Table().Install(flowTuple(i), stableEntry(i))
+		ref.Install(flowTuple(i), stableEntry(i))
 	}
 	return eng, ref
 }
@@ -267,10 +244,10 @@ func FuzzRawRewrite(f *testing.F) {
 // and protocols, a miss, and malformed edges.
 func rawFuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(5))
-	hitE := rawFlowPacket(rng, 0, 3).Serialize()  // egress entry
-	hitI := rawFlowPacket(rng, 1, 2).Serialize()  // ingress entry
-	miss := rawFlowPacket(rng, 20, 0).Serialize() // no entry
-	udp := packet.NewUDP(rawFlowTuple(4), []byte("odd")).Serialize()
+	hitE := flowPacket(rng, 0, 3).Serialize()  // egress entry
+	hitI := flowPacket(rng, 1, 2).Serialize()  // ingress entry
+	miss := flowPacket(rng, 20, 0).Serialize() // no entry
+	udp := packet.NewUDP(flowTuple(4), []byte("odd")).Serialize()
 	return [][]byte{
 		hitE, hitI, miss, udp,
 		hitE[:len(hitE)/2],

@@ -1,11 +1,10 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/packet"
 )
 
 func TestRingBasics(t *testing.T) {
@@ -16,9 +15,9 @@ func TestRingBasics(t *testing.T) {
 	if got := NewRing(5).Cap(); got != 8 {
 		t.Fatalf("NewRing(5).Cap() = %d, want 8", got)
 	}
-	ps := make([]*packet.Packet, 5)
+	ps := make([][]byte, 5)
 	for i := range ps {
-		ps[i] = packet.NewTCP(testTuple(i), packet.FlagACK, uint32(i), 0, nil)
+		ps[i] = []byte{byte(i)}
 	}
 	for i := 0; i < 4; i++ {
 		if !r.Push(ps[i]) {
@@ -31,20 +30,20 @@ func TestRingBasics(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
-	buf := make([]item, 3)
+	buf := make([][]byte, 3)
 	if n := r.PopBatch(buf); n != 3 {
 		t.Fatalf("PopBatch = %d, want 3", n)
 	}
 	for i := 0; i < 3; i++ {
-		if buf[i].p != ps[i] {
-			t.Fatalf("popped %v at %d, want %v", buf[i].p, i, ps[i])
+		if &buf[i][0] != &ps[i][0] {
+			t.Fatalf("popped %v at %d, want %v", buf[i], i, ps[i])
 		}
 	}
 	if !r.Push(ps[4]) {
 		t.Fatal("push failed after pop freed slots")
 	}
-	if n := r.PopBatch(buf); n != 2 || buf[0].p != ps[3] || buf[1].p != ps[4] {
-		t.Fatalf("final PopBatch = %d (%v, %v)", n, buf[0].p, buf[1].p)
+	if n := r.PopBatch(buf); n != 2 || &buf[0][0] != &ps[3][0] || &buf[1][0] != &ps[4][0] {
+		t.Fatalf("final PopBatch = %d (%v, %v)", n, buf[0], buf[1])
 	}
 	if n := r.PopBatch(buf); n != 0 {
 		t.Fatalf("PopBatch on empty ring = %d", n)
@@ -52,14 +51,16 @@ func TestRingBasics(t *testing.T) {
 }
 
 // TestRingSPSC runs the producer and consumer on separate goroutines
-// under -race: every packet arrives exactly once, in order, across
+// under -race: every frame arrives exactly once, in order, across
 // many wraparounds.
 func TestRingSPSC(t *testing.T) {
 	const total = 200000
 	r := NewRing(64)
-	pool := make([]*packet.Packet, total)
+	backing := make([]byte, 4*total)
+	pool := make([][]byte, total)
 	for i := range pool {
-		pool[i] = packet.NewTCP(testTuple(0), packet.FlagACK, uint32(i), 0, nil)
+		pool[i] = backing[4*i : 4*i+4]
+		binary.BigEndian.PutUint32(pool[i], uint32(i))
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -71,7 +72,7 @@ func TestRingSPSC(t *testing.T) {
 			}
 		}
 	}()
-	buf := make([]item, 16)
+	buf := make([][]byte, 16)
 	next := uint32(0)
 	for int(next) < total {
 		n := r.PopBatch(buf)
@@ -80,8 +81,8 @@ func TestRingSPSC(t *testing.T) {
 			continue
 		}
 		for i := 0; i < n; i++ {
-			if buf[i].p.Seq != next {
-				t.Fatalf("out of order: got seq %d, want %d", buf[i].p.Seq, next)
+			if seq := binary.BigEndian.Uint32(buf[i]); seq != next {
+				t.Fatalf("out of order: got seq %d, want %d", seq, next)
 			}
 			next++
 		}

@@ -54,7 +54,8 @@ type Entry struct {
 	// raw is the Rule compiled for the zero-copy fast path, filled in by
 	// Install (before the entry is published, so readers always see it
 	// complete). The struct and raw kernels of one entry are two
-	// lowerings of the same Rule — the equivalence RunRawDiff checks.
+	// lowerings of the same Rule — the equivalence the differential
+	// oracle (oracle_test.go) checks.
 	raw RawRule
 }
 
@@ -92,7 +93,7 @@ func newSlotArray(n int) *slotArray {
 // keeps neighboring shards' hit/miss counters off each other's cache
 // line: the counters are the only cross-core write traffic on the read
 // path, and false sharing there is exactly the scalability bug the
-// shard×GOMAXPROCS sweep in exp.LoadBench would surface.
+// ledger's dataplane.scaling_2r (bench/) would surface.
 type shard struct {
 	arr atomic.Pointer[slotArray]
 

@@ -566,15 +566,6 @@ func TestTableShardIndexIsBucket(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		eng := New(Config{Workers: workers, Shards: 1})
-		for i := 0; i < 2000; i++ {
-			h := testTuple(i).Hash()
-			if got, want := eng.WorkerFor(testTuple(i)), packet.Bucket(h<<32|h>>32, workers); got != want {
-				t.Fatalf("workers=%d: WorkerFor = %d, packet.Bucket = %d", workers, got, want)
-			}
-		}
-	}
 }
 
 // TestTableOneEntryOneInstall: an Entry records its key, so a second

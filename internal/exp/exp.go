@@ -160,9 +160,6 @@ func Run(id string, sc Scale, seed int64) (*Result, error) {
 	case "obsbench":
 		r, _ := ObsBench(seed)
 		return r, nil
-	case "loadbench":
-		r, _ := LoadBench(sc, seed, true)
-		return r, nil
 	default:
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, All())
 	}

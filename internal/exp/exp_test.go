@@ -87,37 +87,3 @@ func TestAllListsEveryExperiment(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadBenchSmoke runs the wall-clock dataplane sweep at tiny scale:
-// the report must cover the full workers×shards grid with sane numbers,
-// and the speedup checks must either pass or be recorded as skipped on
-// hosts with fewer than 4 CPUs (the 1-CPU case cannot show parallel
-// speedup by construction).
-func TestLoadBenchSmoke(t *testing.T) {
-	r, rep := exp.LoadBench(tinyScale(), 42, true)
-	if rep == nil || len(rep.Rows) == 0 {
-		t.Fatal("no sweep rows")
-	}
-	for _, row := range rep.Rows {
-		if row.PktsPerSec <= 0 || row.NsPerOp <= 0 {
-			t.Errorf("workers=%d shards=%d: degenerate throughput %+v", row.Workers, row.Shards, row)
-		}
-		if row.LookupP99Ns < row.LookupP50Ns {
-			t.Errorf("workers=%d shards=%d: p99 %.0fns < p50 %.0fns", row.Workers, row.Shards,
-				row.LookupP99Ns, row.LookupP50Ns)
-		}
-	}
-	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 {
-		t.Errorf("hardware context missing: %+v", rep)
-	}
-	out := r.String()
-	if rep.NumCPU < 4 && !strings.Contains(out, "speedup check skipped") {
-		t.Errorf("speedup check not gated on %d CPUs:\n%s", rep.NumCPU, out)
-	}
-	if !r.Passed() {
-		t.Fatalf("loadbench checks failed:\n%s", out)
-	}
-	if _, err := exp.Run("loadbench", tinyScale(), 42); err != nil {
-		t.Fatalf("Run dispatch: %v", err)
-	}
-}

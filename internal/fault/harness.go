@@ -28,11 +28,11 @@ type RunResult struct {
 	// DeadEndSends counts control transmissions with no matched delivery:
 	// dropped or still-in-flight messages surface here as dead-end nodes,
 	// never as phantom edges.
-	DeadEndSends int `json:"deadEndSends"`
-	BytesExpected   int    `json:"bytesExpected"`
-	BytesReceived   int    `json:"bytesReceived"`
-	ReconfigsDone   int    `json:"reconfigsDone"`
-	ReconfigsFailed int    `json:"reconfigsFailed"`
+	DeadEndSends    int `json:"deadEndSends"`
+	BytesExpected   int `json:"bytesExpected"`
+	BytesReceived   int `json:"bytesReceived"`
+	ReconfigsDone   int `json:"reconfigsDone"`
+	ReconfigsFailed int `json:"reconfigsFailed"`
 
 	// Drops aggregates packet drops across every host and link end, by
 	// reason (queue, loss, linkDown, fault, hostDown, corrupt).

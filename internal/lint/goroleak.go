@@ -58,12 +58,12 @@ func (k chanOpKind) String() string {
 
 // chanOp is one channel operation site.
 type chanOp struct {
-	class string // possibly "param:<funcKey>@<i>" before expansion
-	kind  chanOpKind
-	pos   token.Position
-	node  ast.Node
-	sel   *ast.SelectStmt // enclosing select clause head, if any
-	selDefault bool       // that select has a default (non-blocking)
+	class      string // possibly "param:<funcKey>@<i>" before expansion
+	kind       chanOpKind
+	pos        token.Position
+	node       ast.Node
+	sel        *ast.SelectStmt // enclosing select clause head, if any
+	selDefault bool            // that select has a default (non-blocking)
 }
 
 // goFuncIndex locates every declared function for body lookup and

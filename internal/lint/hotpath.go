@@ -39,10 +39,10 @@ var defaultHotpathRoots = []string{
 	// engine execute.
 	"internal/core.Rule.ApplyEgress",
 	"internal/core.Rule.ApplyIngress",
-	// The concurrent data plane's reader fast path: per-packet worker
-	// processing and the sharded table lookup under it, plus the flow
+	// The concurrent data plane's reader fast path: the struct kernel
+	// entry and the sharded table lookup under it, plus the flow
 	// bucketing primitives.
-	"internal/dataplane.worker.process",
+	"internal/dataplane.Engine.ProcessInline",
 	"internal/dataplane.Table.Lookup",
 	// The zero-copy wire fast path: per-frame worker processing, the
 	// in-place RawRule kernels, and the bounds-validating view parse

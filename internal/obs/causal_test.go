@@ -108,9 +108,13 @@ func (c *ctrlHub) recv(at sim.Time, from, to, typ string, reqID uint64, wire *ui
 func TestBuildDAGMatchesSendRecv(t *testing.T) {
 	c := newCtrlHub("a", "b")
 	var w1, w2 uint64
-	c.eng.At(1, func() { w1 = c.recs["a"].EmitCtrlSend(Event{Kind: KCtrl, ReqID: 9, Detail: "requestLock", Dir: "send", Peer: c.addr["b"], Local: c.addr["a"]}) })
+	c.eng.At(1, func() {
+		w1 = c.recs["a"].EmitCtrlSend(Event{Kind: KCtrl, ReqID: 9, Detail: "requestLock", Dir: "send", Peer: c.addr["b"], Local: c.addr["a"]})
+	})
 	c.recv(3, "a", "b", "requestLock", 9, &w1)
-	c.eng.At(4, func() { w2 = c.recs["b"].EmitCtrlSend(Event{Kind: KCtrl, ReqID: 9, Detail: "ackLock", Dir: "send", Peer: c.addr["a"], Local: c.addr["b"]}) })
+	c.eng.At(4, func() {
+		w2 = c.recs["b"].EmitCtrlSend(Event{Kind: KCtrl, ReqID: 9, Detail: "ackLock", Dir: "send", Peer: c.addr["a"], Local: c.addr["b"]})
+	})
 	c.recv(6, "b", "a", "ackLock", 9, &w2)
 	c.eng.Run(10)
 

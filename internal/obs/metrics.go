@@ -234,11 +234,6 @@ const (
 	// lookups that matched / missed (internal/dataplane).
 	MDataplaneHits   = "dataplane_lookup_hits"
 	MDataplaneMisses = "dataplane_lookup_misses"
-	// MDataplaneLookup is the measured wall-clock latency of one
-	// dataplane table lookup in nanoseconds (probe loop, not the hot
-	// path itself: timing inside the hot path would break its
-	// allocation-free proof).
-	MDataplaneLookup = "dataplane_lookup_ns"
 	// MDataplaneShardEntries is the per-shard entry count distribution
 	// at report time — the load-balance view of FiveTuple.Hash.
 	MDataplaneShardEntries = "dataplane_shard_entries"
@@ -259,11 +254,6 @@ func CritPathLenBounds() []float64 { return stats.ExpBounds(1, 2, 12) }
 // CritPathWaitBounds are the default buckets for the per-phase
 // MCritPathWaitPrefix histograms: 256 ns quadrupling to ~4 min.
 func CritPathWaitBounds() []float64 { return stats.ExpBounds(256, 4, 14) }
-
-// DataplaneLookupBounds are the default buckets for MDataplaneLookup:
-// 4 ns doubling to ~128 µs (a hit is tens of ns; the tail is scheduler
-// noise worth seeing).
-func DataplaneLookupBounds() []float64 { return stats.ExpBounds(4, 2, 16) }
 
 // DataplaneOccupancyBounds are the default buckets for
 // MDataplaneShardEntries: 1 entry doubling to ~1M.

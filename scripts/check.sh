@@ -8,26 +8,25 @@
 # extracted wire-format layout tables (the input to the wiresafe codec
 # proofs) in LINT_wire.txt; the benchmark's metrics summary lands in
 # BENCH_obs.json (with the causal DAG hash and critical-path summary),
-# the concurrent data-plane sweep (throughput and lookup-latency
-# quantiles over workers×shards) in BENCH_dataplane.json, and the
-# sweep's per-run results (event/schedule/DAG hashes, oracles) in
-# FAULT_sweep.json; the per-scenario reconfiguration critical paths land
-# in CRITPATH.json, gated on byte-identical re-extraction. CI archives
-# all seven as workflow artifacts. Everything here must pass before a
-# change lands; CI and developers run the same script.
+# and the fault sweep's per-run results (event/schedule/DAG hashes,
+# oracles) in FAULT_sweep.json; the per-scenario reconfiguration critical
+# paths land in CRITPATH.json, gated on byte-identical re-extraction. CI
+# archives all six as workflow artifacts. Everything here must pass
+# before a change lands; CI and developers run the same script.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -race ./...
 
-# bench/ is its own module (bench/go.mod), so none of the three commands
-# above compiles it: vet it and run its smoke (all five workloads at
-# 1/20 scale plus the BENCHMARK.json schema pin, ~12 s) so a break of
-# the API surface it pins shows here and not first in the perf pipeline.
-go -C bench vet ./...
+# bench/ is its own module (bench/go.mod), so the commands above only
+# vet it (root TestBenchModuleVets): run its smoke too (all five
+# workloads at 1/20 scale plus the BENCHMARK.json schema pin, ~12 s) so
+# a break of the API surface it pins shows here and not first in the
+# perf pipeline.
 go -C bench test ./...
 
 go run ./cmd/dyscolint -json ./... > LINT_report.json || { cat LINT_report.json; exit 1; }
@@ -44,18 +43,12 @@ go test ./internal/dataplane -run '^$' -fuzz '^FuzzRawRewrite$' -fuzztime 10s
 go run ./cmd/dyscobench -short -obsout BENCH_obs.json
 go run ./cmd/dyscofault -short -json FAULT_sweep.json
 
-# Concurrent data-plane gate. The differential oracles (struct and
-# raw-vs-struct) and snapshot churn stress already ran under -race above
-# (internal/dataplane is part of the module test sweep); this re-runs
-# just that package's oracle and raw-path tests as an explicit,
-# greppable gate, then takes the quick-scale throughput sweep including
-# the wire-path comparison (struct round trip vs zero-copy raw). The
-# >2x parallel-speedup and raw>=2x-struct checks inside the sweep
-# self-gate on hosts granted fewer than 4 CPUs; the GitHub runners have
-# 4 vCPUs, so CI enforces both and archives the sweep as
-# BENCH_dataplane.json.
+# Concurrent data-plane gate. The differential oracle and the table
+# churn stress already ran under -race above (internal/dataplane is part
+# of the module test sweep); this re-runs just that package's oracle,
+# table and raw-path tests as an explicit, greppable gate. Engine
+# throughput is measured by the perf ledger (bench/), not here.
 go test -race -run 'TestEngine|TestTable|TestRaw' ./internal/dataplane
-go run ./cmd/dyscobench -dataplane -raw -dpout BENCH_dataplane.json
 
 # Critical-path determinism gate: for every scenario, extract the
 # reconfiguration critical paths twice with the same seed and require
