@@ -1,7 +1,7 @@
 // Command dyscolint runs the repo's static-analysis suite (internal/lint)
 // over the module: it loads, parses, and type-checks every package using
-// only the standard library, applies the determinism / sequence-arithmetic
-// / concurrency analyzers, and prints findings as file:line:col lines.
+// only the standard library, applies the determinism, protocol-conformance
+// and hot-path analyzers, and prints findings as file:line:col lines.
 // It exits non-zero when any finding survives //lint:ignore suppression.
 //
 // Usage:

@@ -6,7 +6,6 @@
 //	dyscoverify                          # the standard battery
 //	dyscoverify -agents 6 -reqs 0-3,2-5  # a custom contention scenario
 //	dyscoverify -tokens 5 -delta 42      # a custom two-path scenario
-//	dyscoverify -conformance             # implementation ↔ model FSM check
 package main
 
 import (
@@ -16,26 +15,19 @@ import (
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/lint"
 	"repro/internal/model"
 )
 
 func main() {
 	var (
-		agents  = flag.Int("agents", 0, "custom lock scenario: chain length")
-		reqs    = flag.String("reqs", "", "custom lock scenario: segments, e.g. 0-2,1-3")
-		cancel  = flag.Bool("cancel", false, "custom lock scenario: winners cancel (§3.6)")
-		tokens  = flag.Int("tokens", 0, "custom two-path scenario: data tokens")
-		delta   = flag.Int64("delta", 0, "custom two-path scenario: middlebox delta")
-		max     = flag.Int("max", 0, "state bound (0 = default)")
-		conform = flag.Bool("conformance", false, "statically check internal/core's state machines against the model tables")
+		agents = flag.Int("agents", 0, "custom lock scenario: chain length")
+		reqs   = flag.String("reqs", "", "custom lock scenario: segments, e.g. 0-2,1-3")
+		cancel = flag.Bool("cancel", false, "custom lock scenario: winners cancel (§3.6)")
+		tokens = flag.Int("tokens", 0, "custom two-path scenario: data tokens")
+		delta  = flag.Int64("delta", 0, "custom two-path scenario: middlebox delta")
+		max    = flag.Int("max", 0, "state bound (0 = default)")
 	)
 	flag.Parse()
-
-	if *conform {
-		checkConformance()
-		return
-	}
 
 	if *agents > 0 {
 		segs, err := parseSegments(*reqs)
@@ -57,43 +49,6 @@ func main() {
 	if !r.Passed() {
 		os.Exit(1)
 	}
-}
-
-// checkConformance loads the module and checks the internal/core state
-// machines against the model's verified transition tables: same states,
-// same step relation, funneled writes, and guarded setter calls.
-func checkConformance() {
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dyscoverify:", err)
-		os.Exit(2)
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dyscoverify:", err)
-		os.Exit(2)
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dyscoverify:", err)
-		os.Exit(2)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dyscoverify:", err)
-		os.Exit(2)
-	}
-	fsms, extractFinds := lint.ExtractFSMs(pkgs, lint.DefaultFSMSpecs())
-	fmt.Print(lint.FormatFSMs(fsms))
-	finds := append(extractFinds, lint.CheckFSMConformance(pkgs, lint.DefaultFSMSpecs(), model.Tables())...)
-	if len(finds) > 0 {
-		for _, f := range finds {
-			fmt.Println(f)
-		}
-		fmt.Fprintf(os.Stderr, "conformance: %d finding(s)\n", len(finds))
-		os.Exit(1)
-	}
-	fmt.Println("conformance: implementation refines the model's transition tables")
 }
 
 func report(kind string, init model.State, max int) {

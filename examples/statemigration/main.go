@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -49,7 +50,7 @@ func main() {
 
 	// Firewall1 goes down for maintenance: replace it with Firewall2,
 	// migrating the conntrack state so the mid-stream session is accepted.
-	done := make(chan struct{}, 1)
+	done := false
 	err := client.Agent.StartReconfig(conn.Tuple(), core.ReconfigOptions{
 		RightAnchor:    server.Addr(),
 		NewMiddleboxes: []packet.Addr{fw2.Addr()},
@@ -57,7 +58,7 @@ func main() {
 		StateTo:        fw2.Addr(),
 		OnDone: func(ok bool, took sim.Time) {
 			fmt.Printf("replacement done: ok=%v in %v (state transfer dominates)\n", ok, took)
-			done <- struct{}{}
+			done = true
 		},
 	})
 	if err != nil {
@@ -65,7 +66,10 @@ func main() {
 		return
 	}
 	env.RunFor(5 * time.Second)
-	<-done
+	if !done {
+		fmt.Fprintln(os.Stderr, "statemigration: reconfiguration did not complete within 5 simulated seconds")
+		os.Exit(1)
+	}
 
 	fmt.Printf("firewall2 after migration: tracked=%d imported=%d dropped=%d\n",
 		fw2App.Tracked(), fw2App.Imported, fw2App.Dropped)

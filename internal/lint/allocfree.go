@@ -202,7 +202,7 @@ func scanAllocCall(pkg *Package, call *ast.CallExpr, cg *CallGraph, mod string, 
 	}
 	if fn := calleeFunc(pkg, call); fn != nil {
 		if path := funcPkgPath(fn); path != "" && !inModulePath(path, mod) && !allocFreeStdPkg(path) {
-			report(call, fmt.Sprintf("call into %s cannot be proven allocation-free", lockFuncKey(fn)))
+			report(call, fmt.Sprintf("call into %s cannot be proven allocation-free", funcKey(fn)))
 		}
 		checkCallArgs(pkg, call, fn.Type().(*types.Signature), report)
 		walk(call.Fun)

@@ -98,14 +98,78 @@ func good(seed int64) time.Duration {
 }
 
 func TestWalltimeIgnoresUnrestrictedPackages(t *testing.T) {
-	got := checkFixture(t, WalltimeAnalyzer, "fixture/internal/exp", "wt.go", `
-package exp
+	got := checkFixture(t, WalltimeAnalyzer, "fixture/cmd/x", "wt.go", `
+package main
 
 import "time"
 
-// Experiment drivers run in wall-clock land; only virtual-clock packages
-// are restricted.
+// Commands run in wall-clock land; only packages under internal/ are
+// simulator packages.
 func ok() time.Time { return time.Now() }
+`)
+	wantFindings(t, got, "walltime")
+}
+
+// walltimeConcurrencySrc uses every concurrency construct the widened rule
+// names, one per line, next to the idioms that must stay legal.
+const walltimeConcurrencySrc = `
+package p
+
+import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+type T struct {
+	mu sync.Mutex    // finding: sync
+	n  atomic.Uint64 // finding: sync/atomic
+	ch chan int      // finding: channel type
+}
+
+func (t *T) run(seed int64) time.Duration {
+	go t.work() // finding: go statement
+	t.ch <- 1   // finding: send
+	_ = <-t.ch  // finding: receive
+	select {    // finding: select
+	default:
+	}
+	t.mu.Lock() // methods on the already-reported field: not again
+	t.n.Add(1)
+	t.mu.Unlock()
+	_ = rand.New(rand.NewSource(seed)).Intn(4)
+	return 2 * time.Millisecond
+}
+
+func (t *T) work() {}
+`
+
+func TestWalltimeFlagsConcurrencyInUnlistedPackage(t *testing.T) {
+	// Nobody listed newpkg anywhere: being under internal/ is enough.
+	got := checkFixture(t, WalltimeAnalyzer, "fixture/internal/newpkg", "wt.go", walltimeConcurrencySrc)
+	wantFindings(t, got, "walltime",
+		"sync.Mutex", "sync/atomic.Uint64", "channel type",
+		"go statement", "channel send", "channel receive", "select")
+}
+
+func TestWalltimeExemptsDataplaneAndCommands(t *testing.T) {
+	for _, pkgPath := range []string{"fixture/internal/dataplane", "fixture/cmd/x"} {
+		got := checkFixture(t, WalltimeAnalyzer, pkgPath, "wt.go", walltimeConcurrencySrc)
+		if len(got) != 0 {
+			t.Errorf("%s: got %d findings, want none:\n%v", pkgPath, len(got), got)
+		}
+	}
+}
+
+func TestWalltimeConcurrencyFindingIsSuppressible(t *testing.T) {
+	got := checkFixture(t, WalltimeAnalyzer, "fixture/internal/newpkg", "wt.go", `
+package newpkg
+
+func f() {
+	//lint:ignore walltime fixture: a reviewed one-off exception
+	go f()
+}
 `)
 	wantFindings(t, got, "walltime")
 }
@@ -256,104 +320,6 @@ func schedule(eng *sim.Engine, m map[int]int) {
 	wantFindings(t, got, "mapiter", "Engine.Schedule")
 }
 
-// ---------- locksafe ----------
-
-func TestLocksafeFlagsChannelOpsUnderLock(t *testing.T) {
-	got := checkFixture(t, LocksafeAnalyzer, "fixture/internal/x", "ls.go", `
-package x
-
-import "sync"
-
-type guarded struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-func (g *guarded) bad() {
-	g.mu.Lock()
-	g.ch <- 1 // finding: send under lock
-	g.mu.Unlock()
-}
-
-func (g *guarded) badRecv() int {
-	g.mu.Lock()
-	v := <-g.ch // finding: receive under lock
-	g.mu.Unlock()
-	return v
-}
-`)
-	wantFindings(t, got, "locksafe", "channel send", "channel receive")
-}
-
-func TestLocksafeFlagsSimulatorReentryUnderLock(t *testing.T) {
-	got := checkFixture(t, LocksafeAnalyzer, "fixture/internal/x", "ls.go", `
-package x
-
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
-
-type stepper struct {
-	mu  sync.Mutex
-	eng *sim.Engine
-}
-
-func (s *stepper) bad() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.eng.RunUntilIdle() // finding: simulator re-entry under lock
-}
-`)
-	wantFindings(t, got, "locksafe", "Engine.RunUntilIdle")
-}
-
-func TestLocksafeFlagsDoubleUnlock(t *testing.T) {
-	got := checkFixture(t, LocksafeAnalyzer, "fixture/internal/x", "ls.go", `
-package x
-
-import "sync"
-
-func double(mu *sync.Mutex, cond bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	if cond {
-		mu.Unlock() // finding: defer still pending at return
-	}
-}
-`)
-	wantFindings(t, got, "locksafe", "double unlock")
-}
-
-func TestLocksafePassesDisciplinedLocking(t *testing.T) {
-	got := checkFixture(t, LocksafeAnalyzer, "fixture/internal/x", "ls.go", `
-package x
-
-import "sync"
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-	ch chan int
-}
-
-func (g *guarded) good() {
-	g.mu.Lock()
-	g.n++
-	g.mu.Unlock()
-	g.ch <- g.n // after release: fine
-}
-
-func (g *guarded) deferred() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-`)
-	wantFindings(t, got, "locksafe")
-}
-
 // ---------- errdrop ----------
 
 func TestErrdropFlagsDiscardedSendAndParse(t *testing.T) {
@@ -456,6 +422,18 @@ func f() time.Time { return time.Now() }
 	wantFindings(t, got, "errdrop")
 }
 
+func TestIgnoreUnknownRuleIsAFinding(t *testing.T) {
+	// A typo'd or retired rule name can never suppress or expire, so it is
+	// reported whatever the run set — here a run that has only errdrop.
+	got := checkFixture(t, ErrdropAnalyzer, "fixture/internal/x", "ig.go", `
+package x
+
+//lint:ignore nosuchrule some reason
+func f() {}
+`)
+	wantFindings(t, got, "lint", `unknown rule "nosuchrule"`)
+}
+
 func TestMalformedIgnoreIsAFinding(t *testing.T) {
 	got := checkFixture(t, WalltimeAnalyzer, "fixture/internal/x", "ig.go", `
 package x
@@ -469,9 +447,9 @@ func missingReason() {}
 // ---------- framework ----------
 
 func TestAllAnalyzersPresent(t *testing.T) {
-	want := []string{"walltime", "seqarith", "mapiter", "locksafe", "errdrop",
-		"statexhaust", "lockorder", "rewritetaint", "fsmconform", "obsexhaust",
-		"allocfree", "blockfree", "goroleak", "wiresafe"}
+	want := []string{"walltime", "seqarith", "mapiter", "errdrop",
+		"statexhaust", "rewritetaint", "fsmconform", "obsexhaust",
+		"allocfree", "blockfree", "wiresafe"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(got), len(want))

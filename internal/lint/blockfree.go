@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // BlockfreeAnalyzer proves the hot-path region (same region as
@@ -13,16 +12,9 @@ import (
 // timer waits, no lock acquisition, no sync waits, and no call that
 // cannot be proven non-blocking. A data plane that parks a goroutine
 // per packet is not a data plane.
-//
-// The rule has a second half wired to lockorder's class model: if hot
-// code does acquire a lock class (justified with //lint:ignore), that
-// class becomes *hot*, and the whole module is then scanned for code
-// that blocks or takes further locks while a hot class may be held —
-// anyone extending a hot critical section is extending per-packet
-// latency, wherever they live.
 var BlockfreeAnalyzer = &Analyzer{
 	Name:      "blockfree",
-	Doc:       "the hot-path root set must be transitively non-blocking, and nothing may block while a hot lock class is held",
+	Doc:       "the hot-path root set must be transitively non-blocking",
 	RunModule: runBlockfree,
 }
 
@@ -37,22 +29,18 @@ func runBlockfree(pkgs []*Package) []Finding {
 	findings = findings[:0]
 	mod := pkgs[0].ModulePath
 
-	hotLocks := map[string]bool{}
 	for _, hf := range region.funcs {
 		node := cg.Nodes[hf.key]
 		report := func(n ast.Node, msg string) {
 			findings = append(findings, hotFinding("blockfree", node.Pkg, n, hf.chain, msg))
 		}
-		scanBlockBody(node.Pkg, node.Decl, cg, mod, hotLocks, report)
+		scanBlockBody(node.Pkg, node.Decl, cg, mod, report)
 	}
-
-	findings = append(findings, scanHotLockHolders(pkgs, hotLocks)...)
 	return findings
 }
 
-// scanBlockBody walks one hot function body reporting blocking
-// constructs. Lock classes acquired here are recorded in hotLocks.
-func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, hotLocks map[string]bool, report func(ast.Node, string)) {
+// scanBlockBody walks one hot function body reporting blocking constructs.
+func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, report func(ast.Node, string)) {
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		if n == nil {
@@ -62,7 +50,7 @@ func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, ho
 		case *ast.FuncLit:
 			return // runs only if invoked; invocation sites are flagged
 		case *ast.GoStmt:
-			return // spawning never blocks; the spawned body is goroleak's job
+			return // spawning never blocks the spawner
 		case *ast.DeferStmt:
 			walk(n.Call) // runs at return, still on the hot goroutine
 			return
@@ -94,7 +82,7 @@ func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, ho
 			}
 			return
 		case *ast.CallExpr:
-			scanBlockCall(pkg, fd.Name.Name, n, cg, mod, hotLocks, report, walk)
+			scanBlockCall(pkg, n, cg, mod, report, walk)
 			return
 		}
 		for _, c := range astChildren(n) {
@@ -105,7 +93,7 @@ func scanBlockBody(pkg *Package, fd *ast.FuncDecl, cg *CallGraph, mod string, ho
 }
 
 // scanBlockCall classifies one call expression on the hot path.
-func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGraph, mod string, hotLocks map[string]bool, report func(ast.Node, string), walk func(ast.Node)) {
+func scanBlockCall(pkg *Package, call *ast.CallExpr, cg *CallGraph, mod string, report func(ast.Node, string), walk func(ast.Node)) {
 	walkRest := func() {
 		walk(call.Fun)
 		for _, a := range call.Args {
@@ -137,16 +125,6 @@ func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGr
 			return
 		}
 	}
-	if key, acq, rel := lockClassOf(pkg, funcName, call); key != "" && (acq || rel) {
-		if acq {
-			report(call, fmt.Sprintf("acquires lock class %s on the hot path", key))
-			hotLocks[key] = true
-		}
-		// Releases never block and are part of the lock-class model, not
-		// an unprovable out-of-module call.
-		walkRest()
-		return
-	}
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
 		if s, ok := pkg.Info.Selections[sel]; ok && types.IsInterface(s.Recv()) {
 			if len(cg.IfaceTargets(pkg, call)) == 0 {
@@ -159,8 +137,8 @@ func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGr
 	if fn := calleeFunc(pkg, call); fn != nil {
 		if msg := blockingStdCall(fn); msg != "" {
 			report(call, msg)
-		} else if path := funcPkgPath(fn); path != "" && !inModulePath(path, mod) && !nonBlockingStdPkg(path) {
-			report(call, fmt.Sprintf("call into %s cannot be proven non-blocking", lockFuncKey(fn)))
+		} else if path := funcPkgPath(fn); path != "" && !inModulePath(path, mod) && !nonBlockingStdCall(fn) {
+			report(call, fmt.Sprintf("call into %s cannot be proven non-blocking", funcKey(fn)))
 		}
 		walkRest()
 		return
@@ -169,12 +147,23 @@ func scanBlockCall(pkg *Package, funcName string, call *ast.CallExpr, cg *CallGr
 	walkRest()
 }
 
-// nonBlockingStdPkg whitelists the out-of-module packages whose
-// operations are non-blocking by specification. sync/atomic is the only
-// member: its operations are hardware load/store/RMW instructions with
-// no lock, no park, no syscall — the primitive the dataplane's lock-free
-// snapshot readers rely on being exactly as cheap as advertised.
-func nonBlockingStdPkg(path string) bool { return path == "sync/atomic" }
+// nonBlockingStdCall whitelists the out-of-module calls that are
+// non-blocking by specification. All of sync/atomic: its operations are
+// hardware load/store/RMW instructions with no lock, no park, no syscall
+// — the primitive the dataplane's lock-free snapshot readers rely on
+// being exactly as cheap as advertised. And releasing a mutex: the
+// matching acquire is the finding (blockingStdCall), the release never
+// waits.
+func nonBlockingStdCall(fn *types.Func) bool {
+	if funcPkgPath(fn) == "sync/atomic" {
+		return true
+	}
+	return isSyncMutex(recvNamed(fn)) && (fn.Name() == "Unlock" || fn.Name() == "RUnlock")
+}
+
+func isSyncMutex(n *types.Named) bool {
+	return namedIs(n, "sync", "Mutex") || namedIs(n, "sync", "RWMutex")
+}
 
 // blockingStdCall names well-known blocking standard-library calls; ""
 // for anything else.
@@ -184,6 +173,8 @@ func blockingStdCall(fn *types.Func) string {
 	}
 	r := recvNamed(fn)
 	switch {
+	case isSyncMutex(r) && (fn.Name() == "Lock" || fn.Name() == "RLock"):
+		return fmt.Sprintf("sync.%s.%s waits for the lock's holder", r.Obj().Name(), fn.Name())
 	case namedIs(r, "sync", "WaitGroup") && fn.Name() == "Wait":
 		return "sync.WaitGroup.Wait may block"
 	case namedIs(r, "sync", "Cond") && fn.Name() == "Wait":
@@ -230,97 +221,4 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// scanHotLockHolders runs the module-wide second half: with the set of
-// hot lock classes in hand, flag any code that acquires another lock or
-// performs a blocking operation while a hot class may be held. The
-// held-set is lockorder's may-analysis, so a conditional release keeps
-// the class "held" — conservative toward finding latency extensions.
-func scanHotLockHolders(pkgs []*Package, hotLocks map[string]bool) []Finding {
-	if len(hotLocks) == 0 {
-		return nil
-	}
-	var hotNames []string
-	for k := range hotLocks {
-		hotNames = append(hotNames, k)
-	}
-	sort.Strings(hotNames)
-	var out []Finding
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, scanHolderFunc(pkg, fd, hotLocks)...)
-			}
-		}
-	}
-	return out
-}
-
-// scanHolderFunc checks one function body for blocking-while-hot.
-func scanHolderFunc(pkg *Package, fd *ast.FuncDecl, hotLocks map[string]bool) []Finding {
-	var out []Finding
-	lat := &heldLattice{pkg: pkg, funcName: fd.Name.Name}
-	g := BuildCFG(fd.Body)
-	ForwardVisit[heldFact](g, lat, func(n ast.Node, before heldFact) {
-		f := before
-		hotHeld := func() string {
-			for _, k := range sortedHeld(f) {
-				if hotLocks[k] {
-					return k
-				}
-			}
-			return ""
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit, *ast.DeferStmt:
-				return false
-			case *ast.SendStmt:
-				if h := hotHeld(); h != "" {
-					out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-						Msg: fmt.Sprintf("channel send while hot lock class %s may be held: extends per-packet critical section", h)})
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW {
-					if h := hotHeld(); h != "" {
-						out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-							Msg: fmt.Sprintf("channel receive while hot lock class %s may be held", h)})
-					}
-				}
-			case *ast.SelectStmt:
-				if !selectHasDefault(m) {
-					if h := hotHeld(); h != "" {
-						out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-							Msg: fmt.Sprintf("blocking select while hot lock class %s may be held", h)})
-					}
-				}
-			case *ast.CallExpr:
-				if key, acq, rel := lockClassOf(pkg, fd.Name.Name, m); key != "" && (acq || rel) {
-					if acq {
-						if h := hotHeld(); h != "" && key != h {
-							out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-								Msg: fmt.Sprintf("lock class %s acquired while hot lock class %s may be held", key, h)})
-						}
-					}
-					f = lat.Transfer(&ast.ExprStmt{X: m}, f)
-					return false
-				}
-				if fn := calleeFunc(pkg, m); fn != nil {
-					if msg := blockingStdCall(fn); msg != "" {
-						if h := hotHeld(); h != "" {
-							out = append(out, Finding{Rule: "blockfree", Pos: position(pkg, m),
-								Msg: fmt.Sprintf("%s while hot lock class %s may be held", msg, h)})
-						}
-					}
-				}
-			}
-			return true
-		})
-	})
-	return out
 }

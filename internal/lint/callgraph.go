@@ -11,7 +11,7 @@ import (
 
 // This file builds the module-wide call graph that the interprocedural
 // rules (allocfree, blockfree) traverse and that `dyscolint -callgraph`
-// dumps. Nodes are functions named by lockFuncKey (pkgpath.Recv.Name);
+// dumps. Nodes are functions named by funcKey (pkgpath.Recv.Name);
 // string keys deliberately, because the loader type-checks each package in
 // its own universe and *types.Func pointers do not survive the crossing.
 //
@@ -140,7 +140,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				g.Nodes[lockFuncKey(fn)] = &CGNode{Key: lockFuncKey(fn), Pkg: pkg, Decl: fd}
+				g.Nodes[funcKey(fn)] = &CGNode{Key: funcKey(fn), Pkg: pkg, Decl: fd}
 			}
 		}
 	}
@@ -305,7 +305,7 @@ func (g *CallGraph) resolveSite(pkg *Package, call *ast.CallExpr) []cgTarget {
 		}
 	}
 	if fn := calleeFunc(pkg, call); fn != nil {
-		return []cgTarget{{key: lockFuncKey(fn), kind: CGStatic}}
+		return []cgTarget{{key: funcKey(fn), kind: CGStatic}}
 	}
 	// Dynamic call through a function value: match bound functions by
 	// signature.
@@ -391,7 +391,7 @@ func buildRTA(pkgs []*Package, mod string) *rtaState {
 		if boundSet[s] == nil {
 			boundSet[s] = map[string]bool{}
 		}
-		boundSet[s][lockFuncKey(fn)] = true
+		boundSet[s][funcKey(fn)] = true
 	}
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.Info.Defs {
@@ -430,7 +430,7 @@ func buildRTA(pkgs []*Package, mod string) *rtaState {
 			if !ok {
 				continue
 			}
-			m[fn.Name()] = cgMethod{target: lockFuncKey(fn), sig: sigKey(stripRecv(fn))}
+			m[fn.Name()] = cgMethod{target: funcKey(fn), sig: sigKey(stripRecv(fn))}
 		}
 		rta.methods[key] = m
 	}
@@ -518,7 +518,7 @@ func (rta *rtaState) ifaceTargets(recv types.Type, fn *types.Func) []cgTarget {
 	if len(out) == 0 {
 		// Unresolved: name the interface method itself so the dump shows
 		// where resolution stopped.
-		return []cgTarget{{key: lockFuncKey(fn), kind: CGIface}}
+		return []cgTarget{{key: funcKey(fn), kind: CGIface}}
 	}
 	return out
 }

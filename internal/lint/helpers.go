@@ -143,3 +143,24 @@ func leafIdents(expr ast.Expr, out *[]string) {
 		leafIdents(e.X, out)
 	}
 }
+
+// funcKey names a function across packages by path, receiver, and name.
+// String identity deliberately: the loader type-checks each package in its
+// own full pass, so *types.Func pointers for the same function differ
+// between the defining package's load and an importer's load.
+func funcKey(fn *types.Func) string {
+	if r := recvNamed(fn); r != nil {
+		return funcPkgPath(fn) + "." + r.Obj().Name() + "." + fn.Name()
+	}
+	return funcPkgPath(fn) + "." + fn.Name()
+}
+
+func posLess(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	return a.Column < b.Column
+}

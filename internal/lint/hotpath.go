@@ -153,9 +153,9 @@ func funcAnnotations(pkgs []*Package) (hot []string, cold map[string]string, bad
 							})
 							continue
 						}
-						cold[lockFuncKey(fn)] = reason
+						cold[funcKey(fn)] = reason
 					case strings.HasPrefix(c.Text, hotpathPrefix):
-						hot = append(hot, lockFuncKey(fn))
+						hot = append(hot, funcKey(fn))
 					}
 				}
 			}

@@ -1,9 +1,9 @@
 // Package lint is a repo-specific static-analysis suite built only on the
 // standard library's go/parser, go/ast, and go/types. It enforces the
 // invariants the internal/model checker assumes but the type system cannot
-// express: no wall-clock or unseeded randomness inside virtual-clock
-// packages, no raw mod-2^32 sequence arithmetic outside the packet helpers,
-// no event scheduling from nondeterministic map iteration, no lock misuse,
+// express: no wall clock, unseeded randomness or second goroutine inside
+// simulator packages, no raw mod-2^32 sequence arithmetic outside the
+// packet helpers, no event scheduling from nondeterministic map iteration,
 // and no silently dropped errors on the packet/TCP send paths.
 //
 // Findings are suppressed with a justified comment on or directly above the
@@ -57,16 +57,13 @@ func All() []*Analyzer {
 		WalltimeAnalyzer,
 		SeqarithAnalyzer,
 		MapiterAnalyzer,
-		LocksafeAnalyzer,
 		ErrdropAnalyzer,
 		StatexhaustAnalyzer,
-		LockorderAnalyzer,
 		RewritetaintAnalyzer,
 		FsmconformAnalyzer,
 		ObsexhaustAnalyzer,
 		AllocfreeAnalyzer,
 		BlockfreeAnalyzer,
-		GoroleakAnalyzer,
 		WiresafeAnalyzer,
 	}
 }
@@ -137,7 +134,9 @@ func parseIgnores(pkg *Package, f *ast.File) []*ignoreDirective {
 // suppression hides the next real finding on its line, so it must go as
 // soon as the code it excused is gone. Unused reporting only fires when
 // every rule the directive names is part of this run; a `-rules` subset
-// cannot know whether the other rules still need it.
+// cannot know whether the other rules still need it. A rule name the suite
+// does not have at all (a typo, a retired rule) is a finding in every run:
+// no run could ever use or expire that directive.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var all []Finding
 	var ignores []*ignoreDirective
@@ -146,6 +145,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			ignores = append(ignores, parseIgnores(pkg, f)...)
 		}
 	}
+	exists := make(map[string]bool)
+	for _, a := range All() {
+		exists[a.Name] = true
+	}
 	for _, d := range ignores {
 		if len(d.rules) == 0 || d.reason == "" {
 			all = append(all, Finding{
@@ -153,6 +156,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				Pos:  d.pos,
 				Msg:  "malformed //lint:ignore: want \"//lint:ignore <rule> <reason>\"",
 			})
+		}
+		for _, r := range sortedRules(d.rules) {
+			if !exists[r] {
+				all = append(all, Finding{
+					Rule: "lint",
+					Pos:  d.pos,
+					Msg:  fmt.Sprintf("//lint:ignore names unknown rule %q (dyscolint -list shows the rules)", r),
+				})
+			}
 		}
 	}
 	used := make(map[*ignoreDirective]bool)
@@ -185,16 +197,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		if used[d] || len(d.rules) == 0 || d.reason == "" {
 			continue
 		}
-		var names []string
-		known := true
-		for r := range d.rules {
-			known = known && ruleSet[r]
-			names = append(names, r)
+		names := sortedRules(d.rules)
+		inRun := true
+		for _, r := range names {
+			inRun = inRun && ruleSet[r]
 		}
-		if !known {
+		if !inRun {
 			continue
 		}
-		sort.Strings(names)
 		all = append(all, Finding{
 			Rule: "lint",
 			Pos:  d.pos,
@@ -211,6 +221,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		return all[i].Rule < all[j].Rule
 	})
 	return all
+}
+
+func sortedRules(set map[string]bool) []string {
+	names := make([]string, 0, len(set))
+	for r := range set {
+		names = append(names, r)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // suppressor returns the directive that suppresses f, or nil.

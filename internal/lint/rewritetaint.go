@@ -276,7 +276,7 @@ func runRewritetaint(pkgs []*Package) []Finding {
 			for _, decl := range file.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						index[lockFuncKey(fn)] = fnInfo{pkg: pkg, decl: fd}
+						index[funcKey(fn)] = fnInfo{pkg: pkg, decl: fd}
 					}
 				}
 			}
@@ -332,8 +332,8 @@ func runRewritetaint(pkgs []*Package) []Finding {
 				return
 			}
 			if fn, ok := obj.(*types.Func); ok {
-				if info, ok := index[lockFuncKey(fn)]; ok {
-					enqueue(lockFuncKey(fn), firstPacketParamMask(info.pkg, info.decl.Type))
+				if info, ok := index[funcKey(fn)]; ok {
+					enqueue(funcKey(fn), firstPacketParamMask(info.pkg, info.decl.Type))
 				}
 				return
 			}
@@ -360,8 +360,8 @@ func runRewritetaint(pkgs []*Package) []Finding {
 		case *ast.SelectorExpr:
 			if sel, ok := pkg.Info.Selections[a]; ok {
 				if fn, ok := sel.Obj().(*types.Func); ok {
-					if info, ok := index[lockFuncKey(fn)]; ok {
-						enqueue(lockFuncKey(fn), firstPacketParamMask(info.pkg, info.decl.Type))
+					if info, ok := index[funcKey(fn)]; ok {
+						enqueue(funcKey(fn), firstPacketParamMask(info.pkg, info.decl.Type))
 					}
 				}
 			}
@@ -387,7 +387,7 @@ func runRewritetaint(pkgs []*Package) []Finding {
 			for _, decl := range file.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && fd.Name.Name == "ingressHook" {
 					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						enqueue(lockFuncKey(fn), firstPacketParamMask(pkg, fd.Type))
+						enqueue(funcKey(fn), firstPacketParamMask(pkg, fd.Type))
 					}
 				}
 			}
@@ -449,7 +449,7 @@ func runRewritetaint(pkgs []*Package) []Finding {
 					}
 					// Propagate taint into statically-resolved module callees.
 					if fn != nil {
-						if _, ok := index[lockFuncKey(fn)]; ok {
+						if _, ok := index[funcKey(fn)]; ok {
 							var cm uint64
 							for i, arg := range m.Args {
 								if i >= 64 {
@@ -460,7 +460,7 @@ func runRewritetaint(pkgs []*Package) []Finding {
 									cm |= 1 << uint(i)
 								}
 							}
-							enqueue(lockFuncKey(fn), cm)
+							enqueue(funcKey(fn), cm)
 						}
 					}
 					for _, id := range sanitizeTargets(pkg, mod, m) {

@@ -294,7 +294,7 @@ func WireReport(pkgs []*Package) string {
 					continue
 				}
 				t := x.table(fn)
-				fmt.Fprintf(&b, "  %s %s", fn.Side, lockFuncKey(fn.Obj))
+				fmt.Fprintf(&b, "  %s %s", fn.Side, funcKey(fn.Obj))
 				if t != nil {
 					if t.FixedWidth >= 0 {
 						fmt.Fprintf(&b, "  (%d bytes, fixed)", t.FixedWidth)

@@ -7,8 +7,6 @@
 package steering
 
 import (
-	"sync/atomic"
-
 	"repro/internal/netsim"
 	"repro/internal/packet"
 )
@@ -20,29 +18,22 @@ import (
 type Switch struct {
 	Host  *netsim.Host
 	rules map[packet.FiveTuple]packet.Addr
-	// Hits and Misses count rule-table lookups. They are atomic so the
-	// switch can serve as the single-threaded baseline in the concurrent
-	// dataplane's comparison benchmarks, where many driver goroutines
-	// call Lookup against a fixed rule set.
-	Hits   atomic.Uint64
-	Misses atomic.Uint64
+	// Hits and Misses count rule-table lookups.
+	Hits   uint64
+	Misses uint64
 }
 
 // Lookup consults the rule table for a packet with the given tuple that
 // arrived from the given hop, counting the hit or miss. An in-port match
 // (the packet is returning from the hop the rule steers to) counts as a
 // miss: the rule's job is done and normal forwarding takes over.
-//
-// Lookup is safe to call from concurrent readers as long as no
-// Install/Remove runs at the same time; the rule map itself is
-// deliberately plain (the baseline has no concurrent control plane).
 func (sw *Switch) Lookup(tuple packet.FiveTuple, arrivedFrom packet.Addr) (packet.Addr, bool) {
 	next, ok := sw.rules[tuple]
 	if !ok || arrivedFrom == next {
-		sw.Misses.Add(1)
+		sw.Misses++
 		return 0, false
 	}
-	sw.Hits.Add(1)
+	sw.Hits++
 	return next, true
 }
 
