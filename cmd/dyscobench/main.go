@@ -8,7 +8,9 @@
 //	dyscobench -list                # experiment ids
 //
 // Output is plain text: one table and/or series block per experiment,
-// with PASS/FAIL checks of the paper's qualitative claims. -short runs
+// with PASS/FAIL checks of the paper's qualitative claims. Stdout is
+// byte-stable per seed (experiments_output.txt is `-exp all` verbatim);
+// the per-experiment wall time goes to stderr. -short runs
 // only the fast instrumented benchmark and, with -obsout, writes its
 // metrics summary (rewrite latency, reconfiguration durations, event
 // counts) as JSON — CI archives that file as BENCH_obs.json.
@@ -67,7 +69,8 @@ func main() {
 			continue
 		}
 		fmt.Print(r.String())
-		fmt.Printf("(%s in %.1fs wall)\n\n", e, time.Since(start).Seconds())
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs wall)\n", e, time.Since(start).Seconds())
 		if !r.Passed() {
 			failed++
 		}

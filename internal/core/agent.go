@@ -157,7 +157,12 @@ type Stats struct {
 // the simulation-side routing/tracking state around it.
 type rewriteEntry struct {
 	Rule
+	// sess owns the entry and is never nil. While installed, tbl/key say
+	// where and idx is its position in sess.entries; tbl is nil otherwise.
 	sess *Session
+	tbl  map[packet.FiveTuple]*rewriteEntry
+	key  packet.FiveTuple
+	idx  int
 	// dirRight: the packet travels client→server.
 	dirRight bool
 	// deliver: after ingress rewrite, hand the packet to the local stack
@@ -242,7 +247,7 @@ func NewAgent(h *netsim.Host, cfg Config) *Agent {
 		ingress:  make(map[packet.FiveTuple]*rewriteEntry),
 		egress:   make(map[packet.FiveTuple]*rewriteEntry),
 		sessions: make(map[packet.FiveTuple]*Session),
-		nextPort: 40000,
+		nextPort: subPortBase,
 		nextTag:  1,
 		tagged:   make(map[uint32]*Session),
 	}
@@ -343,25 +348,50 @@ func (a *Agent) EachSession(fn func(*Session)) {
 	}
 }
 
-// allocPort returns a fresh local port for a subsession.
-func (a *Agent) allocPort() packet.Port {
-	p := a.nextPort
-	a.nextPort++
-	if a.nextPort == 0 {
-		a.nextPort = 40000
-	}
-	return p
+// install is the one place an entry enters a rewrite table (a.ingress or
+// a.egress): it displaces whatever held key and lists e with its owner.
+func (a *Agent) install(tbl map[packet.FiveTuple]*rewriteEntry, key packet.FiveTuple, e *rewriteEntry) *rewriteEntry {
+	a.uninstall(tbl[key])
+	e.tbl, e.key, e.idx = tbl, key, len(e.sess.entries)
+	tbl[key] = e
+	e.sess.entries = append(e.sess.entries, e)
+	return e
 }
 
-// newSubTuple allocates a subsession five-tuple from this host toward next.
-func (a *Agent) newSubTuple(next packet.Addr) packet.FiveTuple {
-	return packet.FiveTuple{
-		Proto:   packet.ProtoTCP,
-		SrcIP:   a.Host.Addr,
-		DstIP:   next,
-		SrcPort: a.allocPort(),
-		DstPort: a.allocPort(),
+// uninstall is the one place an entry leaves its table and its owner's
+// list; a nil or already-uninstalled entry is a no-op.
+func (a *Agent) uninstall(e *rewriteEntry) {
+	if e == nil || e.tbl == nil {
+		return
 	}
+	delete(e.tbl, e.key)
+	e.tbl = nil
+	owned := e.sess.entries
+	last := owned[len(owned)-1]
+	owned[e.idx], last.idx = last, e.idx
+	e.sess.entries = owned[:len(owned)-1]
+}
+
+// subPortBase is the first port subsession tuples draw from; they take
+// ports in (even, odd) pairs up to 65535 and wrap.
+const subPortBase packet.Port = 40000
+
+// newSubTuple allocates a subsession five-tuple from this host toward
+// next. After a wrap a candidate may still belong to a live or
+// not-yet-collected session: it is free when no ingress entry is keyed by
+// its reverse tuple (every caller installs one for the tuple it gets).
+func (a *Agent) newSubTuple(next packet.Addr) packet.FiveTuple {
+	for range (1<<16 - int(subPortBase)) / 2 {
+		p := a.nextPort
+		if a.nextPort += 2; a.nextPort == 0 {
+			a.nextPort = subPortBase
+		}
+		sub := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: a.Host.Addr, DstIP: next, SrcPort: p, DstPort: p + 1}
+		if a.ingress[sub.Reverse()] == nil {
+			return sub
+		}
+	}
+	panic("core: out of sub-session ports")
 }
 
 // ---------- egress path ----------
@@ -371,13 +401,13 @@ func (a *Agent) egressHook(p *packet.Packet, dir netsim.Direction) netsim.Verdic
 		return netsim.Pass
 	}
 	if e, ok := a.egress[p.Tuple]; ok {
-		if e.sess != nil && e.sess.Reconfig != nil && e.sess.Reconfig.switched && e.anchorTrack && !e.newPath {
+		if e.sess.Reconfig != nil && e.sess.Reconfig.switched && e.anchorTrack && !e.newPath {
 			// Two-path phase: steer/split between old and new paths.
 			a.steerEgress(p, e)
 			return netsim.Consume
 		}
 		if p.Flags.Has(packet.FlagSYN) && p.Flags.Has(packet.FlagACK) &&
-			e.sess != nil && e.sess.wsOfferLocal == -1 {
+			e.sess.wsOfferLocal == -1 {
 			// Record the local endpoint's window-scale offer from its
 			// SYN-ACK (needed for window translation at anchors).
 			e.sess.wsOfferLocal = wsOffer(p)
@@ -469,16 +499,16 @@ func (a *Agent) continueChain(p *packet.Packet, sess *Session) {
 	sess.SubRight = sub
 	sess.RightHost = next
 	// Forward: session (right side id) → subsession.
-	a.egress[sess.IDRight] = &rewriteEntry{Rule: Rule{To: sub}, sess: sess, dirRight: true, anchorTrack: sess.IsLeftEnd()}
+	out := a.install(a.egress, sess.IDRight, &rewriteEntry{Rule: Rule{To: sub}, sess: sess, dirRight: true, anchorTrack: sess.IsLeftEnd()})
 	// Reverse: subsession back → session. Delivery goes to the local
 	// stack unless this host runs a packet app or chains transit traffic
 	// (an edge router forwards the rewritten packet onward, §2.4).
-	a.ingress[sub.Reverse()] = &rewriteEntry{
+	a.install(a.ingress, sub.Reverse(), &rewriteEntry{
 		Rule: Rule{To: sess.IDRight.Reverse()}, sess: sess, dirRight: false,
 		deliver: a.App == nil && !a.Cfg.TransitChaining, anchorTrack: sess.IsLeftEnd(),
-	}
+	})
 	a.attachSynPayload(p, sess)
-	a.applyEgress(p, a.egress[sess.IDRight])
+	a.applyEgress(p, out)
 }
 
 func (a *Agent) attachSynPayload(p *packet.Packet, sess *Session) {
@@ -490,7 +520,7 @@ func (a *Agent) attachSynPayload(p *packet.Packet, sess *Session) {
 // number, SACK blocks, timestamp echo, and rescales the window.
 func (a *Agent) applyEgress(p *packet.Packet, e *rewriteEntry) {
 	a.track(p, e, false)
-	if e.sess != nil && e.sess.Draining {
+	if e.sess.Draining {
 		a.clampWindow(p, e.sess.drainWScale)
 	}
 	e.Rule.ApplyEgress(p, !a.Cfg.DisableOptionTranslation)
@@ -498,7 +528,7 @@ func (a *Agent) applyEgress(p *packet.Packet, e *rewriteEntry) {
 	e.pkts++
 	e.bytes += uint64(p.DataLen())
 	if a.obs != nil {
-		a.obs.Emit(obs.Event{Kind: obs.KRewrite, Sess: e.sessID(), Dir: "egress", Bytes: p.DataLen()})
+		a.obs.Emit(obs.Event{Kind: obs.KRewrite, Sess: e.sess.IDLeft, Dir: "egress", Bytes: p.DataLen()})
 	}
 	a.chargeRewrite()
 }
@@ -513,17 +543,9 @@ func (a *Agent) applyIngress(p *packet.Packet, e *rewriteEntry) {
 	e.pkts++
 	e.bytes += uint64(p.DataLen())
 	if a.obs != nil {
-		a.obs.Emit(obs.Event{Kind: obs.KRewrite, Sess: e.sessID(), Dir: "ingress", Bytes: p.DataLen()})
+		a.obs.Emit(obs.Event{Kind: obs.KRewrite, Sess: e.sess.IDLeft, Dir: "ingress", Bytes: p.DataLen()})
 	}
 	a.chargeRewrite()
-}
-
-// sessID is the session identity an entry's events are tagged with.
-func (e *rewriteEntry) sessID() packet.FiveTuple {
-	if e.sess != nil {
-		return e.sess.IDLeft
-	}
-	return packet.FiveTuple{}
 }
 
 // chargeRewrite bills the configured per-rewrite CPU cost to the host.
@@ -576,9 +598,6 @@ func seqInit(val *uint32, ok *bool, v uint32) {
 // stream-position counters (the data stream starts at ISN+1).
 func (a *Agent) track(p *packet.Packet, e *rewriteEntry, in bool) {
 	sess := e.sess
-	if sess == nil {
-		return
-	}
 	sess.lastActive = a.eng.Now()
 	if p.Flags.Has(packet.FlagFIN) {
 		d := 0
@@ -641,8 +660,7 @@ func (a *Agent) ingressHook(p *packet.Packet, dir netsim.Direction) netsim.Verdi
 	if !ok {
 		return netsim.Pass
 	}
-	if e.newPath && e.anchorTrack && e.sess != nil && e.sess.Reconfig != nil &&
-		!e.sess.Reconfig.switched {
+	if e.newPath && e.anchorTrack && e.sess.Reconfig != nil && !e.sess.Reconfig.switched {
 		// First new-path arrival before the NewPathACK: switch now (the
 		// peer anchor has clearly switched already).
 		a.daemon.activateSwitch(e.sess.Reconfig)
@@ -651,23 +669,28 @@ func (a *Agent) ingressHook(p *packet.Packet, dir netsim.Direction) netsim.Verdi
 	if rc != nil && e.anchorTrack {
 		a.noteTwoPathIngress(p, e, rc)
 	}
+	return a.rewriteIn(p, e)
+}
+
+// rewriteIn rewrites p back to its session header through e and hands it
+// on: to the local stack, through the middlebox application, or — no app
+// and not for local delivery — back out (a wire middlebox host acting as a
+// pure Dysco forwarder).
+func (a *Agent) rewriteIn(p *packet.Packet, e *rewriteEntry) netsim.Verdict {
 	a.applyIngress(p, e)
-	if e.deliver {
+	switch {
+	case e.deliver:
 		a.Host.DeliverLocal(p)
-		return netsim.Consume
-	}
-	if a.App != nil {
+	case a.App != nil:
 		a.runApp(p, e)
-		return netsim.Consume
+	default:
+		a.Host.Send(p)
 	}
-	// No app and not for local delivery: re-emit (wire middlebox host
-	// acting as pure Dysco forwarder).
-	a.Host.Send(p)
 	return netsim.Consume
 }
 
 func activeReconfig(e *rewriteEntry) *Reconfig {
-	if e.sess != nil && e.sess.Reconfig != nil && e.sess.Reconfig.switched {
+	if e.sess.Reconfig != nil && e.sess.Reconfig.switched {
 		return e.sess.Reconfig
 	}
 	return nil
@@ -702,9 +725,11 @@ func (a *Agent) ingressChainSYN(p *packet.Packet) (netsim.Verdict, bool) {
 	if err != nil {
 		return netsim.Drop, true
 	}
-	if _, dup := a.ingress[p.Tuple]; dup {
-		// SYN retransmission: entries exist; let normal processing run.
-		return a.ingressExisting(p), true
+	if e := a.ingress[p.Tuple]; e != nil {
+		// SYN retransmission: the entries exist. Dysco metadata never
+		// reaches applications.
+		p.Payload = nil
+		return a.rewriteIn(p, e), true
 	}
 	if len(sp.List) == 0 || sp.List[0] != a.Host.Addr {
 		// Misrouted chain SYN.
@@ -724,43 +749,21 @@ func (a *Agent) ingressChainSYN(p *packet.Packet) (netsim.Verdict, bool) {
 	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, Detail: "chain-syn"})
 	final := len(sess.Remainder) == 0
 	// Ingress: left subsession → session header.
-	a.ingress[p.Tuple] = &rewriteEntry{
+	in := a.install(a.ingress, p.Tuple, &rewriteEntry{
 		Rule: Rule{To: sp.Session}, sess: sess, dirRight: true,
 		deliver: final || a.App == nil, anchorTrack: final,
-	}
+	})
 	// Egress for the reverse direction: session reverse → left subsession
 	// reverse.
-	a.egress[sp.Session.Reverse()] = &rewriteEntry{
+	a.install(a.egress, sp.Session.Reverse(), &rewriteEntry{
 		Rule: Rule{To: p.Tuple.Reverse()}, sess: sess, dirRight: false, anchorTrack: final,
-	}
+	})
 	if final {
 		sess.wsOfferLocal = -1 // filled when the SYN-ACK passes on egress
 	}
 	// Strip the Dysco payload before anything above sees it.
 	p.Payload = nil
-	return a.ingressExisting(p), true
-}
-
-// ingressExisting routes a packet through the already-installed entries.
-func (a *Agent) ingressExisting(p *packet.Packet) netsim.Verdict {
-	e := a.ingress[p.Tuple]
-	if e == nil {
-		return netsim.Pass
-	}
-	if p.Flags.Has(packet.FlagSYN) {
-		p.Payload = nil // Dysco metadata never reaches applications
-	}
-	a.applyIngress(p, e)
-	if e.deliver {
-		a.Host.DeliverLocal(p)
-		return netsim.Consume
-	}
-	if a.App != nil {
-		a.runApp(p, e)
-		return netsim.Consume
-	}
-	a.Host.Send(p)
-	return netsim.Consume
+	return a.rewriteIn(p, in), true
 }
 
 // runApp pushes a rewritten packet through the local middlebox application
@@ -801,20 +804,11 @@ func (a *Agent) ReportDelta(sessID packet.FiveTuple, d Deltas) error {
 
 // removeSession drops all state for a session at this hop (idempotent).
 func (a *Agent) removeSession(sess *Session) {
-	if _, ok := a.sessions[sess.IDLeft]; !ok {
-		if _, ok2 := a.sessions[sess.IDRight]; !ok2 {
-			return
-		}
+	if a.sessions[sess.IDLeft] == nil && a.sessions[sess.IDRight] == nil {
+		return
 	}
-	for k, e := range a.ingress {
-		if e.sess == sess {
-			delete(a.ingress, k)
-		}
-	}
-	for k, e := range a.egress {
-		if e.sess == sess {
-			delete(a.egress, k)
-		}
+	for len(sess.entries) > 0 {
+		a.uninstall(sess.entries[len(sess.entries)-1])
 	}
 	delete(a.sessions, sess.IDLeft)
 	delete(a.sessions, sess.IDRight)

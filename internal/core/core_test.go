@@ -209,6 +209,7 @@ func TestChainEstablishment(t *testing.T) {
 	if env.aClient.Stats.PacketsRewritten == 0 {
 		t.Error("no rewrites at client agent")
 	}
+	env.checkOwnership(t)
 }
 
 func TestChainFourMiddleboxes(t *testing.T) {
@@ -232,6 +233,7 @@ func TestChainFourMiddleboxes(t *testing.T) {
 			t.Errorf("mbox %d saw only %d bytes", i, app.bytes)
 		}
 	}
+	env.checkOwnership(t)
 }
 
 func TestNonMatchingTrafficBypassesDysco(t *testing.T) {
@@ -277,6 +279,7 @@ func TestNATMiddleboxWithTag(t *testing.T) {
 	if env.aMbox[0].Stats.TagsApplied == 0 || env.aMbox[0].Stats.TagsMatched == 0 {
 		t.Errorf("tagging not exercised: %+v", env.aMbox[0].Stats)
 	}
+	env.checkOwnership(t)
 }
 
 func TestSYNPayloadStripped(t *testing.T) {
@@ -352,6 +355,7 @@ func TestReconfigDeleteMiddlebox(t *testing.T) {
 	if env.aMbox[0].Sessions() != 0 {
 		t.Errorf("middlebox retains %d sessions after deletion", env.aMbox[0].Sessions())
 	}
+	env.checkOwnership(t)
 }
 
 func TestReconfigInsertMiddlebox(t *testing.T) {
@@ -396,6 +400,7 @@ func TestReconfigInsertMiddlebox(t *testing.T) {
 	if scrubber.packets <= sawBefore {
 		t.Error("scrubber sees no packets after insertion")
 	}
+	env.checkOwnership(t)
 }
 
 func TestReconfigSurvivesControlLoss(t *testing.T) {
@@ -479,6 +484,7 @@ func TestReconfigFailsWhenNewPathDead(t *testing.T) {
 	if !bytes.HasSuffix(got.Bytes(), []byte("still alive")) {
 		t.Error("session dead after aborted reconfig")
 	}
+	env.checkOwnership(t)
 }
 
 func TestContentionExactlyOneWins(t *testing.T) {
@@ -520,6 +526,7 @@ func TestContentionExactlyOneWins(t *testing.T) {
 	if wins != 1 {
 		t.Fatalf("exactly one contending reconfiguration must win, got %d (%v)", wins, results)
 	}
+	env.checkOwnership(t)
 }
 
 func TestSessionsGarbageCollected(t *testing.T) {
@@ -543,6 +550,7 @@ func TestSessionsGarbageCollected(t *testing.T) {
 	if env.aMbox[0].Sessions() != 0 {
 		t.Errorf("middlebox retains %d sessions", env.aMbox[0].Sessions())
 	}
+	env.checkOwnership(t)
 }
 
 func TestSynPayloadCodecRoundTrip(t *testing.T) {
@@ -766,6 +774,7 @@ func TestConcurrentDisjointReconfigs(t *testing.T) {
 	if env.aMbox[0].Sessions() != 0 {
 		t.Errorf("middlebox retains %d sessions", env.aMbox[0].Sessions())
 	}
+	env.checkOwnership(t)
 }
 
 // TestReconfigureTwiceSequentially reconfigures the same session twice:
@@ -809,6 +818,7 @@ func TestReconfigureTwiceSequentially(t *testing.T) {
 	if got.Len() != 200<<10 {
 		t.Fatalf("stream lost data across two reconfigurations: %d", got.Len())
 	}
+	env.checkOwnership(t)
 }
 
 func TestAPIErrorPaths(t *testing.T) {
@@ -866,6 +876,7 @@ func TestSpliceErrorPaths(t *testing.T) {
 	if err := env.aMbox[0].Splice(other, c, 0, 0); err == nil {
 		t.Error("Splice with unknown session did not error")
 	}
+	env.checkOwnership(t)
 }
 
 // Satellite of the fault-injection work: §2.1 keepalives must distinguish

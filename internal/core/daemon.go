@@ -324,13 +324,13 @@ func (d *daemon) adoptPlainSession(id packet.FiveTuple, leftSide bool) (*Session
 	if leftSide {
 		sess.RightHost = id.DstIP
 		sess.SubRight = id
-		a.egress[id] = &rewriteEntry{Rule: Rule{To: id}, sess: sess, dirRight: true, anchorTrack: true}
-		a.ingress[id.Reverse()] = &rewriteEntry{Rule: Rule{To: id.Reverse()}, sess: sess, dirRight: false, deliver: true, anchorTrack: true}
+		a.install(a.egress, id, &rewriteEntry{Rule: Rule{To: id}, sess: sess, dirRight: true, anchorTrack: true})
+		a.install(a.ingress, id.Reverse(), &rewriteEntry{Rule: Rule{To: id.Reverse()}, sess: sess, dirRight: false, deliver: true, anchorTrack: true})
 	} else {
 		sess.LeftHost = id.SrcIP
 		sess.SubLeft = id
-		a.egress[id.Reverse()] = &rewriteEntry{Rule: Rule{To: id.Reverse()}, sess: sess, dirRight: false, anchorTrack: true}
-		a.ingress[id] = &rewriteEntry{Rule: Rule{To: id}, sess: sess, dirRight: true, deliver: true, anchorTrack: true}
+		a.install(a.egress, id.Reverse(), &rewriteEntry{Rule: Rule{To: id.Reverse()}, sess: sess, dirRight: false, anchorTrack: true})
+		a.install(a.ingress, id, &rewriteEntry{Rule: Rule{To: id}, sess: sess, dirRight: true, deliver: true, anchorTrack: true})
 	}
 	a.sessions[id] = sess
 	return sess, nil
@@ -514,13 +514,6 @@ func (d *daemon) trigger(sessID packet.FiveTuple, replacement []packet.Addr, att
 		d.trigger(sessID, replacement, attempt+1, stateFrom, stateTo)
 	})
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (d *daemon) onTrigger(m *ctrlMsg) {
@@ -818,11 +811,11 @@ func (d *daemon) installLeftAnchorNewPath(rc *Reconfig) {
 	} else {
 		to = sess.IDRight.Reverse()
 	}
-	a.ingress[rc.newSub.Reverse()] = &rewriteEntry{
+	a.install(a.ingress, rc.newSub.Reverse(), &rewriteEntry{
 		Rule: Rule{To: to, SeqAdd: rc.Delta, TSAdd: rc.TSDelta},
 		sess: sess, dirRight: false, deliver: deliver,
 		anchorTrack: true, newPath: true,
-	}
+	})
 	rc.newEgressEntry = &rewriteEntry{
 		Rule: Rule{
 			To:     rc.newSub,
@@ -873,11 +866,11 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 	sess.RightHost = next
 	sess.SubRight = sub
 	// Forward direction.
-	a.ingress[m.NewSub] = &rewriteEntry{Rule: Rule{To: m.Session}, sess: sess, dirRight: true, deliver: a.App == nil}
-	a.egress[m.Session] = &rewriteEntry{Rule: Rule{To: sub}, sess: sess, dirRight: true}
+	a.install(a.ingress, m.NewSub, &rewriteEntry{Rule: Rule{To: m.Session}, sess: sess, dirRight: true, deliver: a.App == nil})
+	a.install(a.egress, m.Session, &rewriteEntry{Rule: Rule{To: sub}, sess: sess, dirRight: true})
 	// Reverse direction.
-	a.ingress[sub.Reverse()] = &rewriteEntry{Rule: Rule{To: m.Session.Reverse()}, sess: sess, dirRight: false, deliver: a.App == nil}
-	a.egress[m.Session.Reverse()] = &rewriteEntry{Rule: Rule{To: m.NewSub.Reverse()}, sess: sess, dirRight: false}
+	a.install(a.ingress, sub.Reverse(), &rewriteEntry{Rule: Rule{To: m.Session.Reverse()}, sess: sess, dirRight: false, deliver: a.App == nil})
+	a.install(a.egress, m.Session.Reverse(), &rewriteEntry{Rule: Rule{To: m.NewSub.Reverse()}, sess: sess, dirRight: false})
 	d.newPathSeen[m.ReqID] = sub
 	d.newPathPrev[m.ReqID] = m.from
 	fwd := *m
@@ -904,11 +897,11 @@ func (d *daemon) newPathSYNAtRightAnchor(m *ctrlMsg) {
 		deliver = oldIn.deliver
 		to = oldIn.To
 	}
-	a.ingress[m.NewSub] = &rewriteEntry{
+	a.install(a.ingress, m.NewSub, &rewriteEntry{
 		Rule: Rule{To: to, SeqAdd: rc.Delta, TSAdd: rc.TSDelta},
 		sess: sess, dirRight: true, deliver: deliver,
 		anchorTrack: true, newPath: true,
-	}
+	})
 	rc.newEgressEntry = &rewriteEntry{
 		Rule: Rule{
 			To:     m.NewSub.Reverse(),
@@ -989,13 +982,11 @@ func (d *daemon) activateSwitch(rc *Reconfig) {
 
 // teardownNewPathEntries removes staged new-path state after a cancel.
 func (d *daemon) teardownNewPathEntries(rc *Reconfig) {
-	if rc.newSub != (packet.FiveTuple{}) {
-		if rc.IsLeft {
-			delete(d.a.ingress, rc.newSub.Reverse())
-		} else {
-			delete(d.a.ingress, rc.newSub)
-		}
+	key := rc.newSub
+	if rc.IsLeft {
+		key = key.Reverse()
 	}
+	d.a.uninstall(d.a.ingress[key])
 }
 
 // ---------- old path completion (§3.5) ----------
@@ -1158,12 +1149,12 @@ func (d *daemon) finalizeAnchor(rc *Reconfig) {
 	a := d.a
 	sess := rc.Sess
 	// Swap the egress entry to the new path permanently.
-	a.egress[rc.oldEgressKey] = rc.newEgressEntry
+	a.install(a.egress, rc.oldEgressKey, rc.newEgressEntry)
 	// The old ingress entry lingers briefly for stragglers.
 	oldKey := rc.oldIngressKey
 	d.eng.Schedule(time.Second, func() {
-		if e, ok := a.ingress[oldKey]; ok && e.sess == sess && !e.newPath {
-			delete(a.ingress, oldKey)
+		if e := a.ingress[oldKey]; e != nil && e.sess == sess && !e.newPath {
+			a.uninstall(e)
 		}
 	})
 	// Update the chain topology at this anchor.

@@ -92,9 +92,8 @@ func TestRewritePathZeroAlloc(t *testing.T) {
 func TestEachSubsession(t *testing.T) {
 	env := newBenchEnv(2)
 	a := env.aClient
-	e := &rewriteEntry{Rule: Rule{To: packet.FiveTuple{SrcIP: 9, DstIP: 8}}}
 	from := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4}
-	a.egress[from] = e
+	e := a.install(a.egress, from, &rewriteEntry{Rule: Rule{To: packet.FiveTuple{SrcIP: 9, DstIP: 8}}, sess: &Session{}})
 	p := packet.NewTCP(from, packet.FlagACK, 1, 1, make([]byte, 100))
 	a.Cfg.RewriteCost = 0
 	a.applyEgress(p, e)

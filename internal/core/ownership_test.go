@@ -1,0 +1,134 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/packet"
+	"repro/internal/tcp"
+)
+
+// checkOwnership asserts the table invariant install/uninstall maintain at
+// each agent — every installed entry is listed, at its idx, by a session
+// that is in the session table, and every listed entry is installed — and
+// then that removing every session leaves both tables empty. It consumes
+// the agents' sessions, so it goes last in a test.
+func checkOwnership(t *testing.T, agents ...*Agent) {
+	t.Helper()
+	for _, a := range agents {
+		listed := 0
+		a.EachSession(func(s *Session) {
+			for i, e := range s.entries {
+				listed++
+				if e.sess != s || e.idx != i || e.tbl == nil || e.tbl[e.key] != e {
+					t.Errorf("%s: session %v lists entry %d (%v) that is not installed as its own", a.Host.Name, s.IDLeft, i, e.key)
+				}
+			}
+		})
+		for name, tbl := range map[string]map[packet.FiveTuple]*rewriteEntry{"ingress": a.ingress, "egress": a.egress} {
+			for k, e := range tbl {
+				if e.key != k || e.sess == nil || a.sessions[e.sess.IDLeft] != e.sess && a.sessions[e.sess.IDRight] != e.sess {
+					t.Errorf("%s: %s entry %v belongs to no session in the session table", a.Host.Name, name, k)
+				}
+			}
+		}
+		if installed := len(a.ingress) + len(a.egress); listed != installed {
+			t.Errorf("%s: sessions list %d entries, tables hold %d", a.Host.Name, listed, installed)
+		}
+		a.EachSession(a.removeSession)
+		if n := len(a.ingress) + len(a.egress); n != 0 || a.Sessions() != 0 {
+			t.Errorf("%s: %d entries and %d sessions outlive removeSession", a.Host.Name, n, a.Sessions())
+		}
+	}
+}
+
+// checkOwnership covers every agent of the chain.
+func (e *chainEnv) checkOwnership(t *testing.T) {
+	t.Helper()
+	checkOwnership(t, append([]*Agent{e.aClient, e.aServer}, e.aMbox...)...)
+}
+
+// TestSubsessionPortWrapSkipsLiveTuples: the subsession port counter wraps
+// (after 12 768 subsessions); a tuple still owned by a live session must
+// not be handed out again — it would overwrite that session's rewrite
+// entries and cross the two byte streams.
+func TestSubsessionPortWrapSkipsLiveTuples(t *testing.T) {
+	env := newChainEnv(t, 1, netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Gbps(1)}, 31)
+	got := map[packet.FiveTuple]*bytes.Buffer{}
+	env.sServer.Listen(80, func(c *tcp.Conn) {
+		buf := &bytes.Buffer{}
+		got[c.Tuple().Reverse()] = buf
+		c.OnData = func(b []byte) {
+			buf.Write(b)
+			c.Send(b[:1]) // one byte back per segment exercises the reverse entries
+		}
+	})
+	open := func(fill byte) (*tcp.Conn, *int) {
+		c := env.sClient.Connect(env.server.Addr, 80, tcp.Config{})
+		echoed := new(int)
+		c.OnData = func(b []byte) { *echoed += len(b) }
+		c.OnEstablished = func() { c.Send(bytes.Repeat([]byte{fill}, 64<<10)) }
+		return c, echoed
+	}
+	c1, echo1 := open('a')
+	env.runFor(50 * time.Millisecond)
+	sess1 := env.aClient.Session(c1.Tuple())
+	if sess1 == nil || got[c1.Tuple()] == nil || got[c1.Tuple()].Len() != 64<<10 {
+		t.Fatal("first session did not establish and deliver")
+	}
+
+	// Rewind the counter to the first session's ports, as a wrap would.
+	env.aClient.nextPort = sess1.SubRight.SrcPort
+	c2, echo2 := open('b')
+	env.runFor(50 * time.Millisecond)
+	sess2 := env.aClient.Session(c2.Tuple())
+	if sess2 == nil {
+		t.Fatal("second session has no record at the client")
+	}
+	if sess2.SubRight == sess1.SubRight {
+		t.Fatalf("second session was given the live subsession tuple %v", sess1.SubRight)
+	}
+
+	// Both keep delivering, each its own bytes, in both directions.
+	c1.Send(bytes.Repeat([]byte{'a'}, 64<<10))
+	c2.Send(bytes.Repeat([]byte{'b'}, 64<<10))
+	env.runFor(time.Second)
+	for _, tc := range []struct {
+		c      *tcp.Conn
+		fill   byte
+		echoed int
+	}{{c1, 'a', *echo1}, {c2, 'b', *echo2}} {
+		buf := got[tc.c.Tuple()]
+		if buf == nil || !bytes.Equal(buf.Bytes(), bytes.Repeat([]byte{tc.fill}, 128<<10)) {
+			t.Errorf("session %v: server did not receive exactly its own 128 KB of %q", tc.c.Tuple(), tc.fill)
+		}
+		if tc.echoed == 0 || tc.c.State() != tcp.StateEstablished {
+			t.Errorf("session %v: %d bytes echoed back, state %v", tc.c.Tuple(), tc.echoed, tc.c.State())
+		}
+	}
+	env.checkOwnership(t)
+}
+
+// TestSubsessionPortsExhausted: when every candidate toward one next hop
+// is taken, allocation fails loudly instead of aliasing, and other next
+// hops are unaffected.
+func TestSubsessionPortsExhausted(t *testing.T) {
+	env := newChainEnv(t, 1, netsim.LinkConfig{Delay: 100 * time.Microsecond}, 32)
+	a, next, other := env.aClient, env.mboxes[0].Addr, env.server.Addr
+	hog := &Session{}
+	for p := int(subPortBase); p < 1<<16; p += 2 {
+		sub := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: a.Host.Addr, DstIP: next, SrcPort: packet.Port(p), DstPort: packet.Port(p + 1)}
+		a.install(a.ingress, sub.Reverse(), &rewriteEntry{sess: hog})
+	}
+	if sub := a.newSubTuple(other); sub.DstIP != other {
+		t.Fatalf("allocation toward a different next hop: %v", sub)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("allocation with every tuple taken did not panic")
+		}
+	}()
+	a.newSubTuple(next)
+}

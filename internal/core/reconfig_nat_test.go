@@ -82,4 +82,5 @@ func TestReconfigDeleteNAT(t *testing.T) {
 	if nat.seen != before {
 		t.Error("NAT still sees packets after deletion")
 	}
+	env.checkOwnership(t)
 }

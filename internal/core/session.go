@@ -73,6 +73,11 @@ type Session struct {
 	// this host (middleboxes then destination).
 	Remainder []packet.Addr
 
+	// entries are the rewrite entries this session owns, kept by
+	// Agent.install/uninstall: forgetting the session is uninstalling
+	// these, never a search of the tables.
+	entries []*rewriteEntry
+
 	// Lock protocol state for the subsession on our right (§3.2).
 	Lock      LockState
 	LockReqID uint64

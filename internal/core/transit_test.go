@@ -39,7 +39,7 @@ func TestEdgeRouterChainsForNonDyscoClient(t *testing.T) {
 	mbAgent := NewAgent(mb, Config{})
 	mbApp := newCounterApp()
 	mbAgent.App = mbApp
-	NewAgent(server, Config{})
+	serverAgent := NewAgent(server, Config{})
 	edgeAgent.Policy = func(p *packet.Packet) []packet.Addr {
 		if p.Tuple.DstPort == 80 {
 			return []packet.Addr{mb.Addr}
@@ -111,4 +111,5 @@ func TestEdgeRouterChainsForNonDyscoClient(t *testing.T) {
 	if echo.Len() != 50<<10 {
 		t.Fatalf("reverse transfer after deletion: %d", echo.Len())
 	}
+	checkOwnership(t, edgeAgent, mbAgent, serverAgent)
 }

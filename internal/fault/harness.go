@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/obs"
+	"repro/internal/packet"
 )
 
 // RunResult is the outcome of one (scenario, plan, seed) run. All fields
@@ -55,7 +56,9 @@ type RunResult struct {
 //     is empty. This subsumes "every lock is eventually released" and
 //     "no reconfiguration state outlives an abort": a held lock or a
 //     live *Reconfig keeps its session out of idle GC, so any leak
-//     shows up as a non-empty table.
+//     shows up as a non-empty table. The rewrite tables must be empty
+//     too: an entry that outlives its session would keep rewriting (or
+//     shadow a reused sub-session port) with nothing left to collect it.
 //   - P3: under a plan that cannot defeat the new path
 //     (!MayFailReconfig), at least one reconfiguration completes and
 //     none ends in failure. Plans that crash hosts or black-hole the
@@ -142,6 +145,12 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 		if n := t.Agent.Sessions(); n != 0 {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("leak: %s still holds %d session(s) after quiet period", r, n))
+		}
+		entries := 0
+		t.Agent.EachSubsession(func(string, packet.FiveTuple, packet.FiveTuple, uint64, uint64) { entries++ })
+		if entries != 0 {
+			res.Violations = append(res.Violations,
+				fmt.Sprintf("leak: %s still holds %d rewrite entries after quiet period", r, entries))
 		}
 	}
 

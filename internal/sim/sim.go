@@ -7,6 +7,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -15,31 +16,25 @@ import (
 // of the simulation. It is never related to the wall clock.
 type Time = time.Duration
 
-// Event is a scheduled callback. Cancelling an event after it has fired
-// is a no-op.
+// Event is a scheduled callback. The queue holds exactly the events that
+// will fire: cancelling one removes it.
 type Event struct {
-	at     Time
-	seq    uint64 // tie-breaker: FIFO among events at the same instant
-	fn     func()
-	index  int // heap index, -1 when not queued
-	fired  bool
-	cancel bool
+	at    Time
+	seq   uint64 // tie-breaker: FIFO among events at the same instant
+	fn    func()
+	eng   *Engine
+	index int // heap index, -1 when not queued
 }
 
-// Cancel prevents the event from firing. Safe to call multiple times and
-// after the event fired.
+// Cancel removes the event from its engine's queue so it never fires. It
+// is a no-op when the event is not queued — it already ran (or is running:
+// an event is dequeued before its callback), was removed before, or e is
+// nil — so it is safe to call any number of times.
 func (e *Event) Cancel() {
-	if e == nil {
-		return
+	if e != nil && e.index >= 0 {
+		heap.Remove(&e.eng.queue, e.index)
 	}
-	e.cancel = true
 }
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// When returns the virtual time at which the event fires (or fired).
-func (e *Event) When() Time { return e.at }
 
 type eventQueue []*Event
 
@@ -98,51 +93,40 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // as zero (fn runs at the current instant, after already-queued events for
 // this instant).
 func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
+	return e.At(e.now+max(delay, 0), fn)
 }
 
 // At runs fn at absolute virtual time t. Scheduling in the past panics:
 // it is always a model bug, and silently reordering would break causality.
 func (e *Engine) At(t Time, fn func()) *Event {
+	ev := &Event{fn: fn, eng: e, index: -1}
+	e.push(ev, t)
+	return ev
+}
+
+// push queues ev to fire at t, after every event already queued for t.
+func (e *Engine) push(ev *Event, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
 	}
-	ev := &Event{at: t, seq: e.nextSeq, fn: fn, index: -1}
+	ev.at, ev.seq = t, e.nextSeq
 	e.nextSeq++
 	heap.Push(&e.queue, ev)
-	return ev
 }
 
 // Stop makes the current Run call return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued (possibly cancelled) events.
+// Pending reports the number of queued events; every one of them will
+// fire unless cancelled first.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Run executes events in timestamp order until the queue is empty, the
 // clock would pass until, or Stop is called. It returns the virtual time
 // at which it stopped. Events scheduled exactly at until are executed.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.at > until {
-			e.now = until
-			return e.now
-		}
-		heap.Pop(&e.queue)
-		e.now = next.at
-		if next.cancel {
-			continue
-		}
-		next.fired = true
-		e.Processed++
-		next.fn()
-	}
-	if e.now < until && len(e.queue) == 0 {
+	e.run(until)
+	if e.now < until && (len(e.queue) == 0 || !e.stopped) {
 		e.now = until
 	}
 	return e.now
@@ -151,50 +135,42 @@ func (e *Engine) Run(until Time) Time {
 // RunUntilIdle executes events until none remain or Stop is called, with no
 // time bound, and returns the final virtual time.
 func (e *Engine) RunUntilIdle() Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		next := heap.Pop(&e.queue).(*Event)
-		e.now = next.at
-		if next.cancel {
-			continue
-		}
-		next.fired = true
-		e.Processed++
-		next.fn()
-	}
+	e.run(math.MaxInt64)
 	return e.now
 }
 
-// Timer is a restartable one-shot timer bound to an engine, in the style of
-// time.Timer but in virtual time. The zero value is not usable; create with
-// NewTimer.
-type Timer struct {
-	eng *Engine
-	ev  *Event
-	fn  func()
-}
-
-// NewTimer returns a stopped timer that runs fn when it expires.
-func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
-}
-
-// Reset (re)arms the timer to fire after d. Any previous scheduling is
-// cancelled.
-func (t *Timer) Reset(d Time) {
-	t.Stop()
-	t.ev = t.eng.Schedule(d, t.fn)
-}
-
-// Stop disarms the timer if armed.
-func (t *Timer) Stop() {
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
+// run is the engine's one dispatch loop: fire queued events in (at, seq)
+// order up to and including until.
+func (e *Engine) run(until Time) {
+	e.stopped = false
+	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= until {
+		next := heap.Pop(&e.queue).(*Event)
+		e.now = next.at
+		e.Processed++
+		next.fn()
 	}
 }
 
-// Armed reports whether the timer is scheduled and not yet fired/cancelled.
-func (t *Timer) Armed() bool {
-	return t.ev != nil && !t.ev.fired && !t.ev.cancel
+// Timer is a restartable one-shot timer bound to an engine, in the style of
+// time.Timer but in virtual time: one Event that Reset re-queues, so
+// re-arming leaves nothing behind. The zero value is not usable; create
+// with NewTimer.
+type Timer struct{ ev Event }
+
+// NewTimer returns a stopped timer that runs fn when it expires.
+func NewTimer(eng *Engine, fn func()) *Timer {
+	return &Timer{ev: Event{fn: fn, eng: eng, index: -1}}
 }
+
+// Reset (re)arms the timer to fire after d (a negative d is treated as
+// zero). Any previous scheduling is cancelled.
+func (t *Timer) Reset(d Time) {
+	t.ev.Cancel()
+	t.ev.eng.push(&t.ev, t.ev.eng.now+max(d, 0))
+}
+
+// Stop disarms the timer if armed.
+func (t *Timer) Stop() { t.ev.Cancel() }
+
+// Armed reports whether the timer is queued to fire.
+func (t *Timer) Armed() bool { return t.ev.index >= 0 }

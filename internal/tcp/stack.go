@@ -95,6 +95,7 @@ type Stack struct {
 
 	listeners map[packet.Port]func(*Conn)
 	conns     map[packet.FiveTuple]*Conn // keyed by local tuple (Src=local)
+	portConns map[packet.Port]int        // live connections per local port (addConn/removeConn)
 	nextPort  packet.Port
 
 	// tsOffset randomizes the timestamp clock per stack, as real hosts'
@@ -128,6 +129,7 @@ func NewStack(h *netsim.Host) *Stack {
 		eng:       h.Net.Eng,
 		listeners: make(map[packet.Port]func(*Conn)),
 		conns:     make(map[packet.FiveTuple]*Conn),
+		portConns: make(map[packet.Port]int),
 		nextPort:  32768,
 		tsOffset:  h.Net.Eng.Rand().Uint32(),
 	}
@@ -152,14 +154,7 @@ func (s *Stack) allocPort() packet.Port {
 		if s.nextPort == 0 {
 			s.nextPort = 32768
 		}
-		inUse := false
-		for t := range s.conns {
-			if t.SrcPort == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
+		if s.portConns[p] == 0 {
 			return p
 		}
 	}
@@ -179,7 +174,7 @@ func (s *Stack) Connect(dst packet.Addr, dstPort packet.Port, cfg Config) *Conn 
 		DstPort: dstPort,
 	}
 	c := newConn(s, tuple, cfg)
-	s.conns[tuple] = c
+	s.addConn(c)
 	c.startActiveOpen()
 	return c
 }
@@ -197,7 +192,7 @@ func (s *Stack) deliver(p *packet.Packet) {
 			cfg := DefaultConfig()
 			c := newConn(s, local, cfg)
 			c.onAccept = onAccept
-			s.conns[local] = c
+			s.addConn(c)
 			c.startPassiveOpen(p)
 			return
 		}
@@ -213,7 +208,19 @@ func (s *Stack) sendRST(in *packet.Packet) {
 	s.Host.Send(rst)
 }
 
-func (s *Stack) removeConn(c *Conn) { delete(s.conns, c.tuple) }
+// addConn and removeConn are the only places a connection enters and
+// leaves the stack, so portConns is exact and allocPort never searches.
+func (s *Stack) addConn(c *Conn) {
+	s.conns[c.tuple] = c
+	s.portConns[c.tuple.SrcPort]++
+}
+
+func (s *Stack) removeConn(c *Conn) {
+	if s.conns[c.tuple] == c { // idempotent, as the bare delete was
+		delete(s.conns, c.tuple)
+		s.portConns[c.tuple.SrcPort]--
+	}
+}
 
 // Conns returns the number of live connections (all states but CLOSED).
 func (s *Stack) Conns() int { return len(s.conns) }

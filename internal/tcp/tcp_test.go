@@ -195,6 +195,8 @@ func TestCloseHandshake(t *testing.T) {
 	if h.client.Conns() != 0 || h.server.Conns() != 0 {
 		t.Errorf("lingering conns: client=%d server=%d", h.client.Conns(), h.server.Conns())
 	}
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
 }
 
 func TestOneWayCloseStillReceives(t *testing.T) {
@@ -233,6 +235,8 @@ func TestRSTOnConnectToClosedPort(t *testing.T) {
 	if h.client.Conns() != 0 {
 		t.Error("connection lingers after RST")
 	}
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
 }
 
 func TestAbortSendsRST(t *testing.T) {
@@ -250,6 +254,8 @@ func TestAbortSendsRST(t *testing.T) {
 		t.Error("peer did not observe RST")
 	}
 	_ = serverConn
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
 }
 
 func TestSYNRetransmission(t *testing.T) {
@@ -365,6 +371,8 @@ func TestManyParallelConnections(t *testing.T) {
 	if total != conns*per {
 		t.Fatalf("total received %d, want %d", total, conns*per)
 	}
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
 }
 
 func TestZeroWindowPersist(t *testing.T) {
@@ -408,6 +416,90 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 		}
 		seen[c.Tuple().SrcPort] = true
 	}
+}
+
+// checkPortCounts: the per-port counts allocPort trusts must equal what a
+// scan of the connection table (the old allocPort) would find.
+func checkPortCounts(t *testing.T, s *Stack) {
+	t.Helper()
+	want := map[packet.Port]int{}
+	for tuple := range s.conns {
+		want[tuple.SrcPort]++
+	}
+	for p, n := range s.portConns {
+		if n != want[p] {
+			t.Errorf("%v: portConns[%d] = %d, %d live connection(s) use it", s, p, n, want[p])
+		}
+		delete(want, p)
+	}
+	for p, n := range want {
+		t.Errorf("%v: %d live connection(s) on port %d are not counted", s, n, p)
+	}
+}
+
+// TestEphemeralPortReuseAfterWrap: 70 000 connect/close cycles wrap the
+// 32 768-port ephemeral range twice without running out, and a closed
+// connection's port is handed out again exactly one wrap later.
+func TestEphemeralPortReuseAfterWrap(t *testing.T) {
+	h := newHarness(t, netsim.LinkConfig{}, 1)
+	h.server.Listen(80, func(c *Conn) { c.OnReset = func() {} })
+	const cycles, span = 70_000, 1 << 15
+	var ports [cycles]packet.Port
+	for i := range ports {
+		c := h.client.Connect(h.hs.Addr, 80, Config{})
+		ports[i] = c.Tuple().SrcPort
+		if i%3 == 0 {
+			h.runFor(time.Millisecond) // let some handshakes finish before the abort
+		}
+		c.Abort()
+		if i >= span && ports[i] != ports[i-span] {
+			t.Fatalf("cycle %d got port %d, want the port closed one wrap earlier (%d)", i, ports[i], ports[i-span])
+		}
+	}
+	h.runFor(time.Second)
+	if h.client.Conns() != 0 || h.server.Conns() != 0 {
+		t.Errorf("connections left: client=%d server=%d", h.client.Conns(), h.server.Conns())
+	}
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
+}
+
+// TestLivePortsSkippedAfterWrap: a port with a live connection is skipped
+// when the counter comes round to it — including a listener's port in the
+// ephemeral range while a connection accepted on it lives — and becomes
+// available again once that connection is gone.
+func TestLivePortsSkippedAfterWrap(t *testing.T) {
+	h := newHarness(t, netsim.LinkConfig{}, 1)
+	h.server.Listen(80, func(c *Conn) {})
+	live := h.client.Connect(h.hs.Addr, 80, Config{})
+	held := live.Tuple().SrcPort
+
+	// The client also serves on an ephemeral-range port; the server dials in.
+	svc := held + 1
+	var accepted *Conn
+	h.client.Listen(svc, func(c *Conn) { accepted = c })
+	h.server.Connect(h.hc.Addr, svc, Config{})
+	h.runFor(10 * time.Millisecond)
+	if accepted == nil || live.State() != StateEstablished {
+		t.Fatal("setup: connections not established")
+	}
+
+	h.client.nextPort = held // as after a wrap
+	if p := h.client.Connect(h.hs.Addr, 80, Config{}).Tuple().SrcPort; p != svc+1 {
+		t.Errorf("allocated port %d with %d and %d in use, want %d", p, held, svc, svc+1)
+	}
+	checkPortCounts(t, h.client)
+
+	live.Abort()
+	accepted.Abort()
+	h.client.nextPort = held
+	for _, want := range []packet.Port{held, svc} {
+		if p := h.client.Connect(h.hs.Addr, 80, Config{}).Tuple().SrcPort; p != want {
+			t.Errorf("allocated port %d after its connection closed, want %d", p, want)
+		}
+	}
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
 }
 
 func TestScoreboard(t *testing.T) {
@@ -505,4 +597,6 @@ func TestTimeWaitReapsState(t *testing.T) {
 	if h.client.Conns() != 0 || h.server.Conns() != 0 {
 		t.Fatalf("TIME-WAIT never reaped: client=%d server=%d", h.client.Conns(), h.server.Conns())
 	}
+	checkPortCounts(t, h.client)
+	checkPortCounts(t, h.server)
 }

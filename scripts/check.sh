@@ -13,6 +13,13 @@
 # paths land in CRITPATH.json, gated on byte-identical re-extraction. CI
 # archives all six as workflow artifacts. Everything here must pass
 # before a change lands; CI and developers run the same script.
+#
+# "Same behaviour as before" needs no step of its own: `go test -race
+# ./...` below compares the seed-1 fault-sweep hashes and the per-seed
+# packet-capture hash with their checked-in goldens
+# (internal/fault/testdata/sweep_seed1.golden,
+# internal/lab/testdata/trace_hash.golden), and every sweep run checks the
+# zero-sessions and zero-rewrite-entries oracles.
 set -eux
 
 cd "$(dirname "$0")/.."
