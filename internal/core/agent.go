@@ -18,7 +18,8 @@ const DaemonPort packet.Port = 9903
 // App is a packet-level middlebox application (the libpcap/sk_buff style
 // of §4.1): it receives packets carrying the original session header and
 // returns the packets to re-emit (usually the same one, possibly modified,
-// possibly none to drop).
+// possibly none to drop). The result is consumed before the next Process
+// call and never kept, so an application may return a slice it reuses.
 type App interface {
 	Process(p *packet.Packet, dir netsim.Direction) []*packet.Packet
 }

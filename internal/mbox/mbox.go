@@ -25,12 +25,15 @@ import (
 // forward packets in both directions", §5.1).
 type Forwarder struct {
 	Packets uint64
+	out     [1]*packet.Packet // Process's result, reused on every call
 }
 
-// Process implements core.App.
+// Process implements core.App. The returned slice is the forwarder's own
+// scratch, valid until the next call.
 func (f *Forwarder) Process(p *packet.Packet, dir netsim.Direction) []*packet.Packet {
 	f.Packets++
-	return []*packet.Packet{p}
+	f.out[0] = p
+	return f.out[:]
 }
 
 // Monitor passively counts per-session packets and bytes, like a passive

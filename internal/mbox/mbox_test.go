@@ -567,3 +567,19 @@ func TestProxyAbortPropagates(t *testing.T) {
 		t.Errorf("proxy retains %d conns after client RST", pe.proxyN.Stack.Conns())
 	}
 }
+
+// TestForwarderReusesItsResult: the null middlebox hands each packet back in
+// its own one-element scratch slice (core.App lets the result be consumed
+// before the next call), so forwarding allocates nothing.
+func TestForwarderReusesItsResult(t *testing.T) {
+	var fw mbox.Forwarder
+	p := packet.NewTCP(packet.FiveTuple{Proto: packet.ProtoTCP}, packet.FlagACK, 1, 1, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		if out := fw.Process(p, netsim.Ingress); len(out) != 1 || out[0] != p {
+			t.Fatalf("Process returned %v, want the packet itself", out)
+		}
+	})
+	if allocs != 0 || fw.Packets != 101 {
+		t.Errorf("Process = %v allocs over %d packets, want 0 over 101", allocs, fw.Packets)
+	}
+}

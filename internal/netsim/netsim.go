@@ -121,6 +121,51 @@ type linkEnd struct {
 	fault FaultHook
 	// drops attributes losses in this direction by cause.
 	drops DropStats
+	// txSizes holds the sizes of the packets accepted but not yet fully
+	// transmitted, oldest first. busyUntil never decreases, so the
+	// end-of-transmission events fire in the order send posted them and
+	// each one retires the head.
+	txSizes sizeFIFO
+	// endOfTx and deliver are this direction's two per-packet callbacks,
+	// built once so that posting them allocates nothing.
+	endOfTx, deliver func(any)
+}
+
+func newLinkEnd(cfg LinkConfig, from, to *Host) *linkEnd {
+	le := &linkEnd{cfg: cfg, from: from, to: to}
+	le.endOfTx = func(any) { le.queued -= le.txSizes.pop() }
+	le.deliver = func(arg any) {
+		p := arg.(*packet.Packet)
+		p.ArrivedFrom = from.Addr
+		to.receive(p)
+	}
+	return le
+}
+
+// sizeFIFO is a ring of packet sizes that grows to the most it ever held at
+// once.
+type sizeFIFO struct {
+	buf     []int // len is zero or a power of two
+	head, n int
+}
+
+func (f *sizeFIFO) push(v int) {
+	if f.n == len(f.buf) {
+		grown := make([]int, max(2*len(f.buf), 16))
+		for i := 0; i < f.n; i++ {
+			grown[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
+		}
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+func (f *sizeFIFO) pop() int {
+	v := f.buf[f.head]
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return v
 }
 
 // CostModel is the per-packet CPU cost charged at a host. Costs are paid
@@ -223,12 +268,14 @@ type Host struct {
 	// it would send or receive is dropped until SetDown(false).
 	down bool
 
-	links    []*linkEnd
-	routes   map[packet.Addr]*linkEnd
-	ingress  []Hook
-	egress   []Hook
-	tcpDemux func(*packet.Packet)
-	udpBinds map[packet.Port]func(*packet.Packet)
+	links   []*linkEnd
+	routes  map[packet.Addr]*linkEnd
+	ingress []Hook
+	egress  []Hook
+	// processArg is process as the engine posts it, built once per host.
+	processArg func(any)
+	tcpDemux   func(*packet.Packet)
+	udpBinds   map[packet.Port]func(*packet.Packet)
 }
 
 // Network owns the hosts and topology.
@@ -260,6 +307,7 @@ func (n *Network) AddHost(name string, addr packet.Addr) *Host {
 		routes:          make(map[packet.Addr]*linkEnd),
 		udpBinds:        make(map[packet.Port]func(*packet.Packet)),
 	}
+	h.processArg = func(arg any) { h.process(arg.(*packet.Packet)) }
 	n.hosts[addr] = h
 	n.order = append(n.order, h)
 	return h
@@ -284,8 +332,8 @@ func (n *Network) ConnectAsym(a, b *Host, ab, ba LinkConfig) {
 	if ba.QueueBytes == 0 {
 		ba.QueueBytes = defaultQueueBytes
 	}
-	a.links = append(a.links, &linkEnd{cfg: ab, from: a, to: b})
-	b.links = append(b.links, &linkEnd{cfg: ba, from: b, to: a})
+	a.links = append(a.links, newLinkEnd(ab, a, b))
+	b.links = append(b.links, newLinkEnd(ba, b, a))
 }
 
 // ComputeRoutes (re)builds every host's next-hop table with BFS shortest
@@ -500,15 +548,9 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 	}
 	le.busyUntil = start + tx
 	le.queued += size
-	deliverAt := le.busyUntil + le.cfg.Delay + extraDelay
-	dst := le.to
-	from := le.from.Addr
-	endOfTx := le.busyUntil
-	eng.At(endOfTx, func() { le.queued -= size })
-	eng.At(deliverAt, func() {
-		p.ArrivedFrom = from
-		dst.receive(p)
-	})
+	le.txSizes.push(size)
+	eng.Post(le.busyUntil, le.endOfTx, nil)
+	eng.Post(le.busyUntil+le.cfg.Delay+extraDelay, le.deliver, p)
 }
 
 // corruptPayload flips one bit per 64 payload bytes (at least one). A
@@ -547,7 +589,7 @@ func (h *Host) receive(p *packet.Packet) {
 		cost += sim.Time(int64(h.Cost.ChecksumPerKB) * int64(p.Size()) / 1024)
 	}
 	done := h.CPU.Acquire(cost)
-	h.Net.Eng.At(done, func() { h.process(p) })
+	h.Net.Eng.Post(done, h.processArg, p)
 }
 
 func (h *Host) process(p *packet.Packet) {

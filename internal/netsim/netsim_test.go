@@ -435,3 +435,32 @@ func TestHostDown(t *testing.T) {
 		t.Errorf("delivered=%d after hosts back up, want 1", delivered)
 	}
 }
+
+// TestPacketOverOneHopIsAllocationFree: the three events a packet costs per
+// hop (end of transmission, delivery, receive-side CPU) are posted, not
+// allocated, and the end-of-transmission sizes ride a ring that grows to the
+// most packets ever queued at once, not to the traffic carried.
+func TestPacketOverOneHopIsAllocationFree(t *testing.T) {
+	eng, _, a, b := twoHosts(t, LinkConfig{Delay: time.Millisecond, Bandwidth: Mbps(100)})
+	delivered := 0
+	b.BindUDP(9000, func(*packet.Packet) { delivered++ })
+	p := udpTo(b, a, 9000, make([]byte, 1000))
+	const burst = 20
+	hop := func() {
+		for i := 0; i < burst; i++ {
+			a.Send(p)
+		}
+		eng.RunUntilIdle()
+	}
+	hop() // first use allocates the events and the ring
+	if allocs := testing.AllocsPerRun(100, hop); allocs != 0 {
+		t.Errorf("%d packets over Send → link → receive → process = %v allocs, want 0", burst, allocs)
+	}
+	le := a.LinkTo(b.Addr)
+	if delivered != 102*burst || le.QueuedBytes() != 0 || le.Drops() != 0 {
+		t.Errorf("delivered %d of %d, %d bytes still queued, %d drops", delivered, 102*burst, le.QueuedBytes(), le.Drops())
+	}
+	if ring := len(le.le.txSizes.buf); ring > 2*burst {
+		t.Errorf("size ring holds %d slots after bursts of %d", ring, burst)
+	}
+}

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,13 +16,14 @@ import (
 type Time = time.Duration
 
 // Event is a scheduled callback. The queue holds exactly the events that
-// will fire: cancelling one removes it.
+// will fire: cancelling one removes it. Its (at, seq) key lives in the
+// queue slot, not here.
 type Event struct {
-	at    Time
-	seq   uint64 // tie-breaker: FIFO among events at the same instant
 	fn    func()
+	call  func(any) // set on a posted event, which the engine recycles
+	arg   any
 	eng   *Engine
-	index int // heap index, -1 when not queued
+	index int // slot index, -1 when not queued
 }
 
 // Cancel removes the event from its engine's queue so it never fires. It
@@ -32,37 +32,92 @@ type Event struct {
 // nil — so it is safe to call any number of times.
 func (e *Event) Cancel() {
 	if e != nil && e.index >= 0 {
-		heap.Remove(&e.eng.queue, e.index)
+		e.eng.queue.remove(e.index)
 	}
 }
 
-type eventQueue []*Event
+// slot is one queue entry: the firing key inline beside the event, so a
+// comparison reads only the slot array.
+type slot struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among events at the same instant
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a slot) before(b slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap on (at, seq): the children of slot i are
+// 4i+1 … 4i+4. seq is unique, so the order is total and the firing sequence
+// does not depend on the heap's shape. Sifts move a hole and write the
+// travelling slot once.
+type eventQueue []slot
+
+func (q eventQueue) set(i int, s slot) {
+	q[i] = s
+	s.ev.index = i
+}
+
+// up moves s toward the root from the hole at i.
+func (q eventQueue) up(i int, s slot) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !s.before(q[parent]) {
+			break
+		}
+		q.set(i, q[parent])
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	q.set(i, s)
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// down moves s toward the leaves from the hole at i.
+func (q eventQueue) down(i int, s slot) {
+	for {
+		first := 4*i + 1
+		if first >= len(q) {
+			break
+		}
+		least := first
+		for c, end := first+1, min(first+4, len(q)); c < end; c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(s) {
+			break
+		}
+		q.set(i, q[least])
+		i = least
+	}
+	q.set(i, s)
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, s)
+	q.up(len(*q)-1, s)
 }
-func (q *eventQueue) Pop() any {
+
+// remove takes the event at slot i out of the queue and refills the hole
+// with the last slot.
+func (q *eventQueue) remove(i int) *Event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	ev := old[i].ev
+	ev.index = -1
+	n := len(old) - 1
+	last := old[n]
+	old[n] = slot{}
+	*q = old[:n]
+	if i == n {
+		return ev
+	}
+	if i > 0 && last.before(old[(i-1)/4]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
+	return ev
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -70,6 +125,7 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now     Time
 	queue   eventQueue
+	free    []*Event // fired posted events awaiting reuse
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
@@ -98,10 +154,29 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 
 // At runs fn at absolute virtual time t. Scheduling in the past panics:
 // it is always a model bug, and silently reordering would break causality.
+// The caller may keep the returned handle, so each call allocates its
+// Event; a per-packet event that nobody cancels belongs on Post.
 func (e *Engine) At(t Time, fn func()) *Event {
 	ev := &Event{fn: fn, eng: e, index: -1}
 	e.push(ev, t)
 	return ev
+}
+
+// Post runs call(arg) at absolute virtual time t, ordered with At's events
+// by the same (time, scheduling order) key. It returns no handle: the event
+// cannot be cancelled, and the engine reuses it once it has fired, so a
+// steady stream of posts allocates nothing. Pass a call that lives as long
+// as its owner (one per link end, per host) and a pointer-shaped arg —
+// boxing any other value allocates.
+func (e *Engine) Post(t Time, call func(any), arg any) {
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		ev = &Event{index: -1}
+	}
+	ev.call, ev.arg = call, arg
+	e.push(ev, t)
 }
 
 // push queues ev to fire at t, after every event already queued for t.
@@ -109,9 +184,8 @@ func (e *Engine) push(ev *Event, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
 	}
-	ev.at, ev.seq = t, e.nextSeq
+	e.queue.push(slot{at: t, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
 }
 
 // Stop makes the current Run call return after the current event completes.
@@ -144,10 +218,20 @@ func (e *Engine) RunUntilIdle() Time {
 func (e *Engine) run(until Time) {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= until {
-		next := heap.Pop(&e.queue).(*Event)
-		e.now = next.at
+		e.now = e.queue[0].at
+		next := e.queue.remove(0)
 		e.Processed++
-		next.fn()
+		if next.call == nil {
+			next.fn()
+			continue
+		}
+		// A posted event goes back on the free list before its callback
+		// runs (which may post again), holding nothing: a fired event must
+		// not keep its packet alive.
+		call, arg := next.call, next.arg
+		next.call, next.arg = nil, nil
+		e.free = append(e.free, next)
+		call(arg)
 	}
 }
 

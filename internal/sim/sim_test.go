@@ -171,19 +171,24 @@ func TestFIFOAfterMiddleRemovals(t *testing.T) {
 type queue interface {
 	now() Time
 	schedule(d Time, fn func()) (cancel func())
+	post(d Time, fn func()) // no handle: cannot be cancelled
 	timer(fn func()) (reset func(Time), stop func())
-	step() bool // fire the next event; false when nothing is left to fire
+	step() bool        // fire the next event; false when nothing is left to fire
+	pending() int      // events that will fire
+	processed() uint64 // events fired
 }
 
-// refQueue is the engine's previous semantics, kept as the oracle: Cancel
-// sets a flag, the entry stays queued, the run loop skips it when it
-// surfaces, and re-arming a timer abandons the old event for a new one.
+// refQueue is the engine's original semantics, kept as the oracle: an
+// unordered list searched for the least (at, seq), Cancel sets a flag, the
+// entry stays queued and is skipped when it surfaces, re-arming a timer
+// abandons the old event for a new one, and nothing is ever reused.
 // (The old loop also moved the clock to a skipped event's time, visible only
 // in RunUntilIdle's return value when the tail of the queue was cancelled;
 // nothing read it and the reference does not reproduce it.)
 type refQueue struct {
 	clock Time
 	seq   uint64
+	fired uint64
 	q     []*refEvent
 }
 
@@ -202,6 +207,8 @@ func (r *refQueue) schedule(d Time, fn func()) func() {
 	r.q = append(r.q, ev)
 	return func() { ev.cancel = true }
 }
+
+func (r *refQueue) post(d Time, fn func()) { r.schedule(d, fn) }
 
 func (r *refQueue) timer(fn func()) (func(Time), func()) {
 	cancel := func() {}
@@ -223,11 +230,24 @@ func (r *refQueue) step() bool {
 			continue
 		}
 		r.clock = ev.at
+		r.fired++
 		ev.fn()
 		return true
 	}
 	return false
 }
+
+func (r *refQueue) pending() int {
+	n := 0
+	for _, ev := range r.q {
+		if !ev.cancel {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refQueue) processed() uint64 { return r.fired }
 
 // engQueue adapts the engine; every callback stops the run loop so step
 // fires exactly one event.
@@ -238,6 +258,10 @@ func (q engQueue) now() Time { return q.e.Now() }
 func (q engQueue) schedule(d Time, fn func()) func() {
 	return q.e.Schedule(d, func() { fn(); q.e.Stop() }).Cancel
 }
+
+func (q engQueue) post(d Time, fn func()) { q.e.Post(q.e.Now()+max(d, 0), q.fire, fn) }
+
+func (q engQueue) fire(fn any) { fn.(func())(); q.e.Stop() }
 
 func (q engQueue) timer(fn func()) (func(Time), func()) {
 	t := NewTimer(q.e, func() { fn(); q.e.Stop() })
@@ -252,33 +276,84 @@ func (q engQueue) step() bool {
 	return true
 }
 
-type firing struct {
-	id int // >= 0 one-shot events in creation order, < 0 timers
-	at Time
+func (q engQueue) pending() int { return q.e.Pending() }
+
+func (q engQueue) processed() uint64 { return q.e.Processed }
+
+// observed is one line of a program's log: an event firing, or (id ==
+// afterOp) the state an operation left behind.
+type observed struct {
+	id        int // >= 0 one-shot events in creation order, timers -1 … -8
+	at        Time
+	pending   int
+	processed uint64
 }
 
-// drive runs one seeded program of schedule / cancel / timer re-arm / timer
-// stop / step operations, with callbacks that schedule children and cancel
-// themselves, and returns what fired, in order.
-func drive(q queue, seed int64, ops int) []firing {
-	rng := rand.New(rand.NewSource(seed))
-	delay := func(n int) Time { return Time(rng.Intn(n)-2) * time.Microsecond } // sometimes negative
-	var log []firing
-	var cancels []func()
-	var spawn func(d Time)
-	spawn = func(d Time) {
-		id := len(cancels)
-		nest, self := rng.Intn(4) == 0, rng.Intn(8) == 0
-		cancels = append(cancels, nil)
-		cancels[id] = q.schedule(d, func() {
-			log = append(log, firing{id, q.now()})
+const afterOp = -100
+
+// choices is where a program's decisions come from: a seeded generator in
+// the differential test, the fuzzer's bytes in FuzzQueueOrder.
+type choices func(n int) int
+
+// fromBytes spends one byte per decision; once they run out every decision
+// is the last alternative, which in drive schedules nothing further.
+func fromBytes(b []byte) choices {
+	return func(n int) int {
+		if len(b) == 0 {
+			return n - 1
+		}
+		v := int(b[0]) % n
+		b = b[1:]
+		return v
+	}
+}
+
+// drive runs one program of ops operations — schedule with a handle, post
+// without one, cancel (any event, the newest, the earliest: the last and the
+// root slot when nothing else is in the way), timer re-arm, timer stop, step
+// — with callbacks that schedule children, cancel themselves and cancel
+// others, then drains the queue. It returns every firing and the state after
+// every operation, in order.
+func drive(q queue, intn choices, ops int) []observed {
+	delay := func(n int) Time { return Time(intn(n)-2) * time.Microsecond } // sometimes negative
+	var log []observed
+	observe := func(id int) { log = append(log, observed{id, q.now(), q.pending(), q.processed()}) }
+	type shot struct {
+		cancel func() // nil for a posted event
+		at     Time
+		done   bool // fired, or cancelled by this program
+	}
+	var shots []*shot
+	cancel := func(s *shot) {
+		if s.cancel != nil {
+			s.cancel()
+			s.done = true
+		}
+	}
+	var spawn func(d Time, handle bool)
+	spawn = func(d Time, handle bool) {
+		id := len(shots)
+		nest, self, other := intn(4) == 0, intn(8) == 0, intn(8) == 0
+		s := &shot{at: q.now() + max(d, 0)}
+		shots = append(shots, s)
+		fn := func() {
+			s.done = true
+			observe(id)
 			if self {
-				cancels[id]()
+				cancel(s)
+			}
+			if other {
+				cancel(shots[intn(len(shots))])
 			}
 			if nest {
-				spawn(delay(50))
+				spawn(delay(50), intn(2) == 0)
 			}
-		})
+		}
+		if handle {
+			s.cancel = q.schedule(d, fn)
+		} else {
+			q.post(d, fn)
+		}
 	}
 	const timers = 8
 	var reset [timers]func(Time)
@@ -286,54 +361,120 @@ func drive(q queue, seed int64, ops int) []firing {
 	for i := range reset {
 		i := i
 		reset[i], stop[i] = q.timer(func() {
-			log = append(log, firing{-1 - i, q.now()})
-			if rng.Intn(3) == 0 {
+			observe(-1 - i)
+			if intn(3) == 0 {
 				reset[i](delay(100)) // a timer re-arming itself, as the RTO does
 			}
 		})
 	}
 	for op := 0; op < ops; op++ {
-		switch r := rng.Intn(10); {
-		case r < 4:
-			spawn(delay(200))
-		case r < 6 && len(cancels) > 0:
-			cancels[rng.Intn(len(cancels))]() // may have fired or been cancelled already
-		case r < 8:
-			reset[rng.Intn(timers)](delay(200))
-		case r < 9:
-			stop[rng.Intn(timers)]()
+		switch r := intn(14); {
+		case r < 3:
+			spawn(delay(200), true)
+		case r < 6:
+			spawn(delay(200), false)
+		case r < 8 && len(shots) > 0:
+			cancel(shots[intn(len(shots))]) // may have fired or been cancelled already
+		case r == 8 && len(shots) > 0:
+			cancel(shots[len(shots)-1])
+		case r == 9:
+			var first *shot
+			for _, s := range shots {
+				if s.cancel != nil && !s.done && (first == nil || s.at < first.at) {
+					first = s
+				}
+			}
+			if first != nil {
+				cancel(first)
+			}
+		case r < 12:
+			reset[intn(timers)](delay(200))
+		case r == 12:
+			stop[intn(timers)]()
 		default:
 			q.step()
 		}
+		observe(afterOp)
 	}
 	for q.step() {
 	}
+	observe(afterOp)
 	return log
 }
 
-// TestDifferentialAgainstFlagAndSkip: removing an event on Cancel must be
-// indistinguishable, by what fires and when, from flagging it and skipping
-// it when popped.
+// sameAsReference runs one program on the engine and on the reference and
+// requires the same firings at the same instants with the same Pending() and
+// Processed after every firing and every operation.
+func sameAsReference(t *testing.T, intn func() choices, ops int) (fired int) {
+	t.Helper()
+	e := NewEngine(1)
+	got := drive(engQueue{e}, intn(), ops)
+	want := drive(&refQueue{}, intn(), ops)
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("log line %d: engine %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("engine logged %d lines, reference %d", len(got), len(want))
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after draining", e.Pending())
+	}
+	for _, ev := range e.free {
+		if ev.call != nil || ev.arg != nil || ev.index != -1 {
+			t.Fatalf("recycled event still holds call=%v arg=%v index=%d", ev.call != nil, ev.arg, ev.index)
+		}
+	}
+	return int(e.Processed)
+}
+
+// TestDifferentialAgainstFlagAndSkip: the typed heap with removal on Cancel
+// and recycled posted events must be indistinguishable, by what fires and
+// when and by Pending() and Processed at every step, from an unordered list
+// that flags cancelled events and skips them when they surface.
 func TestDifferentialAgainstFlagAndSkip(t *testing.T) {
 	const ops = 12_000
 	for seed := int64(1); seed <= 3; seed++ {
-		e := NewEngine(seed)
-		got := drive(engQueue{e}, seed, ops)
-		want := drive(&refQueue{}, seed, ops)
-		if len(want) < ops/10 {
-			t.Fatalf("seed %d: only %d events fired; the program is too idle to prove anything", seed, len(want))
+		fired := sameAsReference(t, func() choices { return rand.New(rand.NewSource(seed)).Intn }, ops)
+		if fired < ops/10 {
+			t.Fatalf("seed %d: only %d events fired; the program is too idle to prove anything", seed, fired)
 		}
-		for i := 0; i < len(got) && i < len(want); i++ {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d: engine %+v, reference %+v", seed, i, got[i], want[i])
-			}
+	}
+}
+
+// FuzzQueueOrder is the same differential check with the fuzzer choosing the
+// program, one byte per decision.
+func FuzzQueueOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, program []byte) {
+		if len(program) > 4096 {
+			t.Skip("long programs add time, not shapes")
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
+		sameAsReference(t, func() choices { return fromBytes(program) }, len(program))
+	})
+}
+
+// TestPostIsAllocationFree: a posted event is recycled once it has fired,
+// so posting and firing on a deep queue allocates nothing in steady state.
+func TestPostIsAllocationFree(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 4096; i++ {
+		e.Schedule(time.Hour+Time(i), func() {})
+	}
+	fired := 0
+	count := func(any) { fired++ }
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			e.Post(e.Now()+Time(64-i), count, e)
 		}
-		if e.Pending() != 0 || e.Processed != uint64(len(got)) {
-			t.Errorf("seed %d: Pending() = %d, Processed = %d after firing %d", seed, e.Pending(), e.Processed, len(got))
-		}
+		e.Run(e.Now() + 64)
+	}
+	burst() // first use allocates the 64 events and the free list
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("64 posts + fires at depth 4096 = %v allocs, want 0", allocs)
+	}
+	if fired != 102*64 || e.Pending() != 4096 || len(e.free) != 64 {
+		t.Errorf("fired %d, Pending() = %d, free list %d; want %d, 4096, 64", fired, e.Pending(), len(e.free), 102*64)
 	}
 }
 
@@ -462,14 +603,35 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
+// BenchmarkScheduleRun times one schedule + fire on a queue that already
+// holds depth far-future events, through the handle-returning entry and
+// through Post. Each batch of 1024 lands at increasing instants and is then
+// run, the shape of a link handing packets to the engine.
 func BenchmarkScheduleRun(b *testing.B) {
-	e := NewEngine(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(time.Microsecond, func() {})
-		if i%1024 == 0 {
-			e.RunUntilIdle()
-		}
+	noop, noopArg := func() {}, func(any) {}
+	for _, bc := range []struct {
+		name     string
+		depth    int
+		schedule func(e *Engine, d Time)
+	}{
+		{"Schedule/depth=0", 0, func(e *Engine, d Time) { e.Schedule(d, noop) }},
+		{"Schedule/depth=4096", 4096, func(e *Engine, d Time) { e.Schedule(d, noop) }},
+		{"Post/depth=0", 0, func(e *Engine, d Time) { e.Post(e.Now()+d, noopArg, e) }},
+		{"Post/depth=4096", 4096, func(e *Engine, d Time) { e.Post(e.Now()+d, noopArg, e) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(1)
+			for i := 0; i < bc.depth; i++ {
+				e.Schedule(1000*time.Hour+Time(i), noop)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.schedule(e, Time(i%1024))
+				if i%1024 == 1023 {
+					e.Run(e.Now() + 1024)
+				}
+			}
+		})
 	}
-	e.RunUntilIdle()
 }

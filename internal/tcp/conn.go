@@ -80,6 +80,7 @@ type Conn struct {
 	sndUna     uint32
 	sndNxt     uint32
 	sndBuf     []byte // bytes [sndUna, sndUna+len); unacked + unsent
+	sndStore   []byte // sndBuf's backing array from its start, length 0
 	finQueued  bool
 	finSent    bool
 	closed     bool // app called Close
@@ -292,11 +293,30 @@ func (c *Conn) Send(data []byte) error {
 	case StateSynSent, StateSynRcvd, StateEstablished, StateCloseWait:
 		// Sending side still open: queue below (data drains once established).
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.queue(data)
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
 	return nil
+}
+
+// queue appends data to the send buffer. ackAdvance slices acknowledged
+// bytes off the front of sndBuf, so the room they leave lies before the live
+// bytes: when the tail is full, slide the live bytes back to the start of the
+// backing array instead of allocating a new one. Segments carry copies of
+// their payload, so nothing else refers to these bytes. Sliding must leave
+// an eighth of the array free and growing takes half again what is needed,
+// which keeps both amortised O(1) per byte queued and the array within 1.5×
+// the most ever buffered.
+func (c *Conn) queue(data []byte) {
+	need := len(c.sndBuf) + len(data)
+	if need > cap(c.sndBuf) {
+		if need > cap(c.sndStore)/8*7 {
+			c.sndStore = make([]byte, 0, need+need/2)
+		}
+		c.sndBuf = c.sndStore[:copy(c.sndStore[:need], c.sndBuf)]
+	}
+	c.sndBuf = append(c.sndBuf, data...)
 }
 
 // Close ends the sending direction: queued data is flushed, then a FIN is

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: build, vet, race-enabled tests, the
 # repo's own static-analysis suite (cmd/dyscolint), a fuzz smoke over
-# every wire decoder, the observability micro-benchmark, and the
-# fault-injection safety sweep. The lint run lands its machine-readable
+# every wire decoder and the event queue, the observability
+# micro-benchmark, and the fault-injection safety sweep. The lint run
+# lands its machine-readable
 # findings in LINT_report.json, the module call graph (the input to the
 # allocfree/blockfree hot-path proofs) in LINT_callgraph.txt, and the
 # extracted wire-format layout tables (the input to the wiresafe codec
@@ -47,6 +48,9 @@ go test ./internal/core   -run '^$' -fuzz '^FuzzSynPayload$'  -fuzztime 10s
 go test ./internal/core   -run '^$' -fuzz '^FuzzCtrlMsg$'     -fuzztime 10s
 go test ./internal/rudp   -run '^$' -fuzz '^FuzzRudpInput$'   -fuzztime 10s
 go test ./internal/dataplane -run '^$' -fuzz '^FuzzRawRewrite$' -fuzztime 10s
+# Not a decoder: random schedule/post/cancel/timer programs on the event
+# queue against its flag-and-skip reference (firing order, Pending, Processed).
+go test ./internal/sim    -run '^$' -fuzz '^FuzzQueueOrder$'  -fuzztime 10s
 go run ./cmd/dyscobench -short -obsout BENCH_obs.json
 go run ./cmd/dyscofault -short -json FAULT_sweep.json
 
