@@ -46,6 +46,11 @@ func (s *Sink) consume(n int) {
 	}
 }
 
+// zeros is what every Source sends. Send keeps the slices it is given until
+// they are acknowledged and never writes them, so all sources share this one
+// read-only block instead of allocating each chunk.
+var zeros = make([]byte, 64<<10)
+
 // Source sends a continuous byte stream on a connection, keeping at most
 // window bytes buffered in the stack (so memory stays bounded while the
 // congestion window stays full).
@@ -105,7 +110,13 @@ func (s *Source) refill() {
 				n = int(remaining)
 			}
 		}
-		if err := s.Conn.Send(make([]byte, n)); err != nil {
+		var chunk []byte
+		if n <= len(zeros) {
+			chunk = zeros[:n:n]
+		} else {
+			chunk = make([]byte, n)
+		}
+		if err := s.Conn.Send(chunk); err != nil {
 			s.stopped = true
 			return
 		}

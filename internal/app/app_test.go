@@ -1,6 +1,8 @@
 package app_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -42,6 +44,60 @@ func TestSourceSinkGoodput(t *testing.T) {
 	if src.Sent < sink.Total {
 		t.Errorf("sent %d < delivered %d", src.Sent, sink.Total)
 	}
+}
+
+// TestSourceSessionsHoldLittleLiveHeap: in Figure 9's topology (four
+// client/server pairs through the lab router, 1 Gbps links) 250 bulk
+// sessions cost their connection state, not the bytes they keep buffered:
+// every Source sends the same read-only block, and the stacks keep the
+// slices they are given instead of copies. Live heap is read after GC two
+// simulated seconds in. The link queues are 1 MB rather than Figure 9's
+// 4 MB: the packets a full queue holds are the links' cost, not the
+// sessions', and at 4 MB they alone come to ≈ 40 KB a session.
+func TestSourceSessionsHoldLittleLiveHeap(t *testing.T) {
+	const sessions = 250
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	env := lab.NewEnv(9)
+	link := netsim.LinkConfig{Delay: 20 * time.Microsecond, Bandwidth: netsim.Gbps(1), QueueBytes: 1 << 20}
+	var clients, servers []*lab.Node
+	for i := 0; i < 4; i++ {
+		clients = append(clients, env.AddNode(fmt.Sprintf("client%d", i), lab.HostOptions{Link: link, Stack: true}))
+		servers = append(servers, env.AddNode(fmt.Sprintf("server%d", i), lab.HostOptions{Link: link, Stack: true}))
+	}
+	env.Net.ComputeRoutes()
+	var sinks []*app.Sink
+	for _, s := range servers {
+		sink := app.NewSink(env.Eng, time.Second)
+		sink.Serve(s.Stack, 5001)
+		sinks = append(sinks, sink)
+	}
+	var sources []*app.Source
+	for i := 0; i < sessions; i++ {
+		c, s := clients[i%4], servers[i%4]
+		env.Eng.Schedule(time.Duration(i)*time.Millisecond, func() {
+			sources = append(sources, app.NewSource(c.Stack.Connect(s.Addr(), 5001, tcp.Config{}), 0))
+		})
+	}
+	env.RunFor(2 * time.Second)
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	var delivered uint64
+	for _, s := range sinks {
+		delivered += s.Total
+	}
+	if len(sources) != sessions || delivered < 50<<20 {
+		t.Fatalf("%d sources delivered %d bytes; the sessions are not streaming", len(sources), delivered)
+	}
+	perSession := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / sessions
+	if perSession > 32<<10 {
+		t.Errorf("live heap %d KB per session, want <= 32 KB", perSession>>10)
+	}
+	t.Logf("live heap %d B per session, %d MB delivered", perSession, delivered>>20)
+	runtime.KeepAlive(env)
 }
 
 func TestSourceLimitClosesConnection(t *testing.T) {

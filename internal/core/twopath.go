@@ -46,7 +46,7 @@ func (a *Agent) steerEgress(p *packet.Packet, oldE *rewriteEntry) {
 	if oldBytes > 0 || finOld {
 		op := p.ShallowClone()
 		if oldBytes > 0 {
-			op.Payload = append([]byte(nil), p.Payload[:oldBytes]...)
+			op.Payload = p.Payload[:oldBytes:oldBytes]
 		} else {
 			op.Payload = nil
 		}
@@ -67,7 +67,7 @@ func (a *Agent) steerEgress(p *packet.Packet, oldE *rewriteEntry) {
 		np := p.ShallowClone()
 		if newBytes > 0 {
 			np.Seq = packet.SeqAdd(seq, int64(oldBytes))
-			np.Payload = append([]byte(nil), p.Payload[oldBytes:]...)
+			np.Payload = p.Payload[oldBytes:dataLen:dataLen]
 		} else {
 			np.Seq = finSeq
 			np.Payload = nil

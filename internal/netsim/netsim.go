@@ -556,7 +556,8 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 // corruptPayload flips one bit per 64 payload bytes (at least one). A
 // corrupted TCP segment still parses — the damage is to the bytes the
 // application-level integrity oracles verify, and to the checksum when
-// software checksumming is modeled.
+// software checksumming is modeled. The damage goes to a copy: payload
+// bytes are shared with the sender's buffer and are never written in place.
 func corruptPayload(p *packet.Packet) {
 	p.Corrupted = true
 	if len(p.Payload) == 0 {

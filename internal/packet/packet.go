@@ -50,6 +50,10 @@ func (o Options) Clone() Options {
 
 // Packet is one network packet in flight. TCP fields are meaningful only
 // when Tuple.Proto == ProtoTCP; UDP packets use only Tuple and Payload.
+//
+// Payload bytes are never written in place: they may be shared with the
+// sending stack's buffer, the packet's other copies and the receiver. Code
+// that changes them builds a new slice.
 type Packet struct {
 	Tuple   FiveTuple
 	TTL     uint8

@@ -64,7 +64,9 @@ type Conn struct {
 	state State
 
 	// Application callbacks. Set them before data can arrive (immediately
-	// after Connect, or inside the accept callback).
+	// after Connect, or inside the accept callback). The slice OnData
+	// receives is read-only and may be shared with the sender: it can be
+	// the very bytes the peer passed to Send.
 	OnEstablished func()
 	OnData        func([]byte)
 	OnPeerFIN     func() // peer will send no more data
@@ -79,8 +81,9 @@ type Conn struct {
 	iss        uint32
 	sndUna     uint32
 	sndNxt     uint32
-	sndBuf     []byte // bytes [sndUna, sndUna+len); unacked + unsent
-	sndStore   []byte // sndBuf's backing array from its start, length 0
+	snd        sendQueue // bytes [sndUna, sndUna+snd.n); unacked + unsent
+	sndCur     qcursor   // where the last first transmission was read
+	rtxCur     qcursor   // where the last retransmission was read
 	finQueued  bool
 	finSent    bool
 	closed     bool // app called Close
@@ -187,7 +190,7 @@ func (c *Conn) MSS() int { return c.mss }
 func (c *Conn) SACKEnabled() bool { return c.sackOK }
 
 // BufferedOut returns bytes accepted by Send but not yet acknowledged.
-func (c *Conn) BufferedOut() int { return len(c.sndBuf) }
+func (c *Conn) BufferedOut() int { return c.snd.n }
 
 // RcvWScale returns the shift this endpoint applies to windows it
 // advertises (its own negotiated offer; 0 when scaling is off).
@@ -282,7 +285,9 @@ func (c *Conn) sendSYN(withAck bool) {
 }
 
 // Send queues application data for transmission. It returns an error if
-// the connection cannot accept more data (closing or closed).
+// the connection cannot accept more data (closing or closed). Send keeps
+// data until it is acknowledged, and segments may share it; do not modify
+// it.
 func (c *Conn) Send(data []byte) error {
 	if c.closed {
 		return fmt.Errorf("tcp: Send on closed connection (%v)", c.state)
@@ -293,30 +298,11 @@ func (c *Conn) Send(data []byte) error {
 	case StateSynSent, StateSynRcvd, StateEstablished, StateCloseWait:
 		// Sending side still open: queue below (data drains once established).
 	}
-	c.queue(data)
+	c.snd.push(data)
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
 	return nil
-}
-
-// queue appends data to the send buffer. ackAdvance slices acknowledged
-// bytes off the front of sndBuf, so the room they leave lies before the live
-// bytes: when the tail is full, slide the live bytes back to the start of the
-// backing array instead of allocating a new one. Segments carry copies of
-// their payload, so nothing else refers to these bytes. Sliding must leave
-// an eighth of the array free and growing takes half again what is needed,
-// which keeps both amortised O(1) per byte queued and the array within 1.5×
-// the most ever buffered.
-func (c *Conn) queue(data []byte) {
-	need := len(c.sndBuf) + len(data)
-	if need > cap(c.sndBuf) {
-		if need > cap(c.sndStore)/8*7 {
-			c.sndStore = make([]byte, 0, need+need/2)
-		}
-		c.sndBuf = c.sndStore[:copy(c.sndStore[:need], c.sndBuf)]
-	}
-	c.sndBuf = append(c.sndBuf, data...)
 }
 
 // Close ends the sending direction: queued data is flushed, then a FIN is
@@ -353,6 +339,8 @@ func (c *Conn) destroy() {
 	c.rtxTimer.Stop()
 	c.persistTimer.Stop()
 	c.twTimer.Stop()
+	c.snd.release()
+	c.ooo, c.oooBytes = nil, 0
 	c.stack.removeConn(c)
 }
 

@@ -51,7 +51,7 @@ func (c *Conn) processData(p *packet.Packet) {
 	} else {
 		// Out of order: queue if it fits, advertise SACK.
 		if len(data) > 0 && c.oooBytes+len(data) <= c.cfg.RecvBuf && len(c.ooo) < 1024 {
-			c.insertOOO(oooSeg{seq: seq, data: append([]byte(nil), data...), fin: fin})
+			c.insertOOO(oooSeg{seq: seq, data: data, fin: fin})
 		} else if fin && len(data) == 0 {
 			c.insertOOO(oooSeg{seq: seq, fin: fin})
 		}
@@ -102,7 +102,7 @@ func (c *Conn) insertOOO(s oooSeg) {
 		// Overlap: keep the pieces of s outside e.
 		if packet.SeqLT(s.seq, e.seq) {
 			n := int(packet.SeqDiff(s.seq, e.seq))
-			c.insertOOO(oooSeg{seq: s.seq, data: s.data[:n]})
+			c.insertOOO(oooSeg{seq: s.seq, data: s.data[:n:n]})
 		}
 		switch {
 		case packet.SeqGT(sEnd, eEnd):

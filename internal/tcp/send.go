@@ -96,8 +96,8 @@ func (c *Conn) trySend() {
 	}
 	sent := false
 	for {
-		unsentOff := c.flight() // index of first unsent byte in sndBuf
-		unsent := len(c.sndBuf) - unsentOff
+		unsentOff := c.flight() // offset of the first unsent byte in snd
+		unsent := c.snd.n - unsentOff
 		if unsent > 0 {
 			n := min(min(unsent, c.mss), c.sendWindow())
 			if n <= 0 {
@@ -108,7 +108,7 @@ func (c *Conn) trySend() {
 				// coalescing into fuller segments on the next ACK.
 				break
 			}
-			payload := append([]byte(nil), c.sndBuf[unsentOff:unsentOff+n]...)
+			payload := c.snd.read(&c.sndCur, unsentOff, n)
 			flags := packet.FlagACK
 			if n == unsent {
 				flags |= packet.FlagPSH
@@ -141,7 +141,7 @@ func (c *Conn) trySend() {
 			c.rtxTimer.Reset(c.rto)
 		}
 		c.persistTimer.Stop()
-	} else if len(c.sndBuf) > 0 && c.peerWnd == 0 {
+	} else if c.snd.n > 0 && c.peerWnd == 0 {
 		// Zero-window: arm the persist timer to probe.
 		if !c.persistTimer.Armed() {
 			c.persistTimer.Reset(c.rto)
@@ -206,10 +206,10 @@ func (c *Conn) ackAdvance(ack uint32, p *packet.Packet) {
 	if c.finSent && ack == c.sndNxt {
 		bufAcked--
 	}
-	if bufAcked > len(c.sndBuf) {
-		bufAcked = len(c.sndBuf)
+	if bufAcked > c.snd.n {
+		bufAcked = c.snd.n
 	}
-	c.sndBuf = c.sndBuf[bufAcked:]
+	c.snd.drop(bufAcked)
 	c.sndUna = ack
 	c.dupAcks = 0
 	c.scoreboard.trim(c.sndUna)
@@ -254,7 +254,7 @@ func (c *Conn) ackAdvance(ack uint32, p *packet.Packet) {
 	} else {
 		c.rtxTimer.Stop()
 	}
-	if c.OnSendBufferLow != nil && len(c.sndBuf) < 128<<10 {
+	if c.OnSendBufferLow != nil && c.snd.n < 128<<10 {
 		c.OnSendBufferLow()
 	}
 }
@@ -350,7 +350,7 @@ func (c *Conn) retransmitRange(seq uint32, n int) {
 		return
 	}
 	c.rttClean = false // Karn: void timing sample
-	if off >= len(c.sndBuf) {
+	if off >= c.snd.n {
 		// Beyond data: must be the FIN.
 		if c.finSent {
 			c.Stats.Retransmits++
@@ -369,14 +369,14 @@ func (c *Conn) retransmitRange(seq uint32, n int) {
 	if n <= 0 {
 		return
 	}
-	if off+n > len(c.sndBuf) {
-		n = len(c.sndBuf) - off
+	if off+n > c.snd.n {
+		n = c.snd.n - off
 	}
-	payload := append([]byte(nil), c.sndBuf[off:off+n]...)
+	payload := c.snd.read(&c.rtxCur, off, n)
 	c.Stats.Retransmits++
 	c.obsRetransmit("data", n)
 	flags := packet.FlagACK
-	if c.finSent && off+n == len(c.sndBuf) {
+	if c.finSent && off+n == c.snd.n {
 		// The FIN directly follows this data: retransmit it together.
 		flags |= packet.FlagFIN
 	}
@@ -434,15 +434,15 @@ func (c *Conn) backoffRTO() {
 }
 
 func (c *Conn) onPersistTimeout() {
-	if c.peerWnd > 0 || len(c.sndBuf) == 0 {
+	if c.peerWnd > 0 || c.snd.n == 0 {
 		return
 	}
 	// Send a 1-byte window probe: the next unsent byte, beyond the
 	// advertised window. It occupies sequence space so the probe's ACK
 	// (carrying the reopened window) is processed normally.
 	off := c.flight()
-	if off < len(c.sndBuf) {
-		payload := []byte{c.sndBuf[off]}
+	if off < c.snd.n {
+		payload := c.snd.read(&c.sndCur, off, 1)
 		seq := c.sndNxt
 		c.sndNxt = packet.SeqAdd(c.sndNxt, 1)
 		c.Stats.BytesSent++

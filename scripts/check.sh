@@ -51,6 +51,9 @@ go test ./internal/dataplane -run '^$' -fuzz '^FuzzRawRewrite$' -fuzztime 10s
 # Not a decoder: random schedule/post/cancel/timer programs on the event
 # queue against its flag-and-skip reference (firing order, Pending, Processed).
 go test ./internal/sim    -run '^$' -fuzz '^FuzzQueueOrder$'  -fuzztime 10s
+# Nor this: random push/acknowledge/read programs on the TCP send queue
+# against a flat byte slice (bytes, sub-slice sharing, capped results).
+go test ./internal/tcp    -run '^$' -fuzz '^FuzzSendQueue$'   -fuzztime 10s
 go run ./cmd/dyscobench -short -obsout BENCH_obs.json
 go run ./cmd/dyscofault -short -json FAULT_sweep.json
 
