@@ -122,24 +122,27 @@ type linkEnd struct {
 	// drops attributes losses in this direction by cause.
 	drops DropStats
 	// txSizes holds the sizes of the packets accepted but not yet fully
-	// transmitted, oldest first. busyUntil never decreases, so the
-	// end-of-transmission events fire in the order send posted them and
-	// each one retires the head.
+	// transmitted, oldest first; each end-of-transmission item retires the
+	// head.
 	txSizes sizeFIFO
-	// endOfTx and deliver are this direction's two per-packet callbacks,
-	// built once so that posting them allocates nothing.
-	endOfTx, deliver func(any)
+	// endOfTx and deliver are this direction's two per-packet lanes, at
+	// busyUntil and busyUntil+Delay: busyUntil never decreases and Delay is
+	// fixed, so each lane's times never decrease.
+	endOfTx, deliver *sim.Lane
 }
 
 func newLinkEnd(cfg LinkConfig, from, to *Host) *linkEnd {
 	le := &linkEnd{cfg: cfg, from: from, to: to}
-	le.endOfTx = func(any) { le.queued -= le.txSizes.pop() }
-	le.deliver = func(arg any) {
-		p := arg.(*packet.Packet)
-		p.ArrivedFrom = from.Addr
-		to.receive(p)
-	}
+	le.endOfTx = from.Net.Eng.NewLane(func(any) { le.queued -= le.txSizes.pop() })
+	le.deliver = from.Net.Eng.NewLane(le.arrive)
 	return le
+}
+
+// arrive hands a packet that crossed the wire to the receiving host.
+func (le *linkEnd) arrive(arg any) {
+	p := arg.(*packet.Packet)
+	p.ArrivedFrom = le.from.Addr
+	le.to.receive(p)
 }
 
 // sizeFIFO is a ring of packet sizes that grows to the most it ever held at
@@ -272,10 +275,11 @@ type Host struct {
 	routes  map[packet.Addr]*linkEnd
 	ingress []Hook
 	egress  []Hook
-	// processArg is process as the engine posts it, built once per host.
-	processArg func(any)
-	tcpDemux   func(*packet.Packet)
-	udpBinds   map[packet.Port]func(*packet.Packet)
+	// cpuDone is the lane of received packets waiting for the CPU, at
+	// CPU.Acquire's return value, which never decreases.
+	cpuDone  *sim.Lane
+	tcpDemux func(*packet.Packet)
+	udpBinds map[packet.Port]func(*packet.Packet)
 }
 
 // Network owns the hosts and topology.
@@ -307,7 +311,7 @@ func (n *Network) AddHost(name string, addr packet.Addr) *Host {
 		routes:          make(map[packet.Addr]*linkEnd),
 		udpBinds:        make(map[packet.Port]func(*packet.Packet)),
 	}
-	h.processArg = func(arg any) { h.process(arg.(*packet.Packet)) }
+	h.cpuDone = n.Eng.NewLane(func(arg any) { h.process(arg.(*packet.Packet)) })
 	n.hosts[addr] = h
 	n.order = append(n.order, h)
 	return h
@@ -424,9 +428,16 @@ func (h *Host) Send(p *packet.Packet) {
 // SendVia transmits a packet directly to a specific neighbor, ignoring
 // destination-based routing — the primitive an SDN-style rule table needs.
 // Returns false (dropping the packet) when no direct link to via exists.
+// A down host drops the packet (counted in DropsHostDown) without charging
+// its CPU, and still returns true when via is a neighbor: like the link's
+// own drops, that is the packet's fate, not a missing link.
 func (h *Host) SendVia(via packet.Addr, p *packet.Packet) bool {
 	for _, l := range h.links {
 		if l.to.Addr == via {
+			if h.down {
+				h.Stats.DropsHostDown++
+				return true
+			}
 			done := h.CPU.Acquire(h.Cost.ForwardPacket)
 			h.Stats.PacketsOut++
 			h.Stats.BytesOut += uint64(p.Size())
@@ -549,8 +560,13 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 	le.busyUntil = start + tx
 	le.queued += size
 	le.txSizes.push(size)
-	eng.Post(le.busyUntil, le.endOfTx, nil)
-	eng.Post(le.busyUntil+le.cfg.Delay+extraDelay, le.deliver, p)
+	le.endOfTx.Post(le.busyUntil, nil)
+	if extraDelay != 0 {
+		// Later packets may overtake this one, so it cannot join the lane.
+		eng.At(le.busyUntil+le.cfg.Delay+extraDelay, func() { le.arrive(p) })
+		return
+	}
+	le.deliver.Post(le.busyUntil+le.cfg.Delay, p)
 }
 
 // corruptPayload flips one bit per 64 payload bytes (at least one). A
@@ -589,8 +605,7 @@ func (h *Host) receive(p *packet.Packet) {
 	if !h.ChecksumOffload {
 		cost += sim.Time(int64(h.Cost.ChecksumPerKB) * int64(p.Size()) / 1024)
 	}
-	done := h.CPU.Acquire(cost)
-	h.Net.Eng.Post(done, h.processArg, p)
+	h.cpuDone.Post(h.CPU.Acquire(cost), p)
 }
 
 func (h *Host) process(p *packet.Packet) {

@@ -426,6 +426,16 @@ func TestHostDown(t *testing.T) {
 	if a.Stats.DropsHostDown != 1 {
 		t.Fatalf("sender DropsHostDown=%d, want 1", a.Stats.DropsHostDown)
 	}
+	// A steered packet is sent too: a down host drops it the same way.
+	out, busy := a.Stats.PacketsOut, a.CPU.Busy
+	if !a.SendVia(b.Addr, udpTo(b, a, 9000, []byte("steered-from-down-host"))) {
+		t.Error("SendVia from a down host to a neighbor returned false")
+	}
+	eng.RunUntilIdle()
+	if delivered != 0 || a.Stats.DropsHostDown != 2 || a.Stats.PacketsOut != out || a.CPU.Busy != busy {
+		t.Fatalf("after SendVia: delivered=%d DropsHostDown=%d, sent %d more, CPU busy %v more; want 0, 2, 0, 0",
+			delivered, a.Stats.DropsHostDown, a.Stats.PacketsOut-out, a.CPU.Busy-busy)
+	}
 
 	a.SetDown(false)
 	b.SetDown(false)
@@ -436,10 +446,33 @@ func TestHostDown(t *testing.T) {
 	}
 }
 
+// TestReorderedPacketIsOvertaken: a packet a fault delays leaves its link's
+// delivery lane, so a later undelayed packet on the same link overtakes it,
+// and both arrive.
+func TestReorderedPacketIsOvertaken(t *testing.T) {
+	eng, _, a, b := twoHosts(t, LinkConfig{Delay: time.Millisecond, Bandwidth: Mbps(100)})
+	var got []string
+	b.BindUDP(9000, func(p *packet.Packet) { got = append(got, string(p.Payload)) })
+	a.LinkTo(b.Addr).SetFault(func(p *packet.Packet) FaultDecision {
+		if string(p.Payload) == "delayed" {
+			return FaultDecision{ExtraDelay: 5 * time.Millisecond}
+		}
+		return FaultDecision{}
+	})
+	for _, s := range []string{"delayed", "second", "third"} {
+		a.Send(udpTo(b, a, 9000, []byte(s)))
+	}
+	eng.RunUntilIdle()
+	if len(got) != 3 || got[0] != "second" || got[1] != "third" || got[2] != "delayed" {
+		t.Errorf("arrival order %q, want [second third delayed]", got)
+	}
+}
+
 // TestPacketOverOneHopIsAllocationFree: the three events a packet costs per
-// hop (end of transmission, delivery, receive-side CPU) are posted, not
-// allocated, and the end-of-transmission sizes ride a ring that grows to the
-// most packets ever queued at once, not to the traffic carried.
+// hop (end of transmission, delivery, receive-side CPU) ride lanes, not
+// allocated events, and every ring — the lanes' and the end-of-transmission
+// sizes' — grows to the most packets ever in it at once, not to the traffic
+// carried.
 func TestPacketOverOneHopIsAllocationFree(t *testing.T) {
 	eng, _, a, b := twoHosts(t, LinkConfig{Delay: time.Millisecond, Bandwidth: Mbps(100)})
 	delivered := 0
@@ -460,7 +493,17 @@ func TestPacketOverOneHopIsAllocationFree(t *testing.T) {
 	if delivered != 102*burst || le.QueuedBytes() != 0 || le.Drops() != 0 {
 		t.Errorf("delivered %d of %d, %d bytes still queued, %d drops", delivered, 102*burst, le.QueuedBytes(), le.Drops())
 	}
-	if ring := len(le.le.txSizes.buf); ring > 2*burst {
-		t.Errorf("size ring holds %d slots after bursts of %d", ring, burst)
+	for _, r := range []struct {
+		name string
+		len  int
+	}{
+		{"size", len(le.le.txSizes.buf)},
+		{"end-of-transmission", le.le.endOfTx.Cap()},
+		{"delivery", le.le.deliver.Cap()},
+		{"receive CPU", b.cpuDone.Cap()},
+	} {
+		if r.len > 2*burst {
+			t.Errorf("%s ring holds %d slots after bursts of %d", r.name, r.len, burst)
+		}
 	}
 }

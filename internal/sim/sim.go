@@ -20,8 +20,7 @@ type Time = time.Duration
 // queue slot, not here.
 type Event struct {
 	fn    func()
-	call  func(any) // set on a posted event, which the engine recycles
-	arg   any
+	lane  *Lane // set on a lane's own event, which stands for the lane's head
 	eng   *Engine
 	index int // slot index, -1 when not queued
 }
@@ -123,9 +122,11 @@ func (q *eventQueue) remove(i int) *Event {
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all model code runs inside event callbacks.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	free    []*Event // fired posted events awaiting reuse
+	now   Time
+	queue eventQueue
+	// behind counts the lane items queued behind their lane's head: they
+	// will fire, but hold no heap slot.
+	behind  int
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
@@ -155,28 +156,11 @@ func (e *Engine) Schedule(delay Time, fn func()) *Event {
 // At runs fn at absolute virtual time t. Scheduling in the past panics:
 // it is always a model bug, and silently reordering would break causality.
 // The caller may keep the returned handle, so each call allocates its
-// Event; a per-packet event that nobody cancels belongs on Post.
+// Event; a per-packet event that nobody cancels belongs on a Lane.
 func (e *Engine) At(t Time, fn func()) *Event {
 	ev := &Event{fn: fn, eng: e, index: -1}
 	e.push(ev, t)
 	return ev
-}
-
-// Post runs call(arg) at absolute virtual time t, ordered with At's events
-// by the same (time, scheduling order) key. It returns no handle: the event
-// cannot be cancelled, and the engine reuses it once it has fired, so a
-// steady stream of posts allocates nothing. Pass a call that lives as long
-// as its owner (one per link end, per host) and a pointer-shaped arg —
-// boxing any other value allocates.
-func (e *Engine) Post(t Time, call func(any), arg any) {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		ev = &Event{index: -1}
-	}
-	ev.call, ev.arg = call, arg
-	e.push(ev, t)
 }
 
 // push queues ev to fire at t, after every event already queued for t.
@@ -191,9 +175,9 @@ func (e *Engine) push(ev *Event, t Time) {
 // Stop makes the current Run call return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events; every one of them will
-// fire unless cancelled first.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of queued events, every lane item included;
+// every one of them will fire unless cancelled first.
+func (e *Engine) Pending() int { return len(e.queue) + e.behind }
 
 // Run executes events in timestamp order until the queue is empty, the
 // clock would pass until, or Stop is called. It returns the virtual time
@@ -219,20 +203,100 @@ func (e *Engine) run(until Time) {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= until {
 		e.now = e.queue[0].at
-		next := e.queue.remove(0)
 		e.Processed++
-		if next.call == nil {
-			next.fn()
-			continue
+		if l := e.queue[0].ev.lane; l != nil {
+			l.fire()
+		} else {
+			e.queue.remove(0).fn()
 		}
-		// A posted event goes back on the free list before its callback
-		// runs (which may post again), holding nothing: a fired event must
-		// not keep its packet alive.
-		call, arg := next.call, next.arg
-		next.call, next.arg = nil, nil
-		e.free = append(e.free, next)
-		call(arg)
 	}
+}
+
+// Lane is a FIFO of events whose firing times never decrease, such as one
+// link's deliveries or one CPU's completions. Only the lane's head is in the
+// engine's heap, keyed by the head item's own (at, seq), so a lane costs one
+// heap slot however many items it holds, and lane items fire in exactly the
+// (time, scheduling order) they would with a slot each. Items have no
+// handle and cannot be cancelled. The items sit in a ring that grows to the
+// most the lane ever held at once, so a steady stream of posts allocates
+// nothing.
+type Lane struct {
+	ev   Event // queued exactly while the lane holds items
+	call func(any)
+	buf  []laneItem // len is zero or a power of two
+	head int
+	n    int
+}
+
+// laneItem is one posted event. Its seq is drawn when it is posted, exactly
+// as At draws one.
+type laneItem struct {
+	at  Time
+	seq uint64
+	arg any
+}
+
+// NewLane returns an empty lane whose items run call(arg). Pass a call that
+// lives as long as the lane and a pointer-shaped arg: boxing any other
+// value allocates.
+func (e *Engine) NewLane(call func(any)) *Lane {
+	l := &Lane{call: call}
+	l.ev = Event{lane: l, eng: e, index: -1}
+	return l
+}
+
+// Post runs the lane's call(arg) at absolute virtual time t, after every
+// event already queued for t. A post earlier than the lane's last item, or
+// in the past, panics: like At in the past, it is always a model bug.
+func (l *Lane) Post(t Time, arg any) {
+	e := l.ev.eng
+	if l.n > 0 {
+		if last := l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at; t < last {
+			panic(fmt.Sprintf("sim: lane post at %v, before its last item at %v", t, last))
+		}
+	} else if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
+	}
+	if l.n == len(l.buf) {
+		grown := make([]laneItem, max(2*len(l.buf), 16))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneItem{at: t, seq: e.nextSeq, arg: arg}
+	if l.n == 0 {
+		e.queue.push(slot{at: t, seq: e.nextSeq, ev: &l.ev})
+	} else {
+		e.behind++
+	}
+	l.n++
+	e.nextSeq++
+}
+
+// Cap reports the length of the lane's ring: the most items it has held at
+// once, rounded up to a power of two (at least 16).
+func (l *Lane) Cap() int { return len(l.buf) }
+
+// fire runs the lane's head, whose event is at the heap's root. The next
+// item, if any, takes the root slot under its own key and sifts down once.
+// The fired item is cleared before its callback runs (which may post
+// again): a fired event must not keep its packet alive.
+func (l *Lane) fire() {
+	it := &l.buf[l.head]
+	arg := it.arg
+	*it = laneItem{}
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	e := l.ev.eng
+	if l.n > 0 {
+		next := l.buf[l.head]
+		e.queue.down(0, slot{at: next.at, seq: next.seq, ev: &l.ev})
+		e.behind--
+	} else {
+		e.queue.remove(0)
+	}
+	l.call(arg)
 }
 
 // Timer is a restartable one-shot timer bound to an engine, in the style of

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -171,12 +172,15 @@ func TestFIFOAfterMiddleRemovals(t *testing.T) {
 type queue interface {
 	now() Time
 	schedule(d Time, fn func()) (cancel func())
-	post(d Time, fn func()) // no handle: cannot be cancelled
+	post(lane int, t Time, fn func()) // at t, never before the lane's last post; no handle
 	timer(fn func()) (reset func(Time), stop func())
 	step() bool        // fire the next event; false when nothing is left to fire
 	pending() int      // events that will fire
 	processed() uint64 // events fired
 }
+
+// lanes is how many lanes the programs post to.
+const lanes = 4
 
 // refQueue is the engine's original semantics, kept as the oracle: an
 // unordered list searched for the least (at, seq), Cancel sets a flag, the
@@ -208,7 +212,8 @@ func (r *refQueue) schedule(d Time, fn func()) func() {
 	return func() { ev.cancel = true }
 }
 
-func (r *refQueue) post(d Time, fn func()) { r.schedule(d, fn) }
+// post is a plain event to the reference: lanes are the engine's business.
+func (r *refQueue) post(_ int, t Time, fn func()) { r.schedule(t-r.clock, fn) }
 
 func (r *refQueue) timer(fn func()) (func(Time), func()) {
 	cancel := func() {}
@@ -251,24 +256,35 @@ func (r *refQueue) processed() uint64 { return r.fired }
 
 // engQueue adapts the engine; every callback stops the run loop so step
 // fires exactly one event.
-type engQueue struct{ e *Engine }
+type engQueue struct {
+	e     *Engine
+	lanes [lanes]*Lane
+}
 
-func (q engQueue) now() Time { return q.e.Now() }
+func newEngQueue(e *Engine) *engQueue {
+	q := &engQueue{e: e}
+	for i := range q.lanes {
+		q.lanes[i] = e.NewLane(q.fire)
+	}
+	return q
+}
 
-func (q engQueue) schedule(d Time, fn func()) func() {
+func (q *engQueue) now() Time { return q.e.Now() }
+
+func (q *engQueue) schedule(d Time, fn func()) func() {
 	return q.e.Schedule(d, func() { fn(); q.e.Stop() }).Cancel
 }
 
-func (q engQueue) post(d Time, fn func()) { q.e.Post(q.e.Now()+max(d, 0), q.fire, fn) }
+func (q *engQueue) post(lane int, t Time, fn func()) { q.lanes[lane].Post(t, fn) }
 
-func (q engQueue) fire(fn any) { fn.(func())(); q.e.Stop() }
+func (q *engQueue) fire(fn any) { fn.(func())(); q.e.Stop() }
 
-func (q engQueue) timer(fn func()) (func(Time), func()) {
+func (q *engQueue) timer(fn func()) (func(Time), func()) {
 	t := NewTimer(q.e, func() { fn(); q.e.Stop() })
 	return t.Reset, t.Stop
 }
 
-func (q engQueue) step() bool {
+func (q *engQueue) step() bool {
 	if q.e.Pending() == 0 {
 		return false
 	}
@@ -276,9 +292,9 @@ func (q engQueue) step() bool {
 	return true
 }
 
-func (q engQueue) pending() int { return q.e.Pending() }
+func (q *engQueue) pending() int { return q.e.Pending() }
 
-func (q engQueue) processed() uint64 { return q.e.Processed }
+func (q *engQueue) processed() uint64 { return q.e.Processed }
 
 // observed is one line of a program's log: an event firing, or (id ==
 // afterOp) the state an operation left behind.
@@ -308,22 +324,25 @@ func fromBytes(b []byte) choices {
 	}
 }
 
-// drive runs one program of ops operations — schedule with a handle, post
-// without one, cancel (any event, the newest, the earliest: the last and the
-// root slot when nothing else is in the way), timer re-arm, timer stop, step
-// — with callbacks that schedule children, cancel themselves and cancel
-// others, then drains the queue. It returns every firing and the state after
-// every operation, in order.
+// drive runs one program of ops operations — schedule with a handle, post to
+// one of the lanes, cancel (any event, the newest, the earliest: the last and
+// the root slot when nothing else is in the way), timer re-arm, timer stop,
+// step — with callbacks that schedule and post children, cancel themselves
+// and cancel others, then drains the queue. A lane post lands at now+d or at
+// the lane's last time, whichever is later, so lanes build runs of items at
+// one instant beside handle events and timers at that instant. It returns
+// every firing and the state after every operation, in order.
 func drive(q queue, intn choices, ops int) []observed {
 	delay := func(n int) Time { return Time(intn(n)-2) * time.Microsecond } // sometimes negative
 	var log []observed
 	observe := func(id int) { log = append(log, observed{id, q.now(), q.pending(), q.processed()}) }
 	type shot struct {
-		cancel func() // nil for a posted event
+		cancel func() // nil for a lane item
 		at     Time
 		done   bool // fired, or cancelled by this program
 	}
 	var shots []*shot
+	var laneLast [lanes]Time
 	cancel := func(s *shot) {
 		if s.cancel != nil {
 			s.cancel()
@@ -351,9 +370,12 @@ func drive(q queue, intn choices, ops int) []observed {
 		}
 		if handle {
 			s.cancel = q.schedule(d, fn)
-		} else {
-			q.post(d, fn)
+			return
 		}
+		l := intn(lanes)
+		s.at = max(s.at, laneLast[l])
+		laneLast[l] = s.at
+		q.post(l, s.at, fn)
 	}
 	const timers = 8
 	var reset [timers]func(Time)
@@ -407,8 +429,8 @@ func drive(q queue, intn choices, ops int) []observed {
 // Processed after every firing and every operation.
 func sameAsReference(t *testing.T, intn func() choices, ops int) (fired int) {
 	t.Helper()
-	e := NewEngine(1)
-	got := drive(engQueue{e}, intn(), ops)
+	q := newEngQueue(NewEngine(1))
+	got := drive(q, intn(), ops)
 	want := drive(&refQueue{}, intn(), ops)
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
@@ -418,21 +440,27 @@ func sameAsReference(t *testing.T, intn func() choices, ops int) (fired int) {
 	if len(got) != len(want) {
 		t.Fatalf("engine logged %d lines, reference %d", len(got), len(want))
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending() = %d after draining", e.Pending())
+	if q.e.Pending() != 0 {
+		t.Errorf("Pending() = %d after draining", q.e.Pending())
 	}
-	for _, ev := range e.free {
-		if ev.call != nil || ev.arg != nil || ev.index != -1 {
-			t.Fatalf("recycled event still holds call=%v arg=%v index=%d", ev.call != nil, ev.arg, ev.index)
+	for i, l := range q.lanes {
+		if l.n != 0 || l.ev.index != -1 {
+			t.Fatalf("drained lane %d holds %d items, event at slot %d", i, l.n, l.ev.index)
+		}
+		for _, it := range l.buf {
+			if it.arg != nil {
+				t.Fatalf("lane %d: a fired item still holds its argument", i)
+			}
 		}
 	}
-	return int(e.Processed)
+	return int(q.e.Processed)
 }
 
 // TestDifferentialAgainstFlagAndSkip: the typed heap with removal on Cancel
-// and recycled posted events must be indistinguishable, by what fires and
-// when and by Pending() and Processed at every step, from an unordered list
-// that flags cancelled events and skips them when they surface.
+// and lanes of which only the head is queued must be indistinguishable, by
+// what fires and when and by Pending() and Processed at every step, from an
+// unordered list that flags cancelled events and skips them when they
+// surface.
 func TestDifferentialAgainstFlagAndSkip(t *testing.T) {
 	const ops = 12_000
 	for seed := int64(1); seed <= 3; seed++ {
@@ -454,27 +482,95 @@ func FuzzQueueOrder(f *testing.F) {
 	})
 }
 
-// TestPostIsAllocationFree: a posted event is recycled once it has fired,
-// so posting and firing on a deep queue allocates nothing in steady state.
-func TestPostIsAllocationFree(t *testing.T) {
+// TestLanePostIsAllocationFree: a lane reuses its ring once it has grown,
+// so posting and firing bursts on a deep queue allocates nothing.
+func TestLanePostIsAllocationFree(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 4096; i++ {
 		e.Schedule(time.Hour+Time(i), func() {})
 	}
 	fired := 0
-	count := func(any) { fired++ }
+	l := e.NewLane(func(any) { fired++ })
 	burst := func() {
 		for i := 0; i < 64; i++ {
-			e.Post(e.Now()+Time(64-i), count, e)
+			l.Post(e.Now()+Time(i), e)
 		}
 		e.Run(e.Now() + 64)
 	}
-	burst() // first use allocates the 64 events and the free list
+	burst() // first use grows the ring
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
-		t.Errorf("64 posts + fires at depth 4096 = %v allocs, want 0", allocs)
+		t.Errorf("64 lane posts + fires at depth 4096 = %v allocs, want 0", allocs)
 	}
-	if fired != 102*64 || e.Pending() != 4096 || len(e.free) != 64 {
-		t.Errorf("fired %d, Pending() = %d, free list %d; want %d, 4096, 64", fired, e.Pending(), len(e.free), 102*64)
+	if fired != 102*64 || e.Pending() != 4096 || l.Cap() != 64 {
+		t.Errorf("fired %d, Pending() = %d, ring %d; want %d, 4096, 64", fired, e.Pending(), l.Cap(), 102*64)
+	}
+}
+
+// TestLanesHoldOneHeapSlotEach: three lanes holding 1 000 items between
+// them occupy three heap slots while Pending() counts every item; the items
+// fire in (time, posting order) across the lanes, ties included, and no
+// ring grows past twice the most items its lane held.
+func TestLanesHoldOneHeapSlotEach(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	var ls [3]*Lane
+	for k := range ls {
+		ls[k] = e.NewLane(func(arg any) { got = append(got, *arg.(*int)) })
+	}
+	const items = 1000
+	at := make([]Time, items)
+	for i := 0; i < items; i++ {
+		k := i % 3
+		at[i] = Time(i/3) * Time(k+1) // lane k steps by k+1: the lanes interleave and tie
+		ls[k].Post(at[i], &i)
+	}
+	if len(e.queue) != 3 || e.Pending() != items {
+		t.Fatalf("heap holds %d slots, Pending() = %d; want 3, %d", len(e.queue), e.Pending(), items)
+	}
+	e.RunUntilIdle()
+	want := make([]int, items)
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return at[want[a]] < at[want[b]] })
+	if len(got) != items {
+		t.Fatalf("%d items fired, want %d", len(got), items)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d is item %d, want %d", i, got[i], want[i])
+		}
+	}
+	if e.Pending() != 0 || len(e.queue) != 0 {
+		t.Errorf("Pending() = %d, heap %d after draining", e.Pending(), len(e.queue))
+	}
+	for k, l := range ls {
+		if held := (items + 2 - k) / 3; l.Cap() > 2*held {
+			t.Errorf("lane %d: ring of %d after holding %d items", k, l.Cap(), held)
+		}
+	}
+}
+
+// TestLanePostOutOfOrderPanics: a lane is a FIFO, so a post earlier than
+// its last item — or, on an empty lane, earlier than now — is a model bug.
+func TestLanePostOutOfOrderPanics(t *testing.T) {
+	e := NewEngine(1)
+	l := e.NewLane(func(any) {})
+	panics := func(post func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		post()
+		return false
+	}
+	l.Post(2*time.Millisecond, nil)
+	if !panics(func() { l.Post(time.Millisecond, nil) }) {
+		t.Error("a post before the lane's last item did not panic")
+	}
+	if panics(func() { l.Post(2*time.Millisecond, nil) }) {
+		t.Error("a post at the lane's last time panicked")
+	}
+	e.RunUntilIdle()
+	if !panics(func() { l.Post(time.Millisecond, nil) }) {
+		t.Error("a post in the past on an empty lane did not panic")
 	}
 }
 
@@ -605,29 +701,30 @@ func TestNegativeDelayClamped(t *testing.T) {
 
 // BenchmarkScheduleRun times one schedule + fire on a queue that already
 // holds depth far-future events, through the handle-returning entry and
-// through Post. Each batch of 1024 lands at increasing instants and is then
-// run, the shape of a link handing packets to the engine.
+// through a lane. Each batch of 1024 lands at increasing instants and is
+// then run, the shape of a link handing packets to the engine.
 func BenchmarkScheduleRun(b *testing.B) {
 	noop, noopArg := func() {}, func(any) {}
 	for _, bc := range []struct {
 		name     string
 		depth    int
-		schedule func(e *Engine, d Time)
+		schedule func(e *Engine, l *Lane, d Time)
 	}{
-		{"Schedule/depth=0", 0, func(e *Engine, d Time) { e.Schedule(d, noop) }},
-		{"Schedule/depth=4096", 4096, func(e *Engine, d Time) { e.Schedule(d, noop) }},
-		{"Post/depth=0", 0, func(e *Engine, d Time) { e.Post(e.Now()+d, noopArg, e) }},
-		{"Post/depth=4096", 4096, func(e *Engine, d Time) { e.Post(e.Now()+d, noopArg, e) }},
+		{"Schedule/depth=0", 0, func(e *Engine, _ *Lane, d Time) { e.Schedule(d, noop) }},
+		{"Schedule/depth=4096", 4096, func(e *Engine, _ *Lane, d Time) { e.Schedule(d, noop) }},
+		{"Lane/depth=0", 0, func(e *Engine, l *Lane, d Time) { l.Post(e.Now()+d, e) }},
+		{"Lane/depth=4096", 4096, func(e *Engine, l *Lane, d Time) { l.Post(e.Now()+d, e) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			e := NewEngine(1)
+			l := e.NewLane(noopArg)
 			for i := 0; i < bc.depth; i++ {
 				e.Schedule(1000*time.Hour+Time(i), noop)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bc.schedule(e, Time(i%1024))
+				bc.schedule(e, l, Time(i%1024))
 				if i%1024 == 1023 {
 					e.Run(e.Now() + 1024)
 				}
