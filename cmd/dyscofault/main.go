@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/fault"
 )
@@ -109,7 +110,7 @@ func main() {
 func printList() {
 	fmt.Println("Scenarios:")
 	for _, s := range fault.Scenarios() {
-		fmt.Printf("  %-16s %s\n", s.Name, s.Desc)
+		fmt.Printf("  %-16s %s; roles %s\n", s.Name, s.Desc, strings.Join(s.Roles, ", "))
 	}
 	fmt.Println("\nPlans:")
 	for _, p := range fault.Builtins() {

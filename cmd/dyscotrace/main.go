@@ -1,5 +1,6 @@
 // Command dyscotrace is the reconfiguration timeline inspector: it
-// replays one of the repository's example scenarios with the
+// replays a scenario of the internal/fault registry at its Inspect size
+// (the fault sweep runs the same builders at its Sweep size) with the
 // observability layer attached and renders what happened — per-session
 // event timelines, per-reconfiguration span trees (lock →
 // state-transfer → switchover → drain across every participating host),
@@ -21,8 +22,13 @@
 // per-edge wait attribution. An invalid path exits nonzero — that means
 // the clock piggybacking or edge matching is broken, not the run.
 //
+// A run whose transfer did not arrive intact, or in which no
+// reconfiguration completed or one failed, exits nonzero before
+// rendering anything.
+//
 // Everything is deterministic: the same scenario and seed produce
-// byte-identical output (the JSON form is compared verbatim in tests).
+// byte-identical output; internal/fault's TestBaseline pins each seed-7
+// run's event hash, DAG hash and delivered bytes.
 // Per-packet rewrite events are disabled by default to keep the log
 // readable; -rewrites stores them too (counters are exact either way).
 package main
@@ -33,7 +39,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/lab"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/packet"
 )
@@ -50,16 +56,31 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, s := range scenarios() {
-			fmt.Println(s)
+		for _, s := range fault.Scenarios() {
+			fmt.Println(s.Name)
 		}
 		return
 	}
-	env, err := runScenario(*scenario, *seed, *rewrites)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dyscotrace:", err)
+	sc, ok := fault.ScenarioByName(*scenario)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "dyscotrace: unknown scenario %q (see -list)\n", *scenario)
 		os.Exit(1)
 	}
+	run := sc.Build(*seed, sc.Inspect)
+	if *rewrites {
+		run.StorePerPacket()
+	}
+	run.Start()
+	run.Run()
+	// An inspector that silently renders a broken run would be worse
+	// than none.
+	if v := run.Violations(); len(v) > 0 {
+		for _, msg := range v {
+			fmt.Fprintln(os.Stderr, "dyscotrace: broken run:", msg)
+		}
+		os.Exit(1)
+	}
+	env := run.Env
 	hub := env.Hub()
 	events := hub.Events()
 	spans := obs.BuildSpans(events)
@@ -158,39 +179,4 @@ func writeJSON(hub *obs.Hub, spans []*obs.Span) error {
 		return err
 	}
 	return hub.Snapshot().WriteJSON(out)
-}
-
-// scenarios returns the scenario ids.
-func scenarios() []string { return []string{"proxyremoval", "chain", "statemigration"} }
-
-// runScenario builds and runs the named scenario with observability on,
-// returning the environment (hub attached).
-func runScenario(name string, seed int64, rewrites bool) (*lab.Env, error) {
-	switch name {
-	case "proxyremoval":
-		return runProxyRemoval(seed, rewrites)
-	case "chain":
-		return runChain(seed, rewrites)
-	case "statemigration":
-		return runStateMigration(seed, rewrites)
-	default:
-		return nil, fmt.Errorf("unknown scenario %q (have %v)", name, scenarios())
-	}
-}
-
-// maskPerPacket disables storage of the per-packet kinds on every
-// current recorder (counters and histograms still accumulate).
-func maskPerPacket(hub *obs.Hub) {
-	for _, host := range hub.Hosts() {
-		hub.Recorder(host).Disable(obs.KRewrite, obs.KRetransmit, obs.KRTO)
-	}
-}
-
-// checkDelivered verifies the scenario's transfer completed: an
-// inspector that silently renders a broken run would be worse than none.
-func checkDelivered(received, total int) error {
-	if received != total {
-		return fmt.Errorf("scenario delivered %d of %d bytes; the run is broken, not just unobserved", received, total)
-	}
-	return nil
 }

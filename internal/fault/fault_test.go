@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
@@ -37,9 +38,12 @@ func TestBuiltinsValidate(t *testing.T) {
 
 // TestBaseline checks the no-fault plan satisfies every oracle on every
 // scenario: transfer complete and intact, reconfiguration done, all
-// sessions collected.
+// sessions collected. Each scenario's Inspect run — what dyscotrace
+// renders — must pass the same fault-free oracles, and its seed-7 event
+// hash, DAG hash and delivered bytes are pinned against a golden.
 func TestBaseline(t *testing.T) {
 	base, _ := PlanByName("baseline")
+	var inspected strings.Builder
 	for _, sc := range Scenarios() {
 		r, err := Run(sc.Name, base, 1)
 		if err != nil {
@@ -51,7 +55,18 @@ func TestBaseline(t *testing.T) {
 		if r.ReconfigsDone == 0 {
 			t.Errorf("%s: no reconfiguration completed", sc.Name)
 		}
+
+		run := sc.Build(7, sc.Inspect)
+		run.Start()
+		run.Run()
+		if v := run.Violations(); len(v) > 0 {
+			t.Errorf("%s inspect: %v", sc.Name, v)
+		}
+		hub := run.Env.Hub()
+		fmt.Fprintf(&inspected, "%s event=%016x dag=%016x bytes=%d\n",
+			sc.Name, hub.Hash(), obs.BuildDAG(hub.Events()).DagHash(), len(*run.got))
 	}
+	checkGolden(t, "inspect_seed7.golden", inspected.String())
 }
 
 // TestSweep replays every scenario under every built-in plan. Benign
@@ -84,12 +99,19 @@ func TestSweep(t *testing.T) {
 				r.Scenario, r.Plan, r.EventHash, r.ScheduleHash, r.DagHash)
 		}
 	}
-	golden := filepath.Join("testdata", "sweep_seed1.golden")
+	checkGolden(t, "sweep_seed1.golden", hashes.String())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(hashes.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -98,8 +120,8 @@ func TestSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}
-	if got := hashes.String(); got != string(want) {
-		t.Errorf("seed-1 sweep hashes differ from %s:\n%s", golden, lineDiff(string(want), got))
+	if got != string(want) {
+		t.Errorf("hashes differ from %s:\n%s", golden, lineDiff(string(want), got))
 	}
 }
 

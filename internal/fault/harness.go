@@ -73,11 +73,12 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 		return nil, err
 	}
 
-	inst := sc.build(seed)
-	hub := inst.env.Hub()
-	inj := NewInjector(inst.env.Eng, inst.env.Net, hub.Recorder("fault"), seed, plan, inst.targets)
-
-	inst.env.RunFor(inst.mainFor)
+	inst := sc.Build(seed, sc.Sweep)
+	inst.Start()
+	hub := inst.Env.Hub()
+	targets := inst.targets()
+	inj := NewInjector(inst.Env.Eng, inst.Env.Net, hub.Recorder("fault"), seed, plan, targets)
+	inst.Run()
 
 	res := &RunResult{
 		Scenario:      sc.Name,
@@ -85,7 +86,8 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 		Seed:          seed,
 		EventHash:     fmt.Sprintf("%016x", hub.Hash()),
 		ScheduleHash:  fmt.Sprintf("%016x", inj.ScheduleHash()),
-		BytesExpected: inst.total,
+		BytesExpected: inst.p.Bytes,
+		BytesReceived: len(*inst.got),
 		Schedule:      inj.Applied(),
 		Violations:    []string{},
 		Drops:         map[string]uint64{},
@@ -106,39 +108,19 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 		res.Violations = append(res.Violations, fmt.Sprintf("causal: %v", err))
 	}
 
-	// Oracle: control-plane calls made by the scenario itself succeeded.
-	if *inst.ctlErr != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("control: StartReconfig failed: %v", *inst.ctlErr))
-	}
-	if *inst.sendErr != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("send: %v", *inst.sendErr))
-	}
-
-	// Oracle: byte-stream integrity (P2/P4).
-	want := pattern(inst.total)
-	got := *inst.got
-	res.BytesReceived = len(got)
-	if len(got) != len(want) {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("bytes: received %d of %d", len(got), len(want)))
-	}
-	for i := 0; i < len(got) && i < len(want); i++ {
-		if got[i] != want[i] {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("bytes: corruption at offset %d (got %#x want %#x)", i, got[i], want[i]))
-			break
-		}
-	}
+	// Oracle: the scenario's control and send calls succeeded and the
+	// byte stream is intact (P2/P4).
+	res.Violations = append(res.Violations, inst.deliveryViolations()...)
 
 	// Oracle: every session terminated, every lock released, no
 	// reconfiguration state leaked (P5 and §3.6 cleanup).
-	roles := make([]string, 0, len(inst.targets))
-	for r := range inst.targets {
+	roles := make([]string, 0, len(targets))
+	for r := range targets {
 		roles = append(roles, r)
 	}
 	sort.Strings(roles)
 	for _, r := range roles {
-		t := inst.targets[r]
+		t := targets[r]
 		if t.Agent == nil {
 			continue
 		}
@@ -154,28 +136,17 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 		}
 	}
 
-	// Oracle: reconfiguration outcome (P3). A reqID counts as done when
-	// any anchor reached "done"; as failed when some anchor reached
-	// "failed" and none reached "done".
+	// Oracle: reconfiguration outcome (P3).
 	done, failed := reconfigOutcomes(events)
-	res.ReconfigsDone = len(done)
-	for _, id := range failed {
-		if !done[id] {
-			res.ReconfigsFailed++
-			if !plan.MayFailReconfig {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("reconfig: attempt %d failed under a plan that cannot defeat the new path", id))
-			}
-		}
-	}
-	if !plan.MayFailReconfig && len(done) == 0 {
-		res.Violations = append(res.Violations, "reconfig: no attempt completed")
-	}
+	res.ReconfigsDone, res.ReconfigsFailed = len(done), len(failed)
+	res.Violations = append(res.Violations, reconfigViolations(done, failed, plan.MayFailReconfig)...)
 
 	aggregateDrops(inst, res.Drops)
 	return res, nil
 }
 
+// reconfigOutcomes returns the reqIDs any anchor reached "done" with,
+// and, sorted, those some anchor reached "failed" with and none "done".
 func reconfigOutcomes(events []obs.Event) (map[uint64]bool, []uint64) {
 	done := map[uint64]bool{}
 	failedSet := map[uint64]bool{}
@@ -192,14 +163,32 @@ func reconfigOutcomes(events []obs.Event) (map[uint64]bool, []uint64) {
 	}
 	failed := make([]uint64, 0, len(failedSet))
 	for id := range failedSet {
-		failed = append(failed, id)
+		if !done[id] {
+			failed = append(failed, id)
+		}
 	}
 	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
 	return done, failed
 }
 
-func aggregateDrops(inst *instance, drops map[string]uint64) {
-	for _, h := range inst.env.Net.Hosts() {
+// reconfigViolations is the P3 oracle: unless the plan may defeat the
+// new path, at least one reconfiguration completes and none fails.
+func reconfigViolations(done map[uint64]bool, failed []uint64, mayFail bool) []string {
+	if mayFail {
+		return nil
+	}
+	var v []string
+	for _, id := range failed {
+		v = append(v, fmt.Sprintf("reconfig: attempt %d failed under a plan that cannot defeat the new path", id))
+	}
+	if len(done) == 0 {
+		v = append(v, "reconfig: no attempt completed")
+	}
+	return v
+}
+
+func aggregateDrops(inst *Instance, drops map[string]uint64) {
+	for _, h := range inst.Env.Net.Hosts() {
 		for _, le := range h.Links() {
 			ds := le.DropsByReason()
 			drops["queue"] += ds.Queue

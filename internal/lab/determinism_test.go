@@ -6,15 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/lab"
-	"repro/internal/mbox"
-	"repro/internal/netsim"
-	"repro/internal/packet"
-	"repro/internal/sim"
-	"repro/internal/tcp"
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -67,47 +60,21 @@ func TestSameSeedSameTrace(t *testing.T) {
 	}
 }
 
-// tracedRun executes one seeded scenario with a capture on every host
-// boundary and returns the trace hash and rendering.
+// tracedRun replays the fault registry's chain scenario at its Inspect
+// size with a capture on every host boundary and returns the trace hash
+// and rendering.
 func tracedRun(t *testing.T, seed int64) (uint64, string) {
 	t.Helper()
-	link := netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
-	env := lab.NewEnv(seed)
-	client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	mb1 := env.AddNode("mb1", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	mb2 := env.AddNode("mb2", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	env.Net.ComputeRoutes()
-	env.ChainPolicy(client, 80, mb1)
-
-	cap := trace.New(env.Eng, nil)
-	for _, n := range []*lab.Node{client, mb1, mb2, server} {
-		cap.Attach(n.Host)
+	sc, _ := fault.ScenarioByName("chain")
+	run := sc.Build(seed, sc.Inspect)
+	cap := trace.New(run.Env.Eng, nil)
+	for _, name := range []string{"client", "mb1", "mb2", "server"} {
+		cap.Attach(run.Env.Node(name).Host)
 	}
-
-	const total = 128 << 10
-	received := 0
-	server.Stack.Listen(80, func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { received += len(b) }
-	})
-	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
-	var sendErr error
-	conn.OnEstablished = func() { sendErr = conn.Send(make([]byte, total)) }
-	env.RunFor(50 * time.Millisecond)
-	if sendErr != nil {
-		t.Fatalf("send: %v", sendErr)
-	}
-	err := client.Agent.StartReconfig(conn.Tuple(), core.ReconfigOptions{
-		RightAnchor:    server.Addr(),
-		NewMiddleboxes: []packet.Addr{mb2.Addr()},
-		OnDone:         func(bool, sim.Time) {},
-	})
-	if err != nil {
-		t.Fatalf("StartReconfig: %v", err)
-	}
-	env.RunFor(10 * time.Second)
-	if received != total {
-		t.Fatalf("seed %d: server received %d of %d bytes", seed, received, total)
+	run.Start()
+	run.Run()
+	if v := run.Violations(); len(v) > 0 {
+		t.Fatalf("seed %d: %v", seed, v)
 	}
 	if cap.Truncated {
 		t.Fatalf("seed %d: capture truncated; raise the limit", seed)

@@ -3,53 +3,25 @@ package lab_test
 import (
 	"bytes"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/lab"
-	"repro/internal/mbox"
-	"repro/internal/netsim"
+	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/sim"
-	"repro/internal/tcp"
 )
 
-// observedRun executes the chained-transfer-plus-reconfiguration scenario
-// with observability on and returns the hub.
+// observedRun replays the fault registry's chain scenario at its Inspect
+// size, per-packet events stored too, and returns the hub.
 func observedRun(t *testing.T, seed int64) *obs.Hub {
 	t.Helper()
-	link := netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
-	env := lab.NewEnv(seed)
-	hub := env.Observe()
-	client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	mb1 := env.AddNode("mb1", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	mb2 := env.AddNode("mb2", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	env.Net.ComputeRoutes()
-	env.ChainPolicy(client, 80, mb1)
-
-	const total = 128 << 10
-	received := 0
-	server.Stack.Listen(80, func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { received += len(b) }
-	})
-	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
-	conn.OnEstablished = func() { conn.Send(make([]byte, total)) }
-	env.RunFor(50 * time.Millisecond)
-	err := client.Agent.StartReconfig(conn.Tuple(), core.ReconfigOptions{
-		RightAnchor:    server.Addr(),
-		NewMiddleboxes: []packet.Addr{mb2.Addr()},
-		OnDone:         func(bool, sim.Time) {},
-	})
-	if err != nil {
-		t.Fatalf("StartReconfig: %v", err)
+	sc, _ := fault.ScenarioByName("chain")
+	run := sc.Build(seed, sc.Inspect)
+	run.StorePerPacket()
+	run.Start()
+	run.Run()
+	if v := run.Violations(); len(v) > 0 {
+		t.Fatalf("seed %d: %v", seed, v)
 	}
-	env.RunFor(10 * time.Second)
-	if received != total {
-		t.Fatalf("seed %d: server received %d of %d bytes", seed, received, total)
-	}
-	return hub
+	return run.Env.Hub()
 }
 
 // TestObservedReconfigSpan is the acceptance test of the observability

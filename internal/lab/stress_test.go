@@ -1,83 +1,34 @@
 package lab_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/lab"
-	"repro/internal/mbox"
-	"repro/internal/netsim"
-	"repro/internal/packet"
-	"repro/internal/sim"
-	"repro/internal/tcp"
+	"repro/internal/fault"
 )
 
-// TestConcurrentEnvsNoSharedState runs many complete simulations — TCP
-// transfer through a chained middlebox plus a live mid-stream
-// reconfiguration, the daemon's full lock/session path — concurrently,
+// TestConcurrentEnvsNoSharedState runs every registry scenario — TCP
+// transfer through middleboxes plus a live mid-stream reconfiguration,
+// the daemon's full lock/session path — at both its sizes concurrently,
 // each on its own engine. Every engine is single-threaded by design, so
 // the only way this test can trip the race detector is a hidden shared
 // global (package-level map, cached buffer, unsynchronized counter)
 // leaking between independent simulations. Run with -race.
 func TestConcurrentEnvsNoSharedState(t *testing.T) {
-	const goroutines = 8
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			if err := runChainedTransfer(seed); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			}
-		}(int64(g + 1))
+	for i, sc := range fault.Scenarios() {
+		for j, p := range []fault.Params{sc.Inspect, sc.Sweep} {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				run := sc.Build(seed, p)
+				run.Start()
+				run.Run()
+				if v := run.Violations(); len(v) > 0 {
+					t.Errorf("%s seed %d: %v", sc.Name, seed, v)
+				}
+			}(int64(2*i + j + 1))
+		}
 	}
 	wg.Wait()
-}
-
-// runChainedTransfer is one full scenario: client -> monitor -> server,
-// 256 KiB of data, then the monitor is replaced mid-stream by a second
-// one via the daemon's reconfiguration protocol.
-func runChainedTransfer(seed int64) error {
-	link := netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
-	env := lab.NewEnv(seed)
-	client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	mb1 := env.AddNode("mb1", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	mb2 := env.AddNode("mb2", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	env.Net.ComputeRoutes()
-	env.ChainPolicy(client, 80, mb1)
-
-	const total = 256 << 10
-	received := 0
-	server.Stack.Listen(80, func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { received += len(b) }
-	})
-	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
-	var sendErr error
-	conn.OnEstablished = func() { sendErr = conn.Send(make([]byte, total)) }
-	env.RunFor(50 * time.Millisecond)
-	if sendErr != nil {
-		return fmt.Errorf("send: %w", sendErr)
-	}
-
-	reconfigOK := false
-	err := client.Agent.StartReconfig(conn.Tuple(), core.ReconfigOptions{
-		RightAnchor:    server.Addr(),
-		NewMiddleboxes: []packet.Addr{mb2.Addr()},
-		OnDone:         func(ok bool, _ sim.Time) { reconfigOK = ok },
-	})
-	if err != nil {
-		return fmt.Errorf("StartReconfig: %w", err)
-	}
-	env.RunFor(10 * time.Second)
-	if !reconfigOK {
-		return fmt.Errorf("reconfiguration did not complete")
-	}
-	if received != total {
-		return fmt.Errorf("server received %d of %d bytes", received, total)
-	}
-	return nil
 }

@@ -73,7 +73,8 @@ go test -race -run 'TestEngine|TestTable|TestRaw' ./internal/dataplane
 # byte-identical JSON (dyscotrace itself exits nonzero if any path fails
 # causal validation). The concatenation is archived as CRITPATH.json.
 : > CRITPATH.json
-for sc in proxyremoval chain statemigration; do
+scenarios=$(go run ./cmd/dyscotrace -list)
+for sc in $scenarios; do
     go run ./cmd/dyscotrace -scenario "$sc" -critical -json > CRITPATH.run1.json
     go run ./cmd/dyscotrace -scenario "$sc" -critical -json > CRITPATH.run2.json
     cmp CRITPATH.run1.json CRITPATH.run2.json
