@@ -2,16 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
-	"repro/internal/core"
-	"repro/internal/lab"
-	"repro/internal/mbox"
-	"repro/internal/netsim"
+	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/packet"
-	"repro/internal/sim"
-	"repro/internal/tcp"
 )
 
 // ObsBench is the observability micro-benchmark CI runs on every change
@@ -102,40 +96,16 @@ func ObsBench(seed int64) (*Result, *obs.Hub) {
 	return r, hub
 }
 
-// obsBenchRun executes one instrumented chain-reconfiguration run.
+// obsBenchRun executes one instrumented run of the registry's chain
+// scenario at its Inspect size, per-packet events stored.
 func obsBenchRun(seed int64) (*obs.Hub, error) {
-	link := netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
-	env := lab.NewEnv(seed)
-	hub := env.Observe()
-	client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	mb1 := env.AddNode("mb1", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	mb2 := env.AddNode("mb2", lab.HostOptions{Link: link, App: mbox.NewMonitor()})
-	server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true})
-	env.Net.ComputeRoutes()
-	env.ChainPolicy(client, 80, mb1)
-
-	const total = 128 << 10
-	received := 0
-	server.Stack.Listen(80, func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { received += len(b) }
-	})
-	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
-	var sendErr error
-	conn.OnEstablished = func() { sendErr = conn.Send(make([]byte, total)) }
-	env.RunFor(50 * time.Millisecond)
-	if sendErr != nil {
-		return hub, sendErr
+	sc, _ := fault.ScenarioByName("chain")
+	in := sc.Build(seed, sc.Inspect)
+	in.StorePerPacket()
+	in.Start()
+	in.Run()
+	if v := in.Violations(); len(v) > 0 {
+		return in.Env.Hub(), fmt.Errorf("obsbench: %s", strings.Join(v, "; "))
 	}
-	if err := client.Agent.StartReconfig(conn.Tuple(), core.ReconfigOptions{
-		RightAnchor:    server.Addr(),
-		NewMiddleboxes: []packet.Addr{mb2.Addr()},
-		OnDone:         func(bool, sim.Time) {},
-	}); err != nil {
-		return hub, err
-	}
-	env.RunFor(10 * time.Second)
-	if received != total {
-		return hub, fmt.Errorf("obsbench delivered %d of %d bytes", received, total)
-	}
-	return hub, nil
+	return in.Env.Hub(), nil
 }

@@ -185,7 +185,7 @@ func TestWiresafeCatchesUnguardedLoop(t *testing.T) {
 func TestWireLayoutGolden(t *testing.T) {
 	l := getLoader(t)
 	var pkgs []*Package
-	for _, dir := range []string{"internal/packet", "internal/core", "internal/rudp"} {
+	for _, dir := range []string{"internal/packet", "internal/core"} {
 		pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, dir))
 		if err != nil {
 			t.Fatalf("LoadDir %s: %v", dir, err)
@@ -198,7 +198,6 @@ func TestWireLayoutGolden(t *testing.T) {
 		"family core.synpayload",
 		"family core.tuple",
 		"family packet.packet",
-		"family rudp.frame",
 	} {
 		if !strings.Contains(got, fam) {
 			t.Errorf("wire report lost %q:\n%s", fam, got)
@@ -228,7 +227,7 @@ func TestWireLayoutGolden(t *testing.T) {
 func TestWiresafeModuleClean(t *testing.T) {
 	l := getLoader(t)
 	var pkgs []*Package
-	for _, dir := range []string{"internal/packet", "internal/core", "internal/rudp"} {
+	for _, dir := range []string{"internal/packet", "internal/core"} {
 		pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, dir))
 		if err != nil {
 			t.Fatalf("LoadDir %s: %v", dir, err)

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +18,7 @@ import (
 //	pool add <type> <rr|least> <addr>...
 //	rule add [dport N] [sport N] [dst A.B.C.D] [src A.B.C.D] chain <type>...
 //	show pools | show rules
-//	replace <agent> <old-type> <new-instance-addr>
+//	replace <agent> <new-instance-addr>
 //	insert <agent> [dport N ...] <mbox-addr>
 func (s *Server) Exec(line string) (string, error) {
 	fields := strings.Fields(line)
@@ -29,9 +30,14 @@ func (s *Server) Exec(line string) (string, error) {
 		if len(fields) < 5 || fields[1] != "add" {
 			return "", fmt.Errorf("usage: pool add <type> <rr|least> <addr>...")
 		}
-		mode := RoundRobin
-		if fields[3] == "least" {
+		var mode SelectMode
+		switch fields[3] {
+		case "rr":
+			mode = RoundRobin
+		case "least":
 			mode = LeastLoad
+		default:
+			return "", fmt.Errorf("pool mode %q: want rr or least", fields[3])
 		}
 		var addrs []packet.Addr
 		for _, a := range fields[4:] {
@@ -138,9 +144,9 @@ func parseRule(fields []string) (Predicate, []string, error) {
 			if i+1 >= len(fields) {
 				return pred, nil, fmt.Errorf("%s needs a value", fields[i])
 			}
-			n, err := strconv.Atoi(fields[i+1])
+			n, err := strconv.ParseUint(fields[i+1], 10, 16)
 			if err != nil {
-				return pred, nil, err
+				return pred, nil, fmt.Errorf("bad port %q", fields[i+1])
 			}
 			if fields[i] == "dport" {
 				pred.DstPort = packet.Port(n)
@@ -174,10 +180,12 @@ func parseRule(fields []string) (Predicate, []string, error) {
 	return pred, nil, fmt.Errorf("rule has no chain")
 }
 
+// parseAddr reads a dotted-quad IPv4 address; trailing text is an error.
 func parseAddr(s string) (packet.Addr, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
+	ip, err := netip.ParseAddr(s)
+	if err != nil || !ip.Is4() {
 		return 0, fmt.Errorf("bad address %q", s)
 	}
-	return packet.MakeAddr(a, b, c, d), nil
+	b := ip.As4()
+	return packet.MakeAddr(b[0], b[1], b[2], b[3]), nil
 }

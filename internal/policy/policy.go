@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/packet"
-	"repro/internal/rudp"
 )
 
 // Predicate matches five-tuples, BPF-filter style: zero fields are
@@ -122,14 +121,9 @@ func (p *Pool) Pick() (packet.Addr, error) {
 	return chosen, nil
 }
 
-// Release returns one session of load from an instance.
-func (p *Pool) Release(a packet.Addr) {
-	if p.load[a] > 0 {
-		p.load[a]--
-	}
-}
-
-// Load reports the sessions accounted to an instance.
+// Load reports the sessions assigned to an instance since the pool was
+// created. Nothing reports a session's end back to the pool, so it counts
+// assignments, not live sessions, and LeastLoad balances assignments.
 func (p *Pool) Load(a packet.Addr) int { return p.load[a] }
 
 // Rule binds a predicate to a chain of middlebox types.
@@ -147,9 +141,6 @@ type Server struct {
 	// Compiled policies are cached/pre-loaded in agents: the server is
 	// not on the session path (§2.2).
 	agents map[string]*core.Agent
-	// Remote management plane (ServeOn).
-	mgmt    *rudp.Endpoint
-	daemons map[string]*rudp.Conn
 
 	// Selections counts chain computations (should stay proportional to
 	// new sessions, not packets).
@@ -186,9 +177,6 @@ func (s *Server) Attach(name string, a *core.Agent) {
 		return s.chainFor(p.Tuple)
 	}
 }
-
-// Agent returns an attached agent by name.
-func (s *Server) Agent(name string) *core.Agent { return s.agents[name] }
 
 // chainFor resolves the first matching rule to concrete instances.
 func (s *Server) chainFor(t packet.FiveTuple) []packet.Addr {

@@ -1,10 +1,12 @@
 package policy_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/mbox"
 	"repro/internal/netsim"
@@ -59,11 +61,10 @@ func TestPoolRoundRobinAndLeastLoad(t *testing.T) {
 	ll.Pick() // a1 load 1
 	ll.Pick() // a2 load 1
 	ll.Pick() // tie → a1, load 2
-	ll.Release(a1)
-	if got, _ := ll.Pick(); got != a1 {
-		t.Errorf("least-load picked %v after release, want a1", got)
+	if got, _ := ll.Pick(); got != a2 {
+		t.Errorf("least-load picked %v, want the less loaded a2", got)
 	}
-	if ll.Load(a1) != 2 || ll.Load(a2) != 1 {
+	if ll.Load(a1) != 2 || ll.Load(a2) != 2 {
 		t.Errorf("loads = %d/%d", ll.Load(a1), ll.Load(a2))
 	}
 
@@ -139,6 +140,28 @@ func TestExecCommands(t *testing.T) {
 	if _, err := ps.Exec(""); err != nil {
 		t.Error("empty line errored")
 	}
+	// Input from outside the program is taken whole or refused.
+	for _, bad := range []string{
+		"pool add bad rr 10.0.0.5x",
+		"pool add bad rr 10.0.0.5.7",
+		"pool add bad rr 10.0.0",
+		"pool add bad rr 10.0.0.256",
+		"pool add bad rr ::ffff:10.0.0.5",
+		"pool add bad roundrobin 10.0.0.5",
+		"rule add dst 10.0.0.5x chain fw",
+		"rule add dport 70000 chain fw",
+		"rule add sport -1 chain fw",
+	} {
+		if out, err := ps.Exec(bad); err == nil {
+			t.Errorf("%q accepted: %q", bad, out)
+		}
+	}
+	if ps.Pool("bad") != nil {
+		t.Error("a refused pool was installed")
+	}
+	if n := len(ps.Rules()); n != 1 {
+		t.Errorf("%d rules after refused rules, want 1", n)
+	}
 	// The compiled rule resolves through the pool.
 	a := ps.Pool("fw")
 	if a == nil || len(a.Instances) != 2 {
@@ -207,5 +230,107 @@ func TestExecInsertCommand(t *testing.T) {
 	}
 	if _, err := ps.Exec("insert client dport 80 bogus"); err == nil {
 		t.Error("bad address accepted")
+	}
+}
+
+// TestReplaceInstanceEverywhere drives the §2.2 maintenance command
+// through the command interface: "replace m1 <m2>" moves every session m1
+// carries onto m2 while the transfers run. No byte may be lost, and m1
+// must see no packet afterwards. A stateful middlebox hands each session's
+// state to the replacement, so the new firewall tracks the mid-stream
+// sessions instead of dropping them (Figure 15).
+func TestReplaceInstanceEverywhere(t *testing.T) {
+	const sessions, first, second = 2, 200 << 10, 50 << 10
+	cases := []struct {
+		name   string
+		newApp func(*lab.Env) core.App
+	}{
+		{"forwarder", func(*lab.Env) core.App { return &mbox.Forwarder{} }},
+		{"firewall", func(env *lab.Env) core.App {
+			return mbox.NewFirewall(env.Eng, mbox.FirewallRule{DstPort: 80})
+		}},
+	}
+	packets := func(a core.App) uint64 {
+		switch a := a.(type) {
+		case *mbox.Forwarder:
+			return a.Packets
+		case *mbox.Firewall:
+			return a.Passed + a.Dropped
+		}
+		panic(fmt.Sprintf("no packet count for %T", a))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			link := netsim.LinkConfig{Delay: 200 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
+			env := lab.NewEnv(2)
+			app1, app2 := tc.newApp(env), tc.newApp(env)
+			client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true})
+			m1 := env.AddNode("m1", lab.HostOptions{Link: link, App: app1})
+			m2 := env.AddNode("m2", lab.HostOptions{Link: link, App: app2})
+			server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true})
+			env.Net.ComputeRoutes()
+
+			ps := policy.NewServer()
+			ps.Attach("client", client.Agent)
+			ps.Attach("m1", m1.Agent)
+			for _, cmd := range []string{
+				fmt.Sprintf("pool add mb rr %v", m1.Addr()),
+				"rule add dport 80 chain mb",
+			} {
+				if _, err := ps.Exec(cmd); err != nil {
+					t.Fatalf("%s: %v", cmd, err)
+				}
+			}
+
+			got := 0
+			server.Stack.Listen(80, func(c *tcp.Conn) {
+				c.OnData = func(b []byte) { got += len(b) }
+			})
+			var conns []*tcp.Conn
+			for i := 0; i < sessions; i++ {
+				c := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
+				c.OnEstablished = func() { c.Send(make([]byte, first)) }
+				conns = append(conns, c)
+			}
+			env.RunFor(5 * time.Millisecond)
+			if got == sessions*first {
+				t.Fatal("transfers finished before the replace; it would not run mid-stream")
+			}
+
+			out, err := ps.Exec(fmt.Sprintf("replace m1 %v", m2.Addr()))
+			if err != nil {
+				t.Fatalf("replace: %v", err)
+			}
+			if want := fmt.Sprintf("triggered %d session reconfigurations", sessions); out != want {
+				t.Fatalf("replace = %q, want %q", out, want)
+			}
+			env.RunFor(10 * time.Second)
+			if got != sessions*first {
+				t.Fatalf("data lost during replacement: %d of %d bytes", got, sessions*first)
+			}
+
+			seen1 := packets(app1)
+			for _, c := range conns {
+				c.Send(make([]byte, second))
+			}
+			env.RunFor(5 * time.Second)
+			if want := sessions * (first + second); got != want {
+				t.Fatalf("post-replacement transfer: %d of %d bytes", got, want)
+			}
+			if packets(app1) != seen1 {
+				t.Errorf("m1 saw %d packets after the replacement", packets(app1)-seen1)
+			}
+			if packets(app2) == 0 {
+				t.Error("m2 saw no packets after the replacement")
+			}
+			if fw2, ok := app2.(*mbox.Firewall); ok {
+				if fw2.Imported != sessions {
+					t.Errorf("state not migrated: imported=%d, want %d", fw2.Imported, sessions)
+				}
+				if fw2.Dropped != 0 {
+					t.Errorf("new firewall dropped %d packets", fw2.Dropped)
+				}
+			}
+		})
 	}
 }

@@ -46,7 +46,6 @@ go run ./cmd/dyscolint -wire ./... > LINT_wire.txt
 go test ./internal/packet -run '^$' -fuzz '^FuzzPacketParse$' -fuzztime 10s
 go test ./internal/core   -run '^$' -fuzz '^FuzzSynPayload$'  -fuzztime 10s
 go test ./internal/core   -run '^$' -fuzz '^FuzzCtrlMsg$'     -fuzztime 10s
-go test ./internal/rudp   -run '^$' -fuzz '^FuzzRudpInput$'   -fuzztime 10s
 go test ./internal/dataplane -run '^$' -fuzz '^FuzzRawRewrite$' -fuzztime 10s
 # Not a decoder: random schedule/lane-post/cancel/timer programs on the event
 # queue against its flag-and-skip reference (firing order, Pending, Processed).
