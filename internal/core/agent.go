@@ -381,7 +381,9 @@ const subPortBase packet.Port = 40000
 // next. After a wrap a candidate may still belong to a live or
 // not-yet-collected session: it is free when no ingress entry is keyed by
 // its reverse tuple (every caller installs one for the tuple it gets).
-func (a *Agent) newSubTuple(next packet.Addr) packet.FiveTuple {
+// It reports false when every candidate toward next is taken; the caller
+// then fails only the setup it was allocating for.
+func (a *Agent) newSubTuple(next packet.Addr) (packet.FiveTuple, bool) {
 	for range (1<<16 - int(subPortBase)) / 2 {
 		p := a.nextPort
 		if a.nextPort += 2; a.nextPort == 0 {
@@ -389,10 +391,10 @@ func (a *Agent) newSubTuple(next packet.Addr) packet.FiveTuple {
 		}
 		sub := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: a.Host.Addr, DstIP: next, SrcPort: p, DstPort: p + 1}
 		if a.ingress[sub.Reverse()] == nil {
-			return sub
+			return sub, true
 		}
 	}
-	panic("core: out of sub-session ports")
+	return packet.FiveTuple{}, false
 }
 
 // ---------- egress path ----------
@@ -451,8 +453,7 @@ func (a *Agent) egressSYN(p *packet.Packet) netsim.Verdict {
 					sess.Remainder = append(append([]packet.Addr(nil), hops...), sess.Remainder...)
 				}
 			}
-			a.continueChain(p, sess)
-			return netsim.Pass
+			return a.continueChain(p, sess)
 		}
 		// Unknown tag: strip it and let the packet go.
 		p.Opts.HasDyscoTag = false
@@ -480,8 +481,7 @@ func (a *Agent) egressSYN(p *packet.Packet) netsim.Verdict {
 	a.sessions[sess.IDLeft] = sess
 	a.Stats.SessionsOpened++
 	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, Detail: "policy"})
-	a.continueChain(p, sess)
-	return netsim.Pass
+	return a.continueChain(p, sess)
 }
 
 func wsOffer(p *packet.Packet) int8 {
@@ -493,10 +493,16 @@ func wsOffer(p *packet.Packet) int8 {
 
 // continueChain allocates the next subsession for a forward SYN and
 // installs the four rewrite entries for this hop, then rewrites the SYN
-// and attaches the Dysco payload.
-func (a *Agent) continueChain(p *packet.Packet, sess *Session) {
+// and attaches the Dysco payload. With no subsession tuple free toward
+// the next hop it removes the half-built session and drops the SYN: the
+// endpoint's SYN retransmission retries the setup.
+func (a *Agent) continueChain(p *packet.Packet, sess *Session) netsim.Verdict {
 	next := sess.Remainder[0]
-	sub := a.newSubTuple(next)
+	sub, ok := a.newSubTuple(next)
+	if !ok {
+		a.removeSession(sess)
+		return netsim.Drop
+	}
 	sess.SubRight = sub
 	sess.RightHost = next
 	// Forward: session (right side id) → subsession.
@@ -510,6 +516,7 @@ func (a *Agent) continueChain(p *packet.Packet, sess *Session) {
 	})
 	a.attachSynPayload(p, sess)
 	a.applyEgress(p, out)
+	return netsim.Pass
 }
 
 func (a *Agent) attachSynPayload(p *packet.Packet, sess *Session) {

@@ -783,8 +783,15 @@ func (d *daemon) beginNewPath(rc *Reconfig) {
 	}
 	rc.setState(RcSettingUp)
 	first := rc.NewList[0]
+	sub, ok := a.newSubTuple(first)
+	if !ok {
+		// No subsession tuple free toward the new path: release the
+		// locked segment and stay on the old path (§3.6).
+		d.abortReconfig(rc)
+		return
+	}
 	rc.newPeerHost = first
-	rc.newSub = a.newSubTuple(first)
+	rc.newSub = sub
 	d.installLeftAnchorNewPath(rc)
 	m := &ctrlMsg{
 		Type: msgNewPathSYN, ReqID: rc.ID,
@@ -848,6 +855,14 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 		d.send(m.NewList[0], &fwd)
 		return
 	}
+	next := m.NewList[0]
+	sub, ok := a.newSubTuple(next)
+	if !ok {
+		// No subsession tuple free toward the next hop: drop the SYN.
+		// The requester's retransmissions run out (MaxControlRetries)
+		// and it aborts.
+		return
+	}
 	sess := a.sessions[m.Session]
 	if sess == nil {
 		sess = &Session{
@@ -861,8 +876,6 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 		a.Stats.SessionsOpened++
 		a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, ReqID: m.ReqID, Detail: "new-path"})
 	}
-	next := m.NewList[0]
-	sub := a.newSubTuple(next)
 	sess.RightHost = next
 	sess.SubRight = sub
 	// Forward direction.

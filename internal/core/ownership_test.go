@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 )
 
@@ -111,24 +112,125 @@ func TestSubsessionPortWrapSkipsLiveTuples(t *testing.T) {
 	env.checkOwnership(t)
 }
 
-// TestSubsessionPortsExhausted: when every candidate toward one next hop
-// is taken, allocation fails loudly instead of aliasing, and other next
-// hops are unaffected.
-func TestSubsessionPortsExhausted(t *testing.T) {
-	env := newChainEnv(t, 1, netsim.LinkConfig{Delay: 100 * time.Microsecond}, 32)
-	a, next, other := env.aClient, env.mboxes[0].Addr, env.server.Addr
+// exhaustPorts takes every subsession tuple a can allocate toward next,
+// with ingress entries owned by a session outside the session table.
+func exhaustPorts(a *Agent, next packet.Addr) {
 	hog := &Session{}
 	for p := int(subPortBase); p < 1<<16; p += 2 {
 		sub := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: a.Host.Addr, DstIP: next, SrcPort: packet.Port(p), DstPort: packet.Port(p + 1)}
 		a.install(a.ingress, sub.Reverse(), &rewriteEntry{sess: hog})
 	}
-	if sub := a.newSubTuple(other); sub.DstIP != other {
-		t.Fatalf("allocation toward a different next hop: %v", sub)
+}
+
+// TestSubsessionPortsExhausted: when every candidate toward one next hop
+// is taken, the session setup through it fails — its SYN is dropped and
+// no half-built session is left behind — while the agent keeps running
+// and other next hops still allocate. The ports run out at the client's
+// policy lookup or at the chain middlebox's tagged-SYN continuation.
+func TestSubsessionPortsExhausted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// at is the agent whose ports run out, the next hop they run out
+		// toward, and a different next hop.
+		at func(e *chainEnv) (a *Agent, next, other packet.Addr)
+	}{
+		{"client", func(e *chainEnv) (*Agent, packet.Addr, packet.Addr) {
+			return e.aClient, e.mboxes[0].Addr, e.server.Addr
+		}},
+		{"middlebox", func(e *chainEnv) (*Agent, packet.Addr, packet.Addr) {
+			return e.aMbox[0], e.server.Addr, e.client.Addr
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newChainEnv(t, 1, netsim.LinkConfig{Delay: 100 * time.Microsecond}, 32)
+			a, next, other := tc.at(env)
+			exhaustPorts(a, next)
+			if _, ok := a.newSubTuple(next); ok {
+				t.Fatal("allocation with every tuple taken succeeded")
+			}
+
+			accepted := 0
+			env.sServer.Listen(80, func(*tcp.Conn) { accepted++ })
+			c := env.sClient.Connect(env.server.Addr, 80, tcp.Config{})
+			env.runFor(100 * time.Millisecond)
+			if c.State() == tcp.StateEstablished || accepted != 0 {
+				t.Errorf("setup through an exhausted next hop succeeded: state %v, %d accepted", c.State(), accepted)
+			}
+			if n := a.Sessions(); n != 0 {
+				t.Errorf("failed setups left %d sessions at %s", n, a.Host.Name)
+			}
+			if sub, ok := a.newSubTuple(other); !ok || sub.DstIP != other {
+				t.Errorf("allocation toward a different next hop: %v, %v", sub, ok)
+			}
+		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("allocation with every tuple taken did not panic")
-		}
-	}()
-	a.newSubTuple(next)
+}
+
+// TestNewPathPortsExhaustedKeepsOldPath: a reconfiguration whose new-path
+// subsession cannot be allocated fails cleanly, and the session keeps
+// delivering its bytes over the old path through the first middlebox.
+// The ports run out at the left anchor (deleting the middlebox) or at the
+// new path's middlebox (replacing it), whose dropped new-path SYN the
+// left anchor retransmits until it gives up.
+func TestNewPathPortsExhaustedKeepsOldPath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// at is the agent whose ports toward the server run out, and the
+		// new path's middleboxes.
+		at func(e *chainEnv) (*Agent, []packet.Addr)
+	}{
+		{"left anchor", func(e *chainEnv) (*Agent, []packet.Addr) { return e.aClient, nil }},
+		{"new-path middlebox", func(e *chainEnv) (*Agent, []packet.Addr) {
+			return e.aMbox[1], []packet.Addr{e.mboxes[1].Addr}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newChainEnv(t, 2, netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Gbps(1)}, 33)
+			// Sessions chain through the first middlebox only; the
+			// second is the candidate for the new path.
+			first := []packet.Addr{env.mboxes[0].Addr}
+			env.aClient.Policy = func(*packet.Packet) []packet.Addr { return first }
+			var got bytes.Buffer
+			env.sServer.Listen(80, func(c *tcp.Conn) {
+				c.OnData = func(b []byte) { got.Write(b) }
+			})
+			part := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 64<<10) }
+			c := env.sClient.Connect(env.server.Addr, 80, tcp.Config{})
+			c.OnEstablished = func() { c.Send(part('a')) }
+			env.runFor(50 * time.Millisecond)
+
+			a, newList := tc.at(env)
+			exhaustPorts(a, env.server.Addr)
+			sessions := env.aClient.Sessions()
+			finished, ok := false, true
+			err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
+				RightAnchor:    env.server.Addr,
+				NewMiddleboxes: newList,
+				OnDone:         func(done bool, _ sim.Time) { finished, ok = true, done },
+			})
+			if err != nil {
+				t.Fatalf("StartReconfig: %v", err)
+			}
+			env.runFor(2 * time.Second)
+			if !finished || ok {
+				t.Fatalf("reconfiguration finished=%v ok=%v, want a failed attempt", finished, ok)
+			}
+			if n := env.aClient.Sessions(); n != sessions {
+				t.Errorf("client sessions %d → %d", sessions, n)
+			}
+			if n := env.aMbox[1].Sessions(); n != 0 {
+				t.Errorf("the new path's middlebox holds %d sessions", n)
+			}
+
+			before := env.apps[0].packets
+			c.Send(part('b'))
+			env.runFor(time.Second)
+			if want := append(part('a'), part('b')...); !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("server received %d bytes, want exactly the %d sent", got.Len(), len(want))
+			}
+			if env.apps[0].packets == before {
+				t.Error("the first middlebox saw none of the data sent after the failed attempt")
+			}
+		})
+	}
 }

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lab"
-	"repro/internal/mbox"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -27,18 +27,12 @@ func AblationWindow(sc Scale, seed int64) *Result {
 		ok   bool
 	}
 	run := func(cfg core.Config, label string) out {
-		env := lab.NewEnv(seed)
 		// WAN-ish path so a real backlog is in flight when the proxy is
 		// removed — the regime where the old-path window strategy matters.
 		link := netsim.LinkConfig{Delay: 10 * time.Millisecond, Bandwidth: netsim.Mbps(100), QueueBytes: 256 << 10}
-		client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg})
-		proxyN := env.AddNode("proxy", lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg})
-		server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg})
-		env.Net.ComputeRoutes()
-		env.ChainPolicy(client, 80, proxyN)
-		proxy := mbox.NewProxy(proxyN.Stack, proxyN.Agent, 80, func(c *tcp.Conn) (packet.Addr, packet.Port) {
-			return c.Tuple().SrcIP, 80
-		})
+		in := build("proxyremoval", seed, fault.Params{Link: link, Agent: cfg})
+		env, client, server := in.Env, in.Clients[0], in.Servers[0]
+		in.Proxy.AutoSpliceAfter = 0 // spliced below
 		goodput := stats.NewTimeSeries(100 * time.Millisecond)
 		sink := &app.Sink{Eng: env.Eng, Series: goodput}
 		sink.Serve(server.Stack, 80)
@@ -47,7 +41,7 @@ func AblationWindow(sc Scale, seed int64) *Result {
 		src.HighWater = 2 << 20
 		res := out{}
 		env.Eng.At(3*time.Second, func() {
-			for _, pr := range proxy.Pairs() {
+			for _, pr := range in.Proxy.Pairs() {
 				pr.Splice()
 			}
 		})
@@ -85,26 +79,14 @@ func AblationRTO(sc Scale, seed int64) *Result {
 	for _, rto := range rtos {
 		cfg := core.Config{ControlRTO: rto}
 		link := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
-		env := lab.NewEnv(seed)
-		client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg})
-		proxyN := env.AddNode("proxy", lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg})
-		server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg})
-		env.Net.ComputeRoutes()
-		env.ChainPolicy(client, 80, proxyN)
-		proxy := mbox.NewProxy(proxyN.Stack, proxyN.Agent, 80, func(c *tcp.Conn) (packet.Addr, packet.Port) {
-			return c.Tuple().SrcIP, 80
-		})
+		in := build("proxyremoval", seed, fault.Params{Link: link, Agent: cfg})
+		env, client, server := in.Env, in.Clients[0], in.Servers[0]
+		in.Proxy.AutoSpliceAfter = 0 // spliced below
 		sink := app.NewSink(env.Eng, time.Second)
 		sink.Serve(server.Stack, 80)
 		// 5% control loss.
-		for _, h := range []*lab.Node{client, proxyN, server} {
-			hh := h.Host
-			hh.AddEgressHook(func(p *packet.Packet, dir netsim.Direction) netsim.Verdict {
-				if p.IsUDP() && p.Tuple.DstPort == core.DaemonPort && env.Eng.Rand().Float64() < 0.05 {
-					return netsim.Drop
-				}
-				return netsim.Pass
-			})
+		for _, h := range []*lab.Node{client, in.Mids[0], server} {
+			h.Host.AddEgressHook(dropControl(env.Eng, 0.05))
 		}
 		var cdf stats.CDF
 		client.Agent.OnReconfigSwitch = func(sess packet.FiveTuple, since sim.Time) {
@@ -118,7 +100,7 @@ func AblationRTO(sc Scale, seed int64) *Result {
 			conn.OnEstablished = func() { _ = cc.Send(make([]byte, 1000)) }
 		}
 		env.RunFor(time.Second)
-		for _, pr := range proxy.Pairs() {
+		for _, pr := range in.Proxy.Pairs() {
 			pr.Splice()
 		}
 		env.RunFor(30 * time.Second)

@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/core"
-	"repro/internal/lab"
-	"repro/internal/mbox"
+	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -16,44 +13,14 @@ import (
 	"repro/internal/tcp"
 )
 
-// fig11Env is the testbed topology of Figure 11: clients and servers in
-// different subnets joined by a router, with two middlebox hosts.
-type fig11Env struct {
-	env     *lab.Env
-	clients []*lab.Node
-	servers []*lab.Node
-	m1, m2  *lab.Node
-	sinks   []*app.Sink
-}
-
-// buildFig11 creates n client/server pairs plus the two middlebox hosts.
-// Per-host access links are rate-limited to keep event counts tractable;
-// the harness notes the scale substitution. mbLink, when non-zero,
-// overrides the middlebox hosts' access links (the paper limits them to
-// 2 Gbps in Figure 15).
-func buildFig11(n int, link, mbLink netsim.LinkConfig, cfg core.Config, m1App, m2App core.App, seed int64) *fig11Env {
-	env := lab.NewEnv(seed)
-	fe := &fig11Env{env: env}
-	if mbLink.Bandwidth == 0 {
-		mbLink = link
+// build constructs the named registry scenario's Figure 11 testbed with
+// the figure's parameter set; the figure drives its own traffic on it.
+func build(scenario string, seed int64, p fault.Params) *fault.Instance {
+	s, ok := fault.ScenarioByName(scenario)
+	if !ok {
+		panic("exp: no registry scenario " + scenario)
 	}
-	for i := 0; i < n; i++ {
-		fe.clients = append(fe.clients, env.AddNode(fmt.Sprintf("client%d", i),
-			lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg}))
-	}
-	m1opt := lab.HostOptions{Link: mbLink, Stack: true, Agent: true, AgentCfg: cfg, App: m1App}
-	m2opt := lab.HostOptions{Link: mbLink, Stack: true, Agent: true, AgentCfg: cfg, App: m2App}
-	fe.m1 = env.AddNode("middlebox1", m1opt)
-	fe.m2 = env.AddNode("middlebox2", m2opt)
-	for i := 0; i < n; i++ {
-		fe.servers = append(fe.servers, env.AddNode(fmt.Sprintf("server%d", i),
-			lab.HostOptions{Link: link, Stack: true, Agent: true, AgentCfg: cfg}))
-	}
-	env.Net.ComputeRoutes()
-	for _, h := range env.Net.Hosts() {
-		fastCosts(h)
-	}
-	return fe
+	return s.Build(seed, p)
 }
 
 // Fig12 reproduces Figure 12: goodput of 600 sessions (4 pairs × 150)
@@ -76,39 +43,31 @@ func Fig12(sc Scale, seed int64) *Result {
 	// proxy was in the paper; removal moves each pair onto its own path.
 	link := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Mbps(800), QueueBytes: 1 << 20}
 	mbLink := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Gbps(1.6), QueueBytes: 2 << 20}
-	fe := buildFig11(4, link, mbLink, core.Config{}, nil, nil, seed)
-	hub := observeQuiet(fe.env)
-
-	fe.m1.Host.CPU.Series = stats.NewTimeSeries(time.Second)
-	proxy := mbox.NewProxy(fe.m1.Stack, fe.m1.Agent, 80, func(c *tcp.Conn) (packet.Addr, packet.Port) {
-		// The client connected to server:80; relay there.
-		return c.Tuple().SrcIP, 80
-	})
-	proxy.RelayCostPerKB = 2 * time.Microsecond
-
-	// All client→server port-80 sessions chain through the proxy host.
-	for _, c := range fe.clients {
-		fe.env.ChainPolicy(c, 80, fe.m1)
+	in := build("proxyremoval", seed, fault.Params{Pairs: 4, Link: link, MBLink: mbLink})
+	env, proxyHost := in.Env, in.Mids[0]
+	for _, h := range env.Net.Hosts() {
+		fastCosts(h)
 	}
+	proxyHost.Host.CPU.Series = stats.NewTimeSeries(time.Second)
+	in.Proxy.RelayCostPerKB = 2 * time.Microsecond
+	in.Proxy.AutoSpliceAfter = 0 // the figure splices on its own schedule
 	goodput := stats.NewTimeSeries(time.Second)
-	for i, s := range fe.servers {
-		sink := &app.Sink{Eng: fe.env.Eng, Series: goodput}
+	for _, s := range in.Servers {
+		sink := &app.Sink{Eng: env.Eng, Series: goodput}
 		sink.Serve(s.Stack, 80)
-		fe.sinks = append(fe.sinks, sink)
-		_ = i
 	}
 	var reconfigsDone int
-	for i := range fe.clients {
-		fe.clients[i].Agent.OnReconfigDone = func(sess packet.FiveTuple, ok bool, took sim.Time) {
+	for _, c := range in.Clients {
+		c.Agent.OnReconfigDone = func(sess packet.FiveTuple, ok bool, took sim.Time) {
 			if ok {
 				reconfigsDone++
 			}
 		}
 	}
 	// Start the bundles.
-	for p := 0; p < 4; p++ {
+	for p, c := range in.Clients {
 		for s := 0; s < perPair; s++ {
-			conn := fe.clients[p].Stack.Connect(fe.servers[p].Addr(), 80, tcp.Config{})
+			conn := c.Stack.Connect(in.Servers[p].Addr(), 80, tcp.Config{})
 			app.NewSource(conn, 0)
 		}
 	}
@@ -116,12 +75,11 @@ func Fig12(sc Scale, seed int64) *Result {
 	// client-server pair splices out of the proxy (retrying briefly for
 	// sessions whose backend handshake is still in flight).
 	for i, at := range reconfigAt {
-		pair := i
+		target := in.Servers[i].Addr()
 		var splicePair func()
 		splicePair = func() {
-			target := fe.servers[pair].Addr()
 			again := false
-			for _, pr := range proxy.Pairs() {
+			for _, pr := range in.Proxy.Pairs() {
 				if pr.Server.Tuple().DstIP == target {
 					pr.Splice()
 					if !pr.Spliced() {
@@ -130,19 +88,19 @@ func Fig12(sc Scale, seed int64) *Result {
 				}
 			}
 			if again {
-				fe.env.Eng.Schedule(100*time.Millisecond, splicePair)
+				env.Eng.Schedule(100*time.Millisecond, splicePair)
 			}
 		}
-		fe.env.Eng.At(at, splicePair)
+		env.Eng.At(at, splicePair)
 	}
-	fe.env.RunUntil(duration)
+	env.RunUntil(duration)
 
 	gbps := make([]float64, len(goodput.Bins()))
 	for i, v := range goodput.Bins() {
 		gbps[i] = stats.Gbps(v)
 	}
 	r.addSeries("goodput_gbps", gbps)
-	cpu := fe.m1.Host.CPU.Series.Bins()
+	cpu := proxyHost.Host.CPU.Series.Bins()
 	r.addSeries("proxy_cpu_util", cpu)
 
 	// Shape checks against §5.3.
@@ -176,8 +134,8 @@ func Fig12(sc Scale, seed int64) *Result {
 	r.addNote("scale=%s: %d sessions, %v timeline, 800 Mbps host / 1.6 Gbps proxy links (paper: 600 sessions, 120s, 10 Gbps)",
 		sc.Label, 4*perPair, duration)
 	r.addNote("later removals show mainly in proxy CPU: once two pairs leave, the remaining pairs already reach their own line rate")
-	reportObs(r, hub)
-	if h := hub.Metrics.Hist(obs.MReconfigDuration); h != nil {
+	reportObs(r, env.Hub())
+	if h := env.Hub().Metrics.Hist(obs.MReconfigDuration); h != nil {
 		r.check("obs reconfig durations cover every completed reconfiguration",
 			h.N == uint64(reconfigsDone), "observed=%d done=%d", h.N, reconfigsDone)
 	}

@@ -5,7 +5,8 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/core"
-	"repro/internal/mbox"
+	"repro/internal/fault"
+	"repro/internal/lab"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -23,68 +24,66 @@ func Fig13(sc Scale, seed int64) *Result {
 	r := &Result{Name: "fig13", Title: "CDF of reconfiguration time, proxy removal (§5.3, Figure 13)"}
 	sessions := 600 / sc.Sessions
 	link := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
-	fe := buildFig11(4, link, netsim.LinkConfig{}, core.Config{}, nil, nil, seed)
-	hub := observeQuiet(fe.env)
-
-	proxy := mbox.NewProxy(fe.m1.Stack, fe.m1.Agent, 80, func(c *tcp.Conn) (packet.Addr, packet.Port) {
-		return c.Tuple().SrcIP, 80
-	})
-	for _, c := range fe.clients {
-		fe.env.ChainPolicy(c, 80, fe.m1)
+	in := build("proxyremoval", seed, fault.Params{Pairs: 4, Link: link})
+	env, proxyHost := in.Env, in.Mids[0]
+	for _, h := range env.Net.Hosts() {
+		fastCosts(h)
 	}
-	for _, s := range fe.servers {
-		sink := app.NewSink(fe.env.Eng, time.Second)
+	in.Proxy.AutoSpliceAfter = 0 // the figure splices every session below
+	hub := env.Hub()
+
+	for _, s := range in.Servers {
+		sink := app.NewSink(env.Eng, time.Second)
 		sink.Serve(s.Stack, 80)
 	}
 	// Control packets occasionally get lost: ~1% loss on daemon UDP, as
 	// the paper attributes the CDF's tail to control retransmissions.
-	for _, n := range []int{0, 1, 2, 3} {
-		h := fe.clients[n].Host
-		h.AddEgressHook(dropControl(fe, 0.01))
+	lossy := append(append([]*lab.Node(nil), in.Clients...), proxyHost)
+	for _, n := range lossy {
+		n.Host.AddEgressHook(dropControl(env.Eng, 0.01))
 	}
-	fe.m1.Host.AddEgressHook(dropControl(fe, 0.01))
 
 	var cdf stats.CDF
-	for _, c := range fe.clients {
+	for _, c := range in.Clients {
 		c.Agent.OnReconfigSwitch = func(sess packet.FiveTuple, since sim.Time) {
 			cdf.AddDuration(since)
 		}
 	}
 	ctrlRetransmits := func() uint64 {
 		var n uint64
-		for _, c := range fe.clients {
-			n += c.Agent.Stats.CtrlRetransmits
+		for _, h := range lossy {
+			n += h.Agent.Stats.CtrlRetransmits
 		}
-		return n + fe.m1.Agent.Stats.CtrlRetransmits
+		return n
 	}
 	// Establish the sessions with a little data each.
 	per := sessions / 4
-	for p := 0; p < 4; p++ {
+	for p, c := range in.Clients {
 		for s := 0; s < per; s++ {
-			conn := fe.clients[p].Stack.Connect(fe.servers[p].Addr(), 80, tcp.Config{})
+			conn := c.Stack.Connect(in.Servers[p].Addr(), 80, tcp.Config{})
 			cc := conn
 			// Send cannot fail on a just-established connection, and the
 			// figure asserts delivery totals downstream.
 			conn.OnEstablished = func() { _ = cc.Send(make([]byte, 2000)) }
 		}
 	}
-	fe.env.RunFor(2 * time.Second)
+	env.RunFor(2 * time.Second)
 	// Stagger the splices slightly so daemons are not synchronized, and
 	// retry any session whose backend handshake is still in flight.
 	i := 0
-	for _, pr := range proxy.Pairs() {
+	for _, pr := range in.Proxy.Pairs() {
 		pp := pr
 		var try func()
 		try = func() {
 			pp.Splice()
 			if !pp.Spliced() {
-				fe.env.Eng.Schedule(50*time.Millisecond, try)
+				env.Eng.Schedule(50*time.Millisecond, try)
 			}
 		}
-		fe.env.Eng.Schedule(time.Duration(i)*100*time.Microsecond, try)
+		env.Eng.Schedule(time.Duration(i)*100*time.Microsecond, try)
 		i++
 	}
-	fe.env.RunFor(30 * time.Second)
+	env.RunFor(30 * time.Second)
 
 	n := cdf.N()
 	r.addRow("reconfigurations measured: %d of %d", n, 4*per)
@@ -126,10 +125,11 @@ func Fig13(sc Scale, seed int64) *Result {
 	return r
 }
 
-// dropControl drops daemon UDP packets with probability p.
-func dropControl(fe *fig11Env, p float64) netsim.Hook {
+// dropControl drops daemon UDP packets with probability p, drawn from the
+// engine's random stream.
+func dropControl(eng *sim.Engine, p float64) netsim.Hook {
 	return func(pkt *packet.Packet, dir netsim.Direction) netsim.Verdict {
-		if pkt.IsUDP() && pkt.Tuple.DstPort == 9903 && fe.env.Eng.Rand().Float64() < p {
+		if pkt.IsUDP() && pkt.Tuple.DstPort == core.DaemonPort && eng.Rand().Float64() < p {
 			return netsim.Drop
 		}
 		return netsim.Pass

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mbox"
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -34,29 +35,29 @@ func Fig15(sc Scale, seed int64) *Result {
 	hostLink := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Mbps(100), QueueBytes: 256 << 10}
 	mbLink := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Mbps(160), QueueBytes: 256 << 10}
 
-	fe := buildFig11(3, hostLink, mbLink, core.Config{StateOpCost: 10 * time.Millisecond}, nil, nil, seed)
-	fw1 := mbox.NewFirewall(fe.env.Eng, mbox.FirewallRule{DstPort: 80})
-	fw2 := mbox.NewFirewall(fe.env.Eng, mbox.FirewallRule{DstPort: 80})
-	fe.m1.Agent.App = fw1
-	fe.m2.Agent.App = fw2
+	in := build("statemigration", seed, fault.Params{
+		Pairs: 3, Link: hostLink, MBLink: mbLink,
+		Agent: core.Config{StateOpCost: 10 * time.Millisecond},
+	})
+	env, clients, m1, m2 := in.Env, in.Clients, in.Mids[0], in.Mids[1]
+	for _, h := range env.Net.Hosts() {
+		fastCosts(h)
+	}
+	fw2 := m2.Agent.App.(*mbox.Firewall)
 
-	// Bundles A and B through fw1; bundle C through fw2.
-	fe.env.ChainPolicy(fe.clients[0], 80, fe.m1)
-	fe.env.ChainPolicy(fe.clients[1], 80, fe.m1)
-	fe.env.ChainPolicy(fe.clients[2], 80, fe.m2)
+	// Bundles A and B go through fw1, as the registry chains them;
+	// bundle C is steered through fw2.
+	env.ChainPolicy(clients[2], 80, m2)
 
 	series := make([]*stats.TimeSeries, 3)
-	for i, s := range fe.servers {
+	for i, s := range in.Servers {
 		series[i] = stats.NewTimeSeries(time.Second)
-		sink := &app.Sink{Eng: fe.env.Eng, Series: series[i]}
+		sink := &app.Sink{Eng: env.Eng, Series: series[i]}
 		sink.Serve(s.Stack, 80)
 	}
-	var conns []*tcp.Conn
-	for b := 0; b < 3; b++ {
+	for b, c := range clients {
 		for s := 0; s < per; s++ {
-			conn := fe.clients[b].Stack.Connect(fe.servers[b].Addr(), 80, tcp.Config{})
-			app.NewSource(conn, 0)
-			conns = append(conns, conn)
+			app.NewSource(c.Stack.Connect(in.Servers[b].Addr(), 80, tcp.Config{}), 0)
 		}
 	}
 
@@ -64,25 +65,25 @@ func Fig15(sc Scale, seed int64) *Result {
 	// until the new path is used" — the paper reports < 100 ms dominated
 	// by the state transfer.
 	var migTimes []sim.Time
-	fe.clients[0].Agent.OnReconfigSwitch = func(sess packet.FiveTuple, since sim.Time) {
+	clients[0].Agent.OnReconfigSwitch = func(sess packet.FiveTuple, since sim.Time) {
 		migTimes = append(migTimes, since)
 	}
-	fe.env.Eng.At(moveAt, func() {
+	env.Eng.At(moveAt, func() {
 		// Replace fw1 with fw2 for every bundle-A session, with state
 		// transfer from Middlebox1 to Middlebox2.
-		fe.clients[0].Agent.EachSession(func(sess *core.Session) {
+		clients[0].Agent.EachSession(func(sess *core.Session) {
 			if !sess.IsLeftEnd() {
 				return
 			}
-			fe.clients[0].Agent.StartReconfig(sess.IDLeft, core.ReconfigOptions{
+			clients[0].Agent.StartReconfig(sess.IDLeft, core.ReconfigOptions{
 				RightAnchor:    sess.IDLeft.DstIP,
-				NewMiddleboxes: []packet.Addr{fe.m2.Addr()},
-				StateFrom:      fe.m1.Addr(),
-				StateTo:        fe.m2.Addr(),
+				NewMiddleboxes: []packet.Addr{m2.Addr()},
+				StateFrom:      m1.Addr(),
+				StateTo:        m2.Addr(),
 			})
 		})
 	})
-	fe.env.RunUntil(duration)
+	env.RunUntil(duration)
 
 	for i, name := range []string{"bundleA_gbps", "bundleB_gbps", "bundleC_gbps"} {
 		g := make([]float64, len(series[i].Bins()))

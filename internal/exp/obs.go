@@ -1,23 +1,6 @@
 package exp
 
-import (
-	"repro/internal/lab"
-	"repro/internal/obs"
-)
-
-// observeQuiet turns on structured observability for an experiment
-// testbed with the per-packet event kinds disabled: the metrics registry
-// (rewrite latency, reconfiguration durations, retransmission counters)
-// accumulates fully — counters and histograms are updated regardless of
-// the event mask — while event storage holds only the control-plane
-// events the span builder needs, keeping memory flat across long sweeps.
-func observeQuiet(env *lab.Env) *obs.Hub {
-	hub := env.Observe()
-	for _, host := range hub.Hosts() {
-		hub.Recorder(host).Disable(obs.KRewrite, obs.KRetransmit, obs.KRTO)
-	}
-	return hub
-}
+import "repro/internal/obs"
 
 // reportObs appends the observability summary rows every instrumented
 // figure shares: metric histograms, loss-recovery counters, and the span

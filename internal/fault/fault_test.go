@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lab"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/packet"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
@@ -64,9 +66,56 @@ func TestBaseline(t *testing.T) {
 		}
 		hub := run.Env.Hub()
 		fmt.Fprintf(&inspected, "%s event=%016x dag=%016x bytes=%d\n",
-			sc.Name, hub.Hash(), obs.BuildDAG(hub.Events()).DagHash(), len(*run.got))
+			sc.Name, hub.Hash(), obs.BuildDAG(hub.Events()).DagHash(), run.Received())
 	}
 	checkGolden(t, "inspect_seed7.golden", inspected.String())
+}
+
+// TestMultiPair builds every registry entry at its Sweep size with three
+// client/server pairs, the shape the reconfiguration figures (12, 13, 15)
+// measure: the nodes come in Figure 11 address order, every client chains
+// through the first middlebox, and the fault-free run delivers each
+// pair's exact pattern with one completed reconfiguration per pair.
+func TestMultiPair(t *testing.T) {
+	const pairs = 3
+	for _, sc := range Scenarios() {
+		p := sc.Sweep
+		p.Pairs = pairs
+		run := sc.Build(1, p)
+		if len(run.Clients) != pairs || len(run.Servers) != pairs {
+			t.Fatalf("%s: %d clients, %d servers, want %d each", sc.Name, len(run.Clients), len(run.Servers), pairs)
+		}
+		var order []string
+		nodes := append(append(append([]*lab.Node(nil), run.Clients...), run.Mids...), run.Servers...)
+		for i, n := range nodes {
+			order = append(order, n.Host.Name)
+			if i > 0 && n.Addr() != nodes[i-1].Addr()+1 {
+				t.Errorf("%s: %s at %v does not follow %s at %v", sc.Name, n.Host.Name, n.Addr(), nodes[i-1].Host.Name, nodes[i-1].Addr())
+			}
+		}
+		if got := strings.Join(order, " "); !strings.HasPrefix(got, "client0 client1 client2 ") ||
+			!strings.HasSuffix(got, " server0 server1 server2") {
+			t.Errorf("%s: node order %s", sc.Name, got)
+		}
+		for i, c := range run.Clients {
+			syn := &packet.Packet{Tuple: packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: c.Addr(), DstIP: run.Servers[i].Addr(), DstPort: 80}}
+			if chain := c.Agent.Policy(syn); len(chain) != 1 || chain[0] != run.Mids[0].Addr() {
+				t.Errorf("%s: %s chains through %v, want [%v]", sc.Name, c.Host.Name, chain, run.Mids[0].Addr())
+			}
+		}
+
+		run.Start()
+		run.Run()
+		if v := run.Violations(); len(v) > 0 {
+			t.Errorf("%s: %v", sc.Name, v)
+		}
+		if got, want := run.Received(), pairs*p.Bytes; got != want {
+			t.Errorf("%s: servers received %d bytes, want %d", sc.Name, got, want)
+		}
+		if done, _ := reconfigOutcomes(run.Env.Hub().Events()); len(done) != pairs {
+			t.Errorf("%s: %d reconfigurations done, want one per pair", sc.Name, len(done))
+		}
+	}
 }
 
 // TestSweep replays every scenario under every built-in plan. Benign

@@ -86,8 +86,8 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 		Seed:          seed,
 		EventHash:     fmt.Sprintf("%016x", hub.Hash()),
 		ScheduleHash:  fmt.Sprintf("%016x", inj.ScheduleHash()),
-		BytesExpected: inst.p.Bytes,
-		BytesReceived: len(*inst.got),
+		BytesExpected: inst.p.Bytes * len(inst.Clients),
+		BytesReceived: inst.Received(),
 		Schedule:      inj.Applied(),
 		Violations:    []string{},
 		Drops:         map[string]uint64{},

@@ -32,13 +32,21 @@ type Scenario struct {
 	Build func(seed int64, p Params) *Instance
 }
 
-// Params are the values a scenario's two sizes set differently.
+// Params are the values a scenario's parameter sets set differently. The
+// testbed is the paper's Figure 11: Pairs clients, the scenario's
+// middleboxes, then Pairs servers, all on access links to one router;
+// every client's port-80 sessions chain through the first middlebox.
 type Params struct {
-	Link  netsim.LinkConfig // every access link
-	Agent core.Config       // every agent
-	Bytes int               // the client's transfer to the server
-	// ReconfigAt is when the client starts the reconfiguration; the
-	// proxy of proxyremoval ignores it and splices itself out after 64 KB.
+	// Pairs is the number of client/server pairs; zero means one pair,
+	// named client and server (more are client0, server0, client1, ...).
+	Pairs int
+	Link  netsim.LinkConfig // every client's and server's access link
+	// MBLink is every middlebox's access link; zero means Link.
+	MBLink netsim.LinkConfig
+	Agent  core.Config // every agent
+	Bytes  int         // each client's transfer to its server
+	// ReconfigAt is when each client starts its reconfiguration;
+	// proxyremoval ignores it (its proxy splices on its own).
 	ReconfigAt sim.Time
 	// Horizon is when the run ends; at Sweep size it includes the quiet
 	// period after the last fault clears, during which idle GC must
@@ -121,41 +129,70 @@ func harnessLink() netsim.LinkConfig {
 // Instance is one constructed run. Build leaves it observed, with the
 // per-packet event kinds masked and nothing sent; the caller attaches
 // what else it watches, then calls Start and Run, and checks the result.
+// A caller that drives its own traffic uses the nodes and skips Start.
 type Instance struct {
 	Env *lab.Env
-	p   Params
-	// roles maps each role a fault plan may name to its node.
-	roles map[string]*lab.Node
-	// reconfig is what the client starts at p.ReconfigAt; nil when the
-	// scenario reconfigures itself.
+	// Clients[i] and Servers[i] are pair i's endpoints; Mids are the
+	// scenario's middleboxes, in the order its roles name them.
+	Clients, Mids, Servers []*lab.Node
+	// Proxy is proxyremoval's relay on Mids[0]; nil in other scenarios.
+	Proxy *mbox.Proxy
+	p     Params
+	// reconfig is what each client starts at p.ReconfigAt toward its own
+	// server; nil when the scenario reconfigures itself.
 	reconfig *core.ReconfigOptions
-	got      *[]byte
+	got      []*[]byte
 	sendErr  error
 	// ctlErr records a StartReconfig call that failed synchronously.
 	ctlErr error
 }
 
+// mid is one middlebox of a scenario, by host name.
+type mid struct {
+	name string
+	opt  lab.HostOptions
+}
+
 func newInstance(seed int64, p Params) *Instance {
 	env := lab.NewEnv(seed)
 	env.Observe()
-	return &Instance{Env: env, p: p, roles: map[string]*lab.Node{}}
+	return &Instance{Env: env, p: p}
 }
 
-// add creates the node that plays role, on the scenario's link and agent
-// configuration.
-func (in *Instance) add(role, name string, opt lab.HostOptions) *lab.Node {
-	opt.Link, opt.AgentCfg = in.p.Link, in.p.Agent
-	n := in.Env.AddNode(name, opt)
-	in.roles[role] = n
-	return n
-}
-
-// route computes the routes, steers the client's port-80 sessions
-// through mboxes, and masks the per-packet kinds so long lossy runs stay
-// within recorder limits (counters still accumulate).
-func (in *Instance) route(mboxes ...*lab.Node) {
-	in.Env.Net.ComputeRoutes()
-	in.Env.ChainPolicy(in.roles["client"], 80, mboxes...)
+// layout adds the Figure 11 testbed in address order (clients, mids,
+// servers), computes the routes, steers every client's port-80 sessions
+// through the first middlebox, and masks the per-packet kinds so long
+// lossy runs stay within recorder limits (counters still accumulate).
+func (in *Instance) layout(mids ...mid) {
+	p, env := in.p, in.Env
+	pairs := max(p.Pairs, 1)
+	add := func(name string, opt lab.HostOptions, link netsim.LinkConfig) *lab.Node {
+		opt.Link, opt.AgentCfg = link, p.Agent
+		return env.AddNode(name, opt)
+	}
+	endpoint := func(name string, i int) *lab.Node {
+		if pairs > 1 {
+			name = fmt.Sprintf("%s%d", name, i)
+		}
+		return add(name, lab.HostOptions{Stack: true, Agent: true}, p.Link)
+	}
+	for i := range pairs {
+		in.Clients = append(in.Clients, endpoint("client", i))
+	}
+	mbLink := p.MBLink
+	if mbLink == (netsim.LinkConfig{}) {
+		mbLink = p.Link
+	}
+	for _, m := range mids {
+		in.Mids = append(in.Mids, add(m.name, m.opt, mbLink))
+	}
+	for i := range pairs {
+		in.Servers = append(in.Servers, endpoint("server", i))
+	}
+	env.Net.ComputeRoutes()
+	for _, c := range in.Clients {
+		env.ChainPolicy(c, 80, in.Mids[0])
+	}
 	in.perPacket((*obs.Recorder).Disable)
 }
 
@@ -170,22 +207,42 @@ func (in *Instance) perPacket(op func(*obs.Recorder, ...obs.Kind)) {
 // events too. Call it before Start.
 func (in *Instance) StorePerPacket() { in.perPacket((*obs.Recorder).Enable) }
 
-// Start opens the client's session to the server, which sends the
-// pattern once established, and schedules the reconfiguration.
+// Start opens each client's session to its server, which sends the
+// pattern once established, and schedules the reconfigurations.
 func (in *Instance) Start() {
-	client, server := in.roles["client"], in.roles["server"]
-	in.got = collectAt(server, 80)
-	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
-	conn.OnEstablished = func() { in.sendErr = conn.Send(pattern(in.p.Bytes)) }
-	if opt := in.reconfig; opt != nil {
+	for i, client := range in.Clients {
+		server := in.Servers[i]
+		in.got = append(in.got, collectAt(server, 80))
+		conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
+		conn.OnEstablished = func() {
+			if err := conn.Send(pattern(in.p.Bytes)); err != nil && in.sendErr == nil {
+				in.sendErr = err
+			}
+		}
+		if in.reconfig == nil {
+			continue
+		}
+		opt := *in.reconfig
+		opt.RightAnchor = server.Addr()
 		in.Env.Eng.At(in.p.ReconfigAt, func() {
-			in.ctlErr = client.Agent.StartReconfig(conn.Tuple(), *opt)
+			if err := client.Agent.StartReconfig(conn.Tuple(), opt); err != nil && in.ctlErr == nil {
+				in.ctlErr = err
+			}
 		})
 	}
 }
 
 // Run advances the testbed to the horizon.
 func (in *Instance) Run() { in.Env.RunUntil(in.p.Horizon) }
+
+// Received is the number of bytes the servers have collected since Start.
+func (in *Instance) Received() int {
+	n := 0
+	for _, got := range in.got {
+		n += len(*got)
+	}
+	return n
+}
 
 // Violations checks a finished run that no fault could defeat: the
 // byte oracle of deliveryViolations, plus at least one reconfiguration
@@ -196,7 +253,7 @@ func (in *Instance) Violations() []string {
 }
 
 // deliveryViolations checks that the scenario's own control and send
-// calls succeeded and that the server's reassembled byte stream equals
+// calls succeeded and that each server's reassembled byte stream equals
 // the sent pattern exactly (P2/P4): no loss, duplication, or corruption
 // survives to the application.
 func (in *Instance) deliveryViolations() []string {
@@ -207,30 +264,38 @@ func (in *Instance) deliveryViolations() []string {
 	if in.sendErr != nil {
 		v = append(v, fmt.Sprintf("send: %v", in.sendErr))
 	}
-	want, got := pattern(in.p.Bytes), *in.got
-	if len(got) != len(want) {
-		v = append(v, fmt.Sprintf("bytes: received %d of %d", len(got), len(want)))
-	}
-	for i := 0; i < len(got) && i < len(want); i++ {
-		if got[i] != want[i] {
-			v = append(v, fmt.Sprintf("bytes: corruption at offset %d (got %#x want %#x)", i, got[i], want[i]))
-			break
+	want := pattern(in.p.Bytes)
+	for i, got := range in.got {
+		got, at := *got, in.Servers[i].Host.Name
+		if len(got) != len(want) {
+			v = append(v, fmt.Sprintf("bytes: %s received %d of %d", at, len(got), len(want)))
+		}
+		for j := 0; j < len(got) && j < len(want); j++ {
+			if got[j] != want[j] {
+				v = append(v, fmt.Sprintf("bytes: %s corruption at offset %d (got %#x want %#x)", at, j, got[j], want[j]))
+				break
+			}
 		}
 	}
 	return v
 }
 
-// targets returns the fault plan's view of each role.
+// targets returns the fault plan's view of each role: pair 0's client
+// and server, and the middleboxes as mid1, mid2.
 func (in *Instance) targets() map[string]Target {
-	t := make(map[string]Target, len(in.roles))
-	for role, n := range in.roles {
-		t[role] = target(n, in.Env.Router.Addr)
+	router := in.Env.Router.Addr
+	t := map[string]Target{
+		"client": target(in.Clients[0], router),
+		"server": target(in.Servers[0], router),
+	}
+	for i, m := range in.Mids {
+		t[fmt.Sprintf("mid%d", i+1)] = target(m, router)
 	}
 	return t
 }
 
 // pattern is the deterministic transfer payload; the byte oracle
-// compares the server's reassembled stream against it (P2/P4).
+// compares each server's reassembled stream against it (P2/P4).
 func pattern(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -251,36 +316,28 @@ func target(n *lab.Node, router packet.Addr) Target {
 	return Target{Host: n.Host, Agent: n.Agent, Via: router}
 }
 
-// buildProxyRemoval: a TCP-terminating L7 proxy relays the client's
-// session, splices itself out after 64 KB, and leaves the path while the
-// transfer continues — the headline Dysco use case (§1, §5.3). The
-// client, the proxy being deleted and the server participate.
+// buildProxyRemoval: a TCP-terminating L7 proxy relays each client's
+// session to its server and, after the first 64 KB, splices itself out
+// while the transfer continues — the headline Dysco use case (§1,
+// §5.3). The client, the proxy being deleted and the server participate.
 func buildProxyRemoval(seed int64, p Params) *Instance {
 	in := newInstance(seed, p)
-	in.add("client", "client", lab.HostOptions{Stack: true, Agent: true})
-	proxyHost := in.add("mid1", "proxy", lab.HostOptions{Stack: true, Agent: true})
-	in.add("server", "server", lab.HostOptions{Stack: true, Agent: true})
-	in.route(proxyHost)
-
-	proxy := mbox.NewProxy(proxyHost.Stack, proxyHost.Agent, 80,
+	in.layout(mid{"proxy", lab.HostOptions{Stack: true, Agent: true}})
+	proxyHost := in.Mids[0]
+	in.Proxy = mbox.NewProxy(proxyHost.Stack, proxyHost.Agent, 80,
 		func(c *tcp.Conn) (packet.Addr, packet.Port) { return c.Tuple().SrcIP, 80 })
-	proxy.AutoSpliceAfter = 64 << 10
+	in.Proxy.AutoSpliceAfter = 64 << 10
 	return in
 }
 
-// buildChain: a chain through one monitor middlebox, which the client
+// buildChain: a chain through one monitor middlebox, which each client
 // replaces with a second monitor host mid-transfer.
 func buildChain(seed int64, p Params) *Instance {
 	in := newInstance(seed, p)
-	in.add("client", "client", lab.HostOptions{Stack: true, Agent: true})
-	mb1 := in.add("mid1", "mb1", lab.HostOptions{App: mbox.NewMonitor()})
-	mb2 := in.add("mid2", "mb2", lab.HostOptions{App: mbox.NewMonitor()})
-	server := in.add("server", "server", lab.HostOptions{Stack: true, Agent: true})
-	in.route(mb1)
-	in.reconfig = &core.ReconfigOptions{
-		RightAnchor:    server.Addr(),
-		NewMiddleboxes: []packet.Addr{mb2.Addr()},
-	}
+	in.layout(
+		mid{"mb1", lab.HostOptions{App: mbox.NewMonitor()}},
+		mid{"mb2", lab.HostOptions{App: mbox.NewMonitor()}})
+	in.reconfig = &core.ReconfigOptions{NewMiddleboxes: []packet.Addr{in.Mids[1].Addr()}}
 	return in
 }
 
@@ -290,18 +347,11 @@ func buildChain(seed int64, p Params) *Instance {
 // state-transfer phase of the span is the long one.
 func buildStateMigration(seed int64, p Params) *Instance {
 	in := newInstance(seed, p)
-	in.add("client", "client", lab.HostOptions{Stack: true, Agent: true})
-	fw1App := mbox.NewFirewall(in.Env.Eng, mbox.FirewallRule{DstPort: 80})
-	fw2App := mbox.NewFirewall(in.Env.Eng, mbox.FirewallRule{DstPort: 80})
-	fw1 := in.add("mid1", "firewall1", lab.HostOptions{App: fw1App})
-	fw2 := in.add("mid2", "firewall2", lab.HostOptions{App: fw2App})
-	server := in.add("server", "server", lab.HostOptions{Stack: true, Agent: true})
-	in.route(fw1)
-	in.reconfig = &core.ReconfigOptions{
-		RightAnchor:    server.Addr(),
-		NewMiddleboxes: []packet.Addr{fw2.Addr()},
-		StateFrom:      fw1.Addr(),
-		StateTo:        fw2.Addr(),
+	firewall := func(name string) mid {
+		return mid{name, lab.HostOptions{App: mbox.NewFirewall(in.Env.Eng, mbox.FirewallRule{DstPort: 80})}}
 	}
+	in.layout(firewall("firewall1"), firewall("firewall2"))
+	fw1, fw2 := in.Mids[0].Addr(), in.Mids[1].Addr()
+	in.reconfig = &core.ReconfigOptions{NewMiddleboxes: []packet.Addr{fw2}, StateFrom: fw1, StateTo: fw2}
 	return in
 }

@@ -253,6 +253,48 @@ func TestPadderShiftsStreamAndReportsDelta(t *testing.T) {
 	}
 }
 
+// TestPadderBannerSurvivesLoss: the banner belongs to the stream's first
+// bytes, not to one packet, so when the first banner-carrying segment is
+// lost after the padder, the endpoint's retransmission carries the banner
+// again and the server's stream has no hole.
+func TestPadderBannerSurvivesLoss(t *testing.T) {
+	env := lab.NewEnv(8)
+	client := env.AddNode("client", lab.HostOptions{Link: fastLink(), Stack: true, Agent: true})
+	banner := []byte("AD:")
+	pad := mbox.NewPadder(banner)
+	mb := env.AddNode("pad", lab.HostOptions{Link: fastLink(), App: pad})
+	server := env.AddNode("server", lab.HostOptions{Link: fastLink(), Stack: true, Agent: true})
+	env.Net.ComputeRoutes()
+	env.ChainPolicy(client, 80, mb)
+	dropped := 0
+	mb.Host.AddEgressHook(func(p *packet.Packet, dir netsim.Direction) netsim.Verdict {
+		if dropped == 0 && p.IsTCP() && bytes.HasPrefix(p.Payload, banner) {
+			dropped++
+			return netsim.Drop
+		}
+		return netsim.Pass
+	})
+
+	var got bytes.Buffer
+	server.Stack.Listen(80, func(c *tcp.Conn) {
+		c.OnData = func(b []byte) { got.Write(b) }
+	})
+	c := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
+	data := bytes.Repeat([]byte("a"), 4000)
+	c.OnEstablished = func() { c.Send(data) }
+	env.RunFor(5 * time.Second)
+	if dropped != 1 {
+		t.Fatalf("dropped %d banner-carrying segments, want 1", dropped)
+	}
+	if want := append(append([]byte(nil), banner...), data...); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("server stream: got %d bytes, want %d (first diff at %d)",
+			got.Len(), len(want), firstDiff(got.Bytes(), want))
+	}
+	if pad.Insertions != 1 {
+		t.Errorf("insertions = %d, want 1 per session", pad.Insertions)
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	n := len(a)
 	if len(b) < n {

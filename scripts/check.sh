@@ -12,8 +12,11 @@
 # and the fault sweep's per-run results (event/schedule/DAG hashes,
 # oracles) in FAULT_sweep.json; the per-scenario reconfiguration critical
 # paths land in CRITPATH.json, gated on byte-identical re-extraction. CI
-# archives all six as workflow artifacts. Everything here must pass
-# before a change lands; CI and developers run the same script.
+# archives all six as workflow artifacts. The figure regression
+# regenerates every quick-scale figure and compares it byte for byte
+# with experiments_output.txt (the longest step: about 1.5-2.5 min on a
+# 2-vCPU host). Everything here must pass before a change lands; CI and
+# developers run the same script.
 #
 # "Same behaviour as before" needs no step of its own: `go test -race
 # ./...` below compares the seed-1 fault-sweep hashes and the per-seed
@@ -55,6 +58,10 @@ go test ./internal/sim    -run '^$' -fuzz '^FuzzQueueOrder$'  -fuzztime 10s
 go test ./internal/tcp    -run '^$' -fuzz '^FuzzSendQueue$'   -fuzztime 10s
 go run ./cmd/dyscobench -short -obsout BENCH_obs.json
 go run ./cmd/dyscofault -short -json FAULT_sweep.json
+
+# Figure regression: every experiment at quick scale, seed 42, must print
+# exactly the checked-in experiments_output.txt (EXPERIMENTS.md).
+go run ./cmd/dyscobench -exp all 2>/dev/null | cmp - experiments_output.txt
 
 # Concurrent data-plane gate. internal/dataplane is the one package
 # dyscolint's walltime rule lets start goroutines or use sync, and beyond
