@@ -67,6 +67,7 @@ func main() {
 		os.Exit(1)
 	}
 	run := sc.Build(*seed, sc.Inspect)
+	hub := run.Observe()
 	if *rewrites {
 		run.StorePerPacket()
 	}
@@ -81,7 +82,6 @@ func main() {
 		os.Exit(1)
 	}
 	env := run.Env
-	hub := env.Hub()
 	events := hub.Events()
 	spans := obs.BuildSpans(events)
 

@@ -46,22 +46,20 @@ type StatefulApp interface {
 // originated session (excluding the destination), or nil for no chain.
 type PolicyFunc func(p *packet.Packet) []packet.Addr
 
+// maxControlRetries bounds control retransmissions before a
+// reconfiguration attempt is declared failed (§3.6).
+const maxControlRetries = 8
+
 // Config tunes an agent.
 type Config struct {
 	// ControlRTO is the retransmission timeout for reconfiguration control
 	// messages (default 2 ms — LAN scale, §5.3).
 	ControlRTO sim.Time
-	// MaxControlRetries bounds control retransmissions before a
-	// reconfiguration attempt is declared failed (§3.6). Default 8.
-	MaxControlRetries int
 	// WindowClamp caps the receive window (in bytes) advertised on the old
 	// path during reconfiguration; the paper found min(adv, 64 KB) best
 	// (§5.3). 0 disables clamping; set ZeroWindow to advertise 0 instead.
 	WindowClamp int
 	ZeroWindow  bool
-	// DisableOptionTranslation turns off SACK/timestamp/window-scale
-	// translation at anchors (ablation; Figure 14(b) behaviour).
-	DisableOptionTranslation bool
 	// IdleTimeout garbage-collects session state with no traffic
 	// (default 5 min).
 	IdleTimeout sim.Time
@@ -108,9 +106,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.ControlRTO == 0 {
 		c.ControlRTO = 2 * time.Millisecond
-	}
-	if c.MaxControlRetries == 0 {
-		c.MaxControlRetries = 8
 	}
 	if c.WindowClamp == 0 && !c.ZeroWindow {
 		c.WindowClamp = 64 << 10
@@ -531,7 +526,7 @@ func (a *Agent) applyEgress(p *packet.Packet, e *rewriteEntry) {
 	if e.sess.Draining {
 		a.clampWindow(p, e.sess.drainWScale)
 	}
-	e.Rule.ApplyEgress(p, !a.Cfg.DisableOptionTranslation)
+	e.Rule.ApplyEgress(p, true)
 	a.Stats.PacketsRewritten++
 	e.pkts++
 	e.bytes += uint64(p.DataLen())
@@ -545,7 +540,7 @@ func (a *Agent) applyEgress(p *packet.Packet, e *rewriteEntry) {
 // header: the shared Rule kernel applies the input-side delta to the
 // sequence number and timestamp value.
 func (a *Agent) applyIngress(p *packet.Packet, e *rewriteEntry) {
-	e.Rule.ApplyIngress(p, !a.Cfg.DisableOptionTranslation)
+	e.Rule.ApplyIngress(p, true)
 	a.track(p, e, true)
 	a.Stats.PacketsRewritten++
 	e.pkts++

@@ -352,7 +352,7 @@ func (d *daemon) onCtrlTimeout(rc *Reconfig) {
 	rc.retries++
 	d.a.Stats.CtrlRetransmits++
 	d.a.obs.Metrics().Add(obs.MCtrlRetransmits, 1)
-	if rc.retries > d.a.Cfg.MaxControlRetries {
+	if rc.retries > maxControlRetries {
 		// New path (or peer) unreachable: abort and cancel locks (§3.6).
 		d.abortReconfig(rc)
 		return
@@ -499,7 +499,7 @@ func (d *daemon) trigger(sessID packet.FiveTuple, replacement []packet.Addr, att
 	if attempt > 0 && sess.Lock != Unlocked {
 		return nil // the lock request came through: trigger delivered
 	}
-	if attempt > a.Cfg.MaxControlRetries {
+	if attempt > maxControlRetries {
 		return nil // give up quietly; the caller may re-trigger
 	}
 	d.send(sess.LeftHost, &ctrlMsg{
@@ -859,7 +859,7 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 	sub, ok := a.newSubTuple(next)
 	if !ok {
 		// No subsession tuple free toward the next hop: drop the SYN.
-		// The requester's retransmissions run out (MaxControlRetries)
+		// The requester's retransmissions run out (maxControlRetries)
 		// and it aborts.
 		return
 	}
@@ -1043,7 +1043,7 @@ func (d *daemon) sendOldPathFIN(rc *Reconfig) {
 	}
 	if rc.finTimer == nil {
 		rc.finTimer = sim.NewTimer(d.eng, func() {
-			if rc.finRetries >= d.a.Cfg.MaxControlRetries {
+			if rc.finRetries >= maxControlRetries {
 				// Nothing will ever answer: the peer anchor finalized while
 				// its own FIN toward us was lost (it now discards this ReqID
 				// as already handled), or the old path's mid-hop state is

@@ -30,7 +30,8 @@ type Rule struct {
 // output-side delta on the acknowledgment number and SACK blocks, the
 // timestamp echo shift, the window rescale (clamped to the 16-bit field),
 // then the tuple substitution. Option translation is a flag because the
-// agent exposes Config.DisableOptionTranslation for the §4.2 ablation.
+// concurrent engine's dataplane.Config.DisableOptionTranslation switches
+// it off for the §4.2 ablation; the agent always translates.
 func (r *Rule) ApplyEgress(p *packet.Packet, translateOptions bool) {
 	if r.AckAdd != 0 && p.Flags.Has(packet.FlagACK) {
 		p.Ack = packet.SeqAdd(p.Ack, r.AckAdd)

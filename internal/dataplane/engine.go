@@ -9,7 +9,7 @@ import (
 )
 
 // Config sizes the engine. The zero value of DisableOptionTranslation
-// matches core.Config: option translation on.
+// matches the simulated agent, which always translates options.
 type Config struct {
 	// Workers is the run-to-completion loop count (default
 	// runtime.GOMAXPROCS(0)).
@@ -23,7 +23,8 @@ type Config struct {
 	// Batch is how many frames a worker pulls per ring pop (default 32).
 	Batch int
 	// DisableOptionTranslation switches off the §4.2 TCP option
-	// rewriting, exactly like core.Config.DisableOptionTranslation.
+	// rewriting (SACK, timestamps, window scale) for the ablation the
+	// oracle tests run; the simulated agent has no such switch.
 	DisableOptionTranslation bool
 }
 

@@ -157,9 +157,6 @@ func Run(id string, sc Scale, seed int64) (*Result, error) {
 		return AblationEncap(seed), nil
 	case "ablation-state":
 		return AblationState(seed), nil
-	case "obsbench":
-		r, _ := ObsBench(seed)
-		return r, nil
 	default:
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, All())
 	}

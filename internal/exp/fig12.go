@@ -44,7 +44,7 @@ func Fig12(sc Scale, seed int64) *Result {
 	link := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Mbps(800), QueueBytes: 1 << 20}
 	mbLink := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Gbps(1.6), QueueBytes: 2 << 20}
 	in := build("proxyremoval", seed, fault.Params{Pairs: 4, Link: link, MBLink: mbLink})
-	env, proxyHost := in.Env, in.Mids[0]
+	env, proxyHost, hub := in.Env, in.Mids[0], in.Observe()
 	for _, h := range env.Net.Hosts() {
 		fastCosts(h)
 	}
@@ -134,8 +134,8 @@ func Fig12(sc Scale, seed int64) *Result {
 	r.addNote("scale=%s: %d sessions, %v timeline, 800 Mbps host / 1.6 Gbps proxy links (paper: 600 sessions, 120s, 10 Gbps)",
 		sc.Label, 4*perPair, duration)
 	r.addNote("later removals show mainly in proxy CPU: once two pairs leave, the remaining pairs already reach their own line rate")
-	reportObs(r, env.Hub())
-	if h := env.Hub().Metrics.Hist(obs.MReconfigDuration); h != nil {
+	reportObs(r, hub)
+	if h := hub.Metrics.Hist(obs.MReconfigDuration); h != nil {
 		r.check("obs reconfig durations cover every completed reconfiguration",
 			h.N == uint64(reconfigsDone), "observed=%d done=%d", h.N, reconfigsDone)
 	}

@@ -25,12 +25,11 @@ func Fig13(sc Scale, seed int64) *Result {
 	sessions := 600 / sc.Sessions
 	link := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
 	in := build("proxyremoval", seed, fault.Params{Pairs: 4, Link: link})
-	env, proxyHost := in.Env, in.Mids[0]
+	env, proxyHost, hub := in.Env, in.Mids[0], in.Observe()
 	for _, h := range env.Net.Hosts() {
 		fastCosts(h)
 	}
 	in.Proxy.AutoSpliceAfter = 0 // the figure splices every session below
-	hub := env.Hub()
 
 	for _, s := range in.Servers {
 		sink := app.NewSink(env.Eng, time.Second)

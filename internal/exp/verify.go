@@ -11,80 +11,51 @@ import (
 func Verify() *Result {
 	r := &Result{Name: "verify", Title: "Exhaustive protocol verification (§3.7, Spin-equivalent)"}
 
-	lockConfigs := []struct {
-		name string
-		cfg  model.LockConfig
-	}{
-		{"single request, 3-agent chain", model.LockConfig{Agents: 3, Requests: []model.Segment{{Left: 0, Right: 2}}}},
-		{"single request, 5-agent chain", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 4}}}},
-		{"Figure 5 contention (W..Y vs X..Z)", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 1, Right: 3}, {Left: 0, Right: 2}}}},
-		{"identical segments", model.LockConfig{Agents: 3, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 0, Right: 2}}}},
-		{"nested segments", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 4}, {Left: 1, Right: 3}}}},
-		{"disjoint segments", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 2, Right: 4}}}},
-		{"three-way contention", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 3}, {Left: 1, Right: 4}, {Left: 2, Right: 4}}}},
-		{"cancel after lock (§3.6)", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 0, Right: 3}}, WinnerCancels: true}},
-		{"cancel with contention", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 1, Right: 3}}, WinnerCancels: true}},
+	// row and check prefix the report lines of each model's configurations.
+	type config struct {
+		row, check, name string
+		init             model.State
+	}
+	lock := func(name string, cfg model.LockConfig) config {
+		return config{"lock", "lock", name, model.NewLockState(&cfg)}
+	}
+	twoPath := func(name string, cfg model.TwoPathConfig) config {
+		return config{"2-path", "two-path", name, model.NewTwoPathState(&cfg)}
+	}
+	chain := func(name string, cfg model.ChainConfig) config {
+		return config{"chain", "chain", name, model.NewChainState(&cfg)}
+	}
+	configs := []config{
+		lock("single request, 3-agent chain", model.LockConfig{Agents: 3, Requests: []model.Segment{{Left: 0, Right: 2}}}),
+		lock("single request, 5-agent chain", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 4}}}),
+		lock("Figure 5 contention (W..Y vs X..Z)", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 1, Right: 3}, {Left: 0, Right: 2}}}),
+		lock("identical segments", model.LockConfig{Agents: 3, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 0, Right: 2}}}),
+		lock("nested segments", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 4}, {Left: 1, Right: 3}}}),
+		lock("disjoint segments", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 2, Right: 4}}}),
+		lock("three-way contention", model.LockConfig{Agents: 5, Requests: []model.Segment{{Left: 0, Right: 3}, {Left: 1, Right: 4}, {Left: 2, Right: 4}}}),
+		lock("cancel after lock (§3.6)", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 0, Right: 3}}, WinnerCancels: true}),
+		lock("cancel with contention", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 1, Right: 3}}, WinnerCancels: true}),
+		twoPath("3 tokens, no delta", model.TwoPathConfig{N: 3}),
+		twoPath("3 tokens, delta=1000 (proxy deleted)", model.TwoPathConfig{N: 3, Delta: 1000}),
+		twoPath("4 tokens, switch after 2 (split stream)", model.TwoPathConfig{N: 4, Delta: 7, SwitchAfterMin: 2}),
+		twoPath("5 tokens, delta, free switch point", model.TwoPathConfig{N: 5, Delta: 13}),
+		twoPath("switch before any data", model.TwoPathConfig{N: 2}),
+		chain("establishment, 2 hops", model.ChainConfig{Hops: 2, NATHop: -1}),
+		chain("establishment, NAT at hop 1", model.ChainConfig{Hops: 3, NATHop: 1}),
+		chain("establishment, dup SYN + NAT", model.ChainConfig{Hops: 2, NATHop: 0, DupSYN: true}),
+		chain("establishment, 4 hops, dup SYN", model.ChainConfig{Hops: 4, NATHop: -1, DupSYN: true}),
 	}
 	totalStates, totalTrans := 0, 0
-	for _, lc := range lockConfigs {
-		cfg := lc.cfg
-		st, v := model.Explore(model.NewLockState(&cfg), 0)
+	for _, c := range configs {
+		st, v := model.Explore(c.init, 0)
 		totalStates += st.States
 		totalTrans += st.Transitions
-		ok := v == nil
 		got := "verified"
-		if !ok {
+		if v != nil {
 			got = v.Err.Error()
 		}
-		r.addRow("lock   %-38s states=%-8d transitions=%-8d %s", lc.name, st.States, st.Transitions, got)
-		r.check("lock: "+lc.name, ok, "%d states", st.States)
-	}
-
-	twoPathConfigs := []struct {
-		name string
-		cfg  model.TwoPathConfig
-	}{
-		{"3 tokens, no delta", model.TwoPathConfig{N: 3}},
-		{"3 tokens, delta=1000 (proxy deleted)", model.TwoPathConfig{N: 3, Delta: 1000}},
-		{"4 tokens, switch after 2 (split stream)", model.TwoPathConfig{N: 4, Delta: 7, SwitchAfterMin: 2}},
-		{"5 tokens, delta, free switch point", model.TwoPathConfig{N: 5, Delta: 13}},
-		{"switch before any data", model.TwoPathConfig{N: 2}},
-	}
-	for _, tc := range twoPathConfigs {
-		cfg := tc.cfg
-		st, v := model.Explore(model.NewTwoPathState(&cfg), 0)
-		totalStates += st.States
-		totalTrans += st.Transitions
-		ok := v == nil
-		got := "verified"
-		if !ok {
-			got = v.Err.Error()
-		}
-		r.addRow("2-path %-38s states=%-8d transitions=%-8d %s", tc.name, st.States, st.Transitions, got)
-		r.check("two-path: "+tc.name, ok, "%d states", st.States)
-	}
-
-	chainConfigs := []struct {
-		name string
-		cfg  model.ChainConfig
-	}{
-		{"establishment, 2 hops", model.ChainConfig{Hops: 2, NATHop: -1}},
-		{"establishment, NAT at hop 1", model.ChainConfig{Hops: 3, NATHop: 1}},
-		{"establishment, dup SYN + NAT", model.ChainConfig{Hops: 2, NATHop: 0, DupSYN: true}},
-		{"establishment, 4 hops, dup SYN", model.ChainConfig{Hops: 4, NATHop: -1, DupSYN: true}},
-	}
-	for _, cc := range chainConfigs {
-		cfg := cc.cfg
-		st, v := model.Explore(model.NewChainState(&cfg), 0)
-		totalStates += st.States
-		totalTrans += st.Transitions
-		ok := v == nil
-		got := "verified"
-		if !ok {
-			got = v.Err.Error()
-		}
-		r.addRow("chain  %-38s states=%-8d transitions=%-8d %s", cc.name, st.States, st.Transitions, got)
-		r.check("chain: "+cc.name, ok, "%d states", st.States)
+		r.addRow("%-6s %-38s states=%-8d transitions=%-8d %s", c.row, c.name, st.States, st.Transitions, got)
+		r.check(c.check+": "+c.name, v == nil, "%d states", st.States)
 	}
 
 	// Self-test: the checker must catch an injected delta bug (P4).

@@ -59,12 +59,12 @@ func TestBaseline(t *testing.T) {
 		}
 
 		run := sc.Build(7, sc.Inspect)
+		hub := run.Observe()
 		run.Start()
 		run.Run()
 		if v := run.Violations(); len(v) > 0 {
 			t.Errorf("%s inspect: %v", sc.Name, v)
 		}
-		hub := run.Env.Hub()
 		fmt.Fprintf(&inspected, "%s event=%016x dag=%016x bytes=%d\n",
 			sc.Name, hub.Hash(), obs.BuildDAG(hub.Events()).DagHash(), run.Received())
 	}
@@ -104,6 +104,7 @@ func TestMultiPair(t *testing.T) {
 			}
 		}
 
+		hub := run.Observe()
 		run.Start()
 		run.Run()
 		if v := run.Violations(); len(v) > 0 {
@@ -112,9 +113,28 @@ func TestMultiPair(t *testing.T) {
 		if got, want := run.Received(), pairs*p.Bytes; got != want {
 			t.Errorf("%s: servers received %d bytes, want %d", sc.Name, got, want)
 		}
-		if done, _ := reconfigOutcomes(run.Env.Hub().Events()); len(done) != pairs {
+		if done, _ := reconfigOutcomes(hub.Events()); len(done) != pairs {
 			t.Errorf("%s: %d reconfigurations done, want one per pair", sc.Name, len(done))
 		}
+	}
+}
+
+// TestUnobservedInstance: Build leaves the instance unobserved, the run
+// still delivers, and Violations says the outcome is unknown instead of
+// reporting it.
+func TestUnobservedInstance(t *testing.T) {
+	sc, _ := ScenarioByName("chain")
+	run := sc.Build(1, sc.Sweep)
+	run.Start()
+	run.Run()
+	if run.Env.Hub() != nil {
+		t.Fatal("Build observed the instance")
+	}
+	if got := run.Received(); got != sc.Sweep.Bytes {
+		t.Errorf("received %d bytes, want %d", got, sc.Sweep.Bytes)
+	}
+	if v := run.Violations(); len(v) != 1 || !strings.Contains(v[0], "not observed") {
+		t.Errorf("Violations on an unobserved run: %v", v)
 	}
 }
 

@@ -74,8 +74,8 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 	}
 
 	inst := sc.Build(seed, sc.Sweep)
+	hub := inst.Observe()
 	inst.Start()
-	hub := inst.Env.Hub()
 	targets := inst.targets()
 	inj := NewInjector(inst.Env.Eng, inst.Env.Net, hub.Recorder("fault"), seed, plan, targets)
 	inst.Run()

@@ -126,8 +126,8 @@ func harnessLink() netsim.LinkConfig {
 	return netsim.LinkConfig{Delay: 100 * time.Microsecond, Bandwidth: netsim.Mbps(200)}
 }
 
-// Instance is one constructed run. Build leaves it observed, with the
-// per-packet event kinds masked and nothing sent; the caller attaches
+// Instance is one constructed run. Build leaves it unobserved with
+// nothing sent; a caller that reads the event log calls Observe, attaches
 // what else it watches, then calls Start and Run, and checks the result.
 // A caller that drives its own traffic uses the nodes and skips Start.
 type Instance struct {
@@ -154,15 +154,12 @@ type mid struct {
 }
 
 func newInstance(seed int64, p Params) *Instance {
-	env := lab.NewEnv(seed)
-	env.Observe()
-	return &Instance{Env: env, p: p}
+	return &Instance{Env: lab.NewEnv(seed), p: p}
 }
 
 // layout adds the Figure 11 testbed in address order (clients, mids,
-// servers), computes the routes, steers every client's port-80 sessions
-// through the first middlebox, and masks the per-packet kinds so long
-// lossy runs stay within recorder limits (counters still accumulate).
+// servers), computes the routes, and steers every client's port-80
+// sessions through the first middlebox.
 func (in *Instance) layout(mids ...mid) {
 	p, env := in.p, in.Env
 	pairs := max(p.Pairs, 1)
@@ -193,7 +190,16 @@ func (in *Instance) layout(mids ...mid) {
 	for _, c := range in.Clients {
 		env.ChainPolicy(c, 80, in.Mids[0])
 	}
+}
+
+// Observe gives every host an event recorder feeding one hub and returns
+// it. The per-packet rewrite, retransmit and RTO kinds are masked so long
+// lossy runs stay within recorder limits (counters still accumulate).
+// Call it before Start; Violations needs it.
+func (in *Instance) Observe() *obs.Hub {
+	hub := in.Env.Observe()
 	in.perPacket((*obs.Recorder).Disable)
+	return hub
 }
 
 func (in *Instance) perPacket(op func(*obs.Recorder, ...obs.Kind)) {
@@ -203,9 +209,12 @@ func (in *Instance) perPacket(op func(*obs.Recorder, ...obs.Kind)) {
 	}
 }
 
-// StorePerPacket stores the per-packet rewrite, retransmit and RTO
-// events too. Call it before Start.
-func (in *Instance) StorePerPacket() { in.perPacket((*obs.Recorder).Enable) }
+// StorePerPacket observes the instance and stores the per-packet
+// rewrite, retransmit and RTO events too. Call it before Start.
+func (in *Instance) StorePerPacket() {
+	in.Observe()
+	in.perPacket((*obs.Recorder).Enable)
+}
 
 // Start opens each client's session to its server, which sends the
 // pattern once established, and schedules the reconfigurations.
@@ -244,11 +253,15 @@ func (in *Instance) Received() int {
 	return n
 }
 
-// Violations checks a finished run that no fault could defeat: the
-// byte oracle of deliveryViolations, plus at least one reconfiguration
-// done and none failed.
+// Violations checks a finished, observed run that no fault could
+// defeat: the byte oracle of deliveryViolations, plus at least one
+// reconfiguration done and none failed.
 func (in *Instance) Violations() []string {
-	done, failed := reconfigOutcomes(in.Env.Hub().Events())
+	hub := in.Env.Hub()
+	if hub == nil {
+		return []string{"instance not observed: call Observe before Start"}
+	}
+	done, failed := reconfigOutcomes(hub.Events())
 	return append(in.deliveryViolations(), reconfigViolations(done, failed, false)...)
 }
 

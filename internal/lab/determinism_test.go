@@ -3,12 +3,15 @@ package lab_test
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/trace"
+	"repro/internal/netsim"
+	"repro/internal/packet"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
@@ -61,25 +64,41 @@ func TestSameSeedSameTrace(t *testing.T) {
 }
 
 // tracedRun replays the fault registry's chain scenario at its Inspect
-// size with a capture on every host boundary and returns the trace hash
-// and rendering.
+// size with a capture on every host boundary and returns the FNV-1a hash
+// of the rendered capture and the rendering itself: one tcpdump-style
+// line per packet per boundary crossing.
 func tracedRun(t *testing.T, seed int64) (uint64, string) {
 	t.Helper()
 	sc, _ := fault.ScenarioByName("chain")
 	run := sc.Build(seed, sc.Inspect)
-	cap := trace.New(run.Env.Eng, nil)
+	run.Observe()
+	var b strings.Builder
 	for _, name := range []string{"client", "mb1", "mb2", "server"} {
-		cap.Attach(run.Env.Node(name).Host)
+		capture := func(p *packet.Packet, dir netsim.Direction) netsim.Verdict {
+			fmt.Fprintf(&b, "%12v %-10s %-7v %v", run.Env.Eng.Now(), name, dir, p.Tuple)
+			if p.IsTCP() {
+				fmt.Fprintf(&b, " %v seq=%d ack=%d len=%d win=%d", p.Flags, p.Seq, p.Ack, p.DataLen(), p.Window)
+				if n := len(p.Opts.SACK); n > 0 {
+					fmt.Fprintf(&b, " sack=%d", n)
+				}
+			} else {
+				fmt.Fprintf(&b, " len=%d", p.DataLen())
+			}
+			b.WriteByte('\n')
+			return netsim.Pass
+		}
+		host := run.Env.Node(name).Host
+		host.AddIngressHook(capture)
+		host.AddEgressHook(capture)
 	}
 	run.Start()
 	run.Run()
 	if v := run.Violations(); len(v) > 0 {
 		t.Fatalf("seed %d: %v", seed, v)
 	}
-	if cap.Truncated {
-		t.Fatalf("seed %d: capture truncated; raise the limit", seed)
-	}
-	return cap.Hash(), cap.Dump()
+	h := fnv.New64a()
+	h.Write([]byte(b.String()))
+	return h.Sum64(), b.String()
 }
 
 // head returns the first n lines of s.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/lab"
 	"repro/internal/mbox"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/tcp"
 )
 
@@ -41,6 +42,49 @@ func TestEnvWiring(t *testing.T) {
 	}
 	if env.Eng.Now() != time.Second {
 		t.Errorf("RunFor did not advance: %v", env.Eng.Now())
+	}
+}
+
+// TestWireCarriesSubsessionTuples checks the paper's core data-plane
+// property at the wire: between hosts the packets carry subsession
+// five-tuples, never the original session header.
+func TestWireCarriesSubsessionTuples(t *testing.T) {
+	env := lab.NewEnv(1)
+	link := netsim.LinkConfig{Delay: 100 * time.Microsecond}
+	client := env.AddNode("client", lab.HostOptions{Link: link, Stack: true, Agent: true})
+	mb := env.AddNode("mb", lab.HostOptions{Link: link, App: &mbox.Forwarder{}})
+	server := env.AddNode("server", lab.HostOptions{Link: link, Stack: true, Agent: true})
+	env.Net.ComputeRoutes()
+	env.ChainPolicy(client, 80, mb)
+	// The router sees every packet after all agents: the pure wire view.
+	var wire []packet.FiveTuple
+	env.Router.AddEgressHook(func(p *packet.Packet, _ netsim.Direction) netsim.Verdict {
+		if p.IsTCP() {
+			wire = append(wire, p.Tuple)
+		}
+		return netsim.Pass
+	})
+
+	server.Stack.Listen(80, func(c *tcp.Conn) {})
+	c := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
+	c.OnEstablished = func() { c.Send(make([]byte, 10000)) }
+	env.RunFor(time.Second)
+
+	if len(wire) == 0 {
+		t.Fatal("nothing seen on the wire")
+	}
+	session := c.Tuple()
+	// Both chain hops appear: client→mb and mb→server subsessions.
+	toMb, toSrv := false, false
+	for _, tup := range wire {
+		if tup == session || tup == session.Reverse() {
+			t.Fatalf("original session header %v appeared on the wire", tup)
+		}
+		toMb = toMb || tup.DstIP == mb.Addr()
+		toSrv = toSrv || tup.DstIP == server.Addr()
+	}
+	if !toMb || !toSrv {
+		t.Errorf("wire misses a chain hop (client→mb %v, mb→server %v): %v", toMb, toSrv, wire)
 	}
 }
 

@@ -93,8 +93,8 @@ func TestObservedReconfigSpan(t *testing.T) {
 }
 
 // TestSameSeedSameEvents extends the determinism regression to the event
-// stream: same seed → equal hashes and byte-identical JSON; different
-// seed → different stream.
+// stream: same seed → equal hashes, byte-identical JSON and the same
+// happens-before DAG.
 func TestSameSeedSameEvents(t *testing.T) {
 	h1 := observedRun(t, 7)
 	h2 := observedRun(t, 7)
@@ -111,6 +111,9 @@ func TestSameSeedSameEvents(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatal("same seed produced different JSON event logs")
+	}
+	if d1, d2 := obs.BuildDAG(h1.Events()).DagHash(), obs.BuildDAG(h2.Events()).DagHash(); d1 != d2 {
+		t.Fatalf("same seed produced different happens-before DAGs: %x vs %x", d1, d2)
 	}
 	// Unlike the packet trace, the event stream is expected to coincide
 	// across seeds here: randomness reaches only quantities the event

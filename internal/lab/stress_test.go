@@ -22,6 +22,7 @@ func TestConcurrentEnvsNoSharedState(t *testing.T) {
 			go func(seed int64) {
 				defer wg.Done()
 				run := sc.Build(seed, p)
+				run.Observe()
 				run.Start()
 				run.Run()
 				if v := run.Violations(); len(v) > 0 {

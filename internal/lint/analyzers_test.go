@@ -320,6 +320,32 @@ func schedule(eng *sim.Engine, m map[int]int) {
 	wantFindings(t, got, "mapiter", "Engine.Schedule")
 }
 
+func TestMapiterFlagsObsEmission(t *testing.T) {
+	got := checkFixture(t, MapiterAnalyzer, "fixture/internal/x", "mi.go", `
+package x
+
+import (
+	"repro/internal/obs"
+	"repro/internal/packet"
+)
+
+type agent struct{ obs *obs.Recorder }
+
+func (a *agent) emitAll(m map[packet.FiveTuple]string) {
+	for id := range m { // finding: event-log order
+		a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: id})
+	}
+}
+
+func (a *agent) countAll(m map[packet.FiveTuple]string) {
+	for range m { // no finding: metrics are order-independent
+		a.obs.Metrics().Add(obs.MCtrlRetransmits, 1)
+	}
+}
+`)
+	wantFindings(t, got, "mapiter", "Recorder.Emit")
+}
+
 // ---------- errdrop ----------
 
 func TestErrdropFlagsDiscardedSendAndParse(t *testing.T) {

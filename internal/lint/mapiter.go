@@ -3,11 +3,13 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // MapiterAnalyzer flags `range` over a map whose loop body has an
 // externally visible, order-dependent effect: scheduling a simulator event,
-// transmitting a packet, sending on a channel, or writing output. Go map
+// transmitting a packet, sending on a channel, writing output, or emitting
+// an obs event (the event log feeds the run's hash). Go map
 // iteration order is deliberately randomized, so such a loop makes event
 // order differ between two runs with the same seed — breaking trace
 // replay, the determinism the internal/model checker assumes, and any
@@ -177,8 +179,6 @@ func (e *effects) callEffect(call *ast.CallExpr) string {
 	switch {
 	case path == "fmt" && effectfulFmtFuncs[fn.Name()]:
 		return "writes output (fmt." + fn.Name() + ")"
-	case pathHasSuffix(path, "internal/trace"):
-		return "records trace output (trace." + fn.Name() + ")"
 	}
 	if recv := recvNamed(fn); recv != nil {
 		switch {
@@ -188,6 +188,8 @@ func (e *effects) callEffect(call *ast.CallExpr) string {
 			return "schedules simulator events (Timer.Reset)"
 		case pathIs(recv, "internal/netsim", "Host") && effectfulHostMethods[fn.Name()]:
 			return "transmits packets (Host." + fn.Name() + ")"
+		case pathIs(recv, "internal/obs", "Recorder") && strings.HasPrefix(fn.Name(), "Emit"):
+			return "emits obs events (Recorder." + fn.Name() + ")"
 		}
 	}
 	if fn.Pkg() != nil && fn.Pkg() == pkg.Types {

@@ -282,12 +282,6 @@ func TestCriticalPathSynthetic(t *testing.T) {
 	if cp.FormatTree() != CriticalPath(sp).FormatTree() {
 		t.Fatal("FormatTree not stable")
 	}
-	// Metrics fold.
-	m := NewMetrics()
-	ObserveCritPaths(m, []*CritPath{cp})
-	if h := m.Hist(MCritPathLen); h == nil || h.N != 1 {
-		t.Fatalf("critpath_len histogram: %v", h)
-	}
 }
 
 func TestCriticalPathValidateCatchesGaps(t *testing.T) {

@@ -262,18 +262,3 @@ func WriteCritPathsJSON(w io.Writer, cps []*CritPath) error {
 	}
 	return nil
 }
-
-// ObserveCritPaths folds critical paths into the metrics registry:
-// path length into MCritPathLen, and each phase's wait (in nanoseconds)
-// into MCritPathWaitPrefix+phase.
-func ObserveCritPaths(m *Metrics, cps []*CritPath) {
-	if m == nil {
-		return
-	}
-	for _, cp := range cps {
-		m.Histogram(MCritPathLen, CritPathLenBounds()...).Observe(float64(len(cp.Segments)))
-		for _, pw := range cp.PhaseWaits {
-			m.Histogram(MCritPathWaitPrefix+pw.Name, CritPathWaitBounds()...).Observe(float64(pw.Wait))
-		}
-	}
-}

@@ -224,12 +224,6 @@ const (
 	// MTCPRetransmits / MTCPTimeouts count TCP loss-recovery actions.
 	MTCPRetransmits = "tcp_retransmits"
 	MTCPTimeouts    = "tcp_rtos"
-	// MCritPathLen is the critical-path segment count per reconfiguration
-	// span (ObserveCritPaths).
-	MCritPathLen = "critpath_len"
-	// MCritPathWaitPrefix prefixes the per-phase critical-path wait
-	// histograms: MCritPathWaitPrefix + PhaseLock is "critpath_wait_ns_lock".
-	MCritPathWaitPrefix = "critpath_wait_ns_"
 	// MDataplaneHits / MDataplaneMisses count concurrent rewrite-table
 	// lookups that matched / missed (internal/dataplane).
 	MDataplaneHits   = "dataplane_lookup_hits"
@@ -246,14 +240,6 @@ func RewriteLatencyBounds() []float64 { return stats.ExpBounds(64, 2, 14) }
 // ReconfigDurationBounds are the default buckets for MReconfigDuration:
 // 0.25 ms doubling to ~2 s.
 func ReconfigDurationBounds() []float64 { return stats.ExpBounds(0.25, 2, 13) }
-
-// CritPathLenBounds are the default buckets for MCritPathLen: 1 segment
-// doubling to 2048.
-func CritPathLenBounds() []float64 { return stats.ExpBounds(1, 2, 12) }
-
-// CritPathWaitBounds are the default buckets for the per-phase
-// MCritPathWaitPrefix histograms: 256 ns quadrupling to ~4 min.
-func CritPathWaitBounds() []float64 { return stats.ExpBounds(256, 4, 14) }
 
 // DataplaneOccupancyBounds are the default buckets for
 // MDataplaneShardEntries: 1 entry doubling to ~1M.

@@ -1,18 +1,18 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: build, vet, race-enabled tests, the
 # repo's own static-analysis suite (cmd/dyscolint), a fuzz smoke over
-# every wire decoder and the event queue, the observability
-# micro-benchmark, and the fault-injection safety sweep. The lint run
-# lands its machine-readable
-# findings in LINT_report.json, the module call graph (the input to the
+# every wire decoder and the event queue, and the fault-injection safety
+# sweep. The observability checks of an instrumented reconfiguration
+# run (span, histograms, causal DAG, critical path, same-seed replay)
+# are internal/lab tests and run in `go test -race ./...`. The lint run
+# lands its machine-readable findings in LINT_report.json, the module call graph (the input to the
 # allocfree/blockfree hot-path proofs) in LINT_callgraph.txt, and the
 # extracted wire-format layout tables (the input to the wiresafe codec
-# proofs) in LINT_wire.txt; the benchmark's metrics summary lands in
-# BENCH_obs.json (with the causal DAG hash and critical-path summary),
-# and the fault sweep's per-run results (event/schedule/DAG hashes,
-# oracles) in FAULT_sweep.json; the per-scenario reconfiguration critical
-# paths land in CRITPATH.json, gated on byte-identical re-extraction. CI
-# archives all six as workflow artifacts. The figure regression
+# proofs) in LINT_wire.txt; the fault sweep's per-run results
+# (event/schedule/DAG hashes, oracles) land in FAULT_sweep.json; the
+# per-scenario reconfiguration critical paths land in CRITPATH.json,
+# gated on byte-identical re-extraction. CI archives all five as
+# workflow artifacts. The figure regression
 # regenerates every quick-scale figure and compares it byte for byte
 # with experiments_output.txt (the longest step: about 1.5-2.5 min on a
 # 2-vCPU host). Everything here must pass before a change lands; CI and
@@ -56,7 +56,6 @@ go test ./internal/sim    -run '^$' -fuzz '^FuzzQueueOrder$'  -fuzztime 10s
 # Nor this: random push/acknowledge/read programs on the TCP send queue
 # against a flat byte slice (bytes, sub-slice sharing, capped results).
 go test ./internal/tcp    -run '^$' -fuzz '^FuzzSendQueue$'   -fuzztime 10s
-go run ./cmd/dyscobench -short -obsout BENCH_obs.json
 go run ./cmd/dyscofault -short -json FAULT_sweep.json
 
 # Figure regression: every experiment at quick scale, seed 42, must print
