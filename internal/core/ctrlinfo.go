@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/packet"
 )
@@ -182,21 +181,6 @@ func readDeltas(b []byte, off int) (Deltas, int, error) {
 	d.LeftWinFrom = int8(b[off+34])
 	d.LeftWinTo = int8(b[off+35])
 	return d, off + deltasWireLen, nil
-}
-
-// CtrlTypeNames returns the wire names of every control message type, in
-// protocol-value order ("trigger", "requestLock", …, "heartbeat").
-func CtrlTypeNames() []string {
-	types := make([]msgType, 0, len(msgNames))
-	for t := range msgNames {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	out := make([]string, len(types))
-	for i, t := range types {
-		out[i] = msgNames[t]
-	}
-	return out
 }
 
 // CtrlTypeName decodes a daemon UDP payload and returns its control

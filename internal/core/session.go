@@ -150,9 +150,6 @@ type Session struct {
 // IsLeftEnd reports whether this host is the left end of the chain.
 func (s *Session) IsLeftEnd() bool { return s.LeftHost == 0 }
 
-// IsRightEnd reports whether this host is the right end of the chain.
-func (s *Session) IsRightEnd() bool { return s.RightHost == 0 }
-
 // ReconfigState tracks the phase of a reconfiguration at an anchor.
 type ReconfigState int
 

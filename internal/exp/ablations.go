@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/app"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/steering"
 	"repro/internal/tcp"
 )
 
@@ -151,35 +149,16 @@ func AblationEncap(seed int64) *Result {
 	return r
 }
 
-// AblationState compares state footprints: forwarding rules installed by a
-// fine-grained controller vs Dysco per-host session records, as sessions
-// and chain length grow (§1's scaling argument).
-func AblationState(seed int64) *Result {
+// AblationState compares state footprints: forwarding rules a fine-grained
+// controller installs vs Dysco per-host session records, as sessions and
+// chain length grow (§1's scaling argument).
+func AblationState() *Result {
 	r := &Result{Name: "ablation-state", Title: "Network state: forwarding rules vs Dysco host state (§1)"}
-	client := packet.MakeAddr(10, 0, 0, 1)
-	server := packet.MakeAddr(10, 0, 0, 99)
 	for _, chainLen := range []int{1, 2, 4} {
 		for _, sessions := range []int{100, 1000} {
 			// Rule-based: per session, each of the chainLen+1 path switches
-			// holds 2 rules (one per direction).
-			env := lab.NewEnv(seed)
-			ctl := steering.NewController()
-			for i := 0; i <= chainLen; i++ {
-				sw := steering.NewSwitch(env.AddNode(fmt.Sprintf("sw%d", i), lab.HostOptions{}).Host)
-				ctl.AddSwitch(sw)
-			}
-			var waypoints []packet.Addr
-			for i := 0; i < chainLen; i++ {
-				waypoints = append(waypoints, packet.MakeAddr(10, 0, 1, byte(i+1)))
-			}
-			for sess := 0; sess < sessions; sess++ {
-				tup := packet.FiveTuple{
-					Proto: packet.ProtoTCP, SrcIP: client, DstIP: server,
-					SrcPort: packet.Port(1024 + sess), DstPort: 80,
-				}
-				ctl.InstallChain(tup, waypoints)
-			}
-			rules := ctl.TotalRules()
+			// holds 2 exact-match rules (one per direction).
+			rules := 2 * sessions * (chainLen + 1)
 			// Dysco: each of the chainLen+2 hosts keeps one session record;
 			// zero state in network elements.
 			dyscoState := sessions * (chainLen + 2)

@@ -156,7 +156,7 @@ func Run(id string, sc Scale, seed int64) (*Result, error) {
 	case "ablation-encap":
 		return AblationEncap(seed), nil
 	case "ablation-state":
-		return AblationState(seed), nil
+		return AblationState(), nil
 	default:
 		return nil, fmt.Errorf("exp: unknown experiment %q (have %v)", id, All())
 	}

@@ -4,10 +4,8 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/lab"
-	"repro/internal/mbox"
+	"repro/internal/fault"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 )
@@ -28,7 +26,6 @@ func Fig14(seed int64) *Result {
 		timeouts      uint64
 	}
 	run := func(sack bool) out {
-		env := lab.NewEnv(seed)
 		// Client and server 5 ms from the router; the proxy hangs off a
 		// 15 ms link, so the old path is ~40 ms RTT against ~20 ms direct.
 		// Small router queues (Mininet-like): the overlap of old-path
@@ -37,14 +34,10 @@ func Fig14(seed int64) *Result {
 		// §5.3 explanation of Figure 14(b).
 		near := netsim.LinkConfig{Delay: 5 * time.Millisecond, Bandwidth: netsim.Mbps(50), QueueBytes: 256 << 10}
 		far := netsim.LinkConfig{Delay: 30 * time.Millisecond, Bandwidth: netsim.Mbps(50), QueueBytes: 256 << 10}
-		client := env.AddNode("client", lab.HostOptions{Link: near, Stack: true, Agent: true})
-		proxyN := env.AddNode("proxy", lab.HostOptions{Link: far, Stack: true, Agent: true})
-		server := env.AddNode("server", lab.HostOptions{Link: near, Stack: true, Agent: true})
-		env.Net.ComputeRoutes()
-		env.ChainPolicy(client, 80, proxyN)
-		proxy := mbox.NewProxy(proxyN.Stack, proxyN.Agent, 80, func(c *tcp.Conn) (packet.Addr, packet.Port) {
-			return c.Tuple().SrcIP, 80
-		})
+		in := build("proxyremoval", seed, fault.Params{Link: near, MBLink: far})
+		env, proxy := in.Env, in.Proxy
+		proxy.AutoSpliceAfter = 0 // the figure splices at t=30 s
+		client, server := in.Clients[0], in.Servers[0]
 
 		goodput := stats.NewTimeSeries(time.Second)
 		sink := &app.Sink{Eng: env.Eng, Series: goodput}

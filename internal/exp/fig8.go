@@ -54,24 +54,16 @@ func buildChainEnv(nMbox int, dysco, offload bool, seed int64) *setupEnv {
 		Link: lanLink(), Stack: true, Agent: dysco, NoOffload: !offload,
 		NoRouterLink: !dysco,
 	})
-	if !dysco {
-		// Baseline path: chain the hosts in a line so routing traverses
-		// every middlebox.
-		prev := se.client
-		for _, m := range se.mboxes {
-			env.Net.Connect(prev.Host, m.Host, lanLink())
-			prev = m
-		}
-		env.Net.Connect(prev.Host, se.server.Host, lanLink())
-	} else {
-		// Dysco steers by addressing: give middleboxes the same line links
-		// so propagation distances match the baseline exactly.
-		prev := se.client
-		for _, m := range se.mboxes {
-			env.Net.Connect(prev.Host, m.Host, lanLink())
-			prev = m
-		}
-		env.Net.Connect(prev.Host, se.server.Host, lanLink())
+	// Both variants chain the hosts in a line: the baseline routes through
+	// every middlebox along it, and Dysco steers by addressing over the
+	// same links so propagation distances match the baseline exactly.
+	prev := se.client
+	for _, m := range se.mboxes {
+		env.Net.Connect(prev.Host, m.Host, lanLink())
+		prev = m
+	}
+	env.Net.Connect(prev.Host, se.server.Host, lanLink())
+	if dysco {
 		env.ChainPolicy(se.client, 80, se.mboxes...)
 	}
 	env.Net.ComputeRoutes()

@@ -35,22 +35,18 @@ func wantEdge(t *testing.T, g *CallGraph, caller, callee string, kind CGEdgeKind
 	t.Errorf("no edge %s -> %s; out-edges: %v", caller, callee, g.Out(caller))
 }
 
-// TestCallGraphHotpathGolden pins the call graph of the two packages the
-// rewrite hot path lives on. A diff means a function or call was added
-// to (or removed from) the per-packet path; regenerate with
+// TestCallGraphHotpathGolden pins the call graph of internal/packet, the
+// package the rewrite hot path lives on. A diff means a function or call
+// was added to (or removed from) the per-packet path; regenerate with
 // `go test ./internal/lint -run CallGraphHotpathGolden -update` only
 // after checking the new shape against the allocfree/blockfree proofs.
 func TestCallGraphHotpathGolden(t *testing.T) {
 	l := getLoader(t)
-	var pkgs []*Package
-	for _, dir := range []string{"internal/packet", "internal/steering"} {
-		pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, dir))
-		if err != nil {
-			t.Fatalf("LoadDir %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal/packet"))
+	if err != nil {
+		t.Fatalf("LoadDir internal/packet: %v", err)
 	}
-	got := FormatCallGraph(BuildCallGraph(pkgs), nil)
+	got := FormatCallGraph(BuildCallGraph([]*Package{pkg}), nil)
 	golden := filepath.Join("testdata", "callgraph_hotpath.golden")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {

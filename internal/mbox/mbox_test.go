@@ -69,7 +69,7 @@ func TestScrubberDropsSignatures(t *testing.T) {
 	server.Stack.Listen(80, func(c *tcp.Conn) {
 		c.OnData = func(b []byte) { got.Write(b) }
 	})
-	c := client.Stack.Connect(server.Addr(), 80, tcp.Config{MinRTO: 50 * time.Millisecond})
+	c := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
 	c.OnEstablished = func() { c.Send([]byte("hello EVIL world")) }
 	env.RunFor(200 * time.Millisecond)
 	if got.Len() != 0 {

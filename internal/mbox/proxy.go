@@ -106,11 +106,3 @@ func (pair *ProxyPair) Splice() error {
 	pair.proxy.Spliced++
 	return pair.proxy.Agent.SpliceAndRemove(pair.Client, pair.Server)
 }
-
-// SpliceAll triggers splice-and-removal on every live session (the policy
-// server's "replace yourself in all ongoing sessions" command, §2.2).
-func (p *Proxy) SpliceAll() {
-	for _, pair := range p.pairs {
-		pair.Splice()
-	}
-}

@@ -225,14 +225,6 @@ func (c *CPU) Acquire(cost sim.Time) sim.Time {
 	return c.busyUntil
 }
 
-// Util returns mean utilization (busy fraction) since the start of the run.
-func (c *CPU) Util() float64 {
-	if c.eng.Now() == 0 {
-		return 0
-	}
-	return float64(c.Busy) / float64(c.eng.Now())
-}
-
 // Counters aggregates per-host packet statistics.
 type Counters struct {
 	PacketsIn   uint64
@@ -393,9 +385,6 @@ func (h *Host) SetTCPDeliver(fn func(*packet.Packet)) { h.tcpDemux = fn }
 func (h *Host) BindUDP(port packet.Port, fn func(*packet.Packet)) {
 	h.udpBinds[port] = fn
 }
-
-// UnbindUDP removes a UDP handler.
-func (h *Host) UnbindUDP(port packet.Port) { delete(h.udpBinds, port) }
 
 func runHooks(hooks []Hook, p *packet.Packet, dir Direction) Verdict {
 	for _, fn := range hooks {
@@ -704,9 +693,6 @@ func (h *Host) Links() []*LinkEndInfo {
 // off, a crash is modeled by the caller additionally resetting state.
 func (h *Host) SetDown(down bool) { h.down = down }
 
-// Down reports whether the host is currently down.
-func (h *Host) Down() bool { return h.down }
-
 // LinkEndInfo is a read-mostly view over one link direction.
 type LinkEndInfo struct{ le *linkEnd }
 
@@ -730,15 +716,9 @@ func (i *LinkEndInfo) To() packet.Addr { return i.le.to.Addr }
 // injection tests).
 func (i *LinkEndInfo) SetLoss(p float64) { i.le.cfg.LossProb = p }
 
-// SetBandwidth changes the link rate at runtime (bytes/second, 0=infinite).
-func (i *LinkEndInfo) SetBandwidth(bps float64) { i.le.cfg.Bandwidth = bps }
-
 // SetDown changes the link direction's up/down state. While down every
 // packet offered to this direction is dropped (counted in LinkDown).
 func (i *LinkEndInfo) SetDown(down bool) { i.le.down = down }
-
-// IsDown reports whether this link direction is down.
-func (i *LinkEndInfo) IsDown() bool { return i.le.down }
 
 // SetFault installs (or clears, with nil) the per-packet fault hook for
 // this link direction. The hook runs before loss and queue admission on

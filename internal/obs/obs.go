@@ -315,7 +315,7 @@ func (r *Recorder) Enable(kinds ...Kind) {
 }
 
 // SetLimit bounds stored events; 0 restores DefaultLimit. Older events
-// are kept and newer ones dropped, mirroring trace.Capture.
+// are kept and newer ones dropped.
 func (r *Recorder) SetLimit(n int) {
 	if r == nil {
 		return

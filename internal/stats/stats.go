@@ -4,10 +4,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -207,17 +205,6 @@ func (ts *TimeSeries) MeanOver(from, to int) float64 {
 		sum += v
 	}
 	return sum / float64(to-from)
-}
-
-// FormatRow renders label plus values as an aligned table row; the harness
-// uses it so every experiment prints uniform output.
-func FormatRow(label string, vals ...float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-34s", label)
-	for _, v := range vals {
-		fmt.Fprintf(&b, " %14.4g", v)
-	}
-	return b.String()
 }
 
 // Mbps converts bytes-per-second to megabits-per-second.

@@ -115,7 +115,6 @@ type Conn struct {
 	rttClean     bool // no retransmit since sample armed (Karn)
 
 	// Receive state.
-	irs      uint32
 	rcvNxt   uint32
 	ooo      []oooSeg
 	oooBytes int
@@ -138,16 +137,15 @@ type oooSeg struct {
 }
 
 func newConn(s *Stack, tuple packet.FiveTuple, cfg Config) *Conn {
-	cfg.fillDefaults()
 	c := &Conn{
 		stack:   s,
 		eng:     s.eng,
 		cfg:     cfg,
 		tuple:   tuple,
 		state:   StateClosed,
-		mss:     cfg.MSS,
+		mss:     offerMSS,
 		peerWnd: 65535,
-		rto:     cfg.MinRTO * 5, // initial RTO ≈ 1 s
+		rto:     minRTO * 5, // initial RTO ≈ 1 s
 	}
 	c.rtxTimer = sim.NewTimer(c.eng, c.onRetransmitTimeout)
 	c.persistTimer = sim.NewTimer(c.eng, c.onPersistTimeout)
@@ -165,11 +163,8 @@ func (c *Conn) Tuple() packet.FiveTuple { return c.tuple }
 // State returns the current TCP state.
 func (c *Conn) State() State { return c.state }
 
-// ISS and IRS return the initial send/receive sequence numbers.
+// ISS returns the initial send sequence number.
 func (c *Conn) ISS() uint32 { return c.iss }
-
-// IRS returns the initial receive sequence number.
-func (c *Conn) IRS() uint32 { return c.irs }
 
 // SndNxt returns the next sequence number to be sent.
 func (c *Conn) SndNxt() uint32 { return c.sndNxt }
@@ -219,7 +214,7 @@ func (c *Conn) Detach() {
 // startActiveOpen sends the initial SYN.
 func (c *Conn) startActiveOpen() {
 	c.state = StateSynSent
-	c.cwnd = c.cfg.InitialCwndSegs * c.mss
+	c.cwnd = initialCwndSegs * c.mss
 	c.ssthresh = 1 << 30
 	c.sendSYN(false)
 	c.rtxTimer.Reset(c.rto)
@@ -228,10 +223,9 @@ func (c *Conn) startActiveOpen() {
 // startPassiveOpen responds to a received SYN.
 func (c *Conn) startPassiveOpen(syn *packet.Packet) {
 	c.state = StateSynRcvd
-	c.irs = syn.Seq
 	c.rcvNxt = packet.SeqAdd(syn.Seq, 1)
 	c.negotiate(&syn.Opts)
-	c.cwnd = c.cfg.InitialCwndSegs * c.mss
+	c.cwnd = initialCwndSegs * c.mss
 	c.ssthresh = 1 << 30
 	c.peerWnd = int(syn.Window) // unscaled on SYN
 	c.sendSYN(true)
@@ -244,13 +238,13 @@ func (c *Conn) negotiate(o *packet.Options) {
 		c.mss = int(o.MSS)
 	}
 	c.sackOK = !c.cfg.DisableSACK && o.SACKPermitted
-	c.tsOK = !c.cfg.DisableTimestamps && o.TS != nil
+	c.tsOK = o.TS != nil
 	if o.TS != nil {
 		c.tsRecent = o.TS.Val
 	}
-	if c.cfg.WScale >= 0 && o.WScale >= 0 {
+	if o.WScale >= 0 {
 		c.sndWScale = o.WScale
-		c.rcvWScale = c.cfg.WScale
+		c.rcvWScale = offerWScale
 	} else {
 		c.sndWScale, c.rcvWScale = 0, 0
 	}
@@ -258,14 +252,10 @@ func (c *Conn) negotiate(o *packet.Options) {
 
 func (c *Conn) synOptions() packet.Options {
 	o := packet.NoOptions()
-	o.MSS = uint16(c.cfg.MSS)
-	if c.cfg.WScale >= 0 {
-		o.WScale = c.cfg.WScale
-	}
+	o.MSS = offerMSS
+	o.WScale = offerWScale
 	o.SACKPermitted = !c.cfg.DisableSACK
-	if !c.cfg.DisableTimestamps {
-		o.TS = &packet.Timestamp{Val: c.stack.tsNow(), Ecr: c.tsRecent}
-	}
+	o.TS = &packet.Timestamp{Val: c.stack.tsNow(), Ecr: c.tsRecent}
 	return o
 }
 
@@ -447,14 +437,13 @@ func (c *Conn) inputSynSent(p *packet.Packet) {
 		c.stack.sendRST(p)
 		return
 	}
-	c.irs = p.Seq
 	c.rcvNxt = packet.SeqAdd(p.Seq, 1)
 	c.negotiate(&p.Opts)
 	c.sndUna = p.Ack
 	c.peerWnd = int(p.Window) // SYN windows are unscaled
 	c.state = StateEstablished
 	c.rtxTimer.Stop()
-	c.rto = c.cfg.MinRTO
+	c.rto = minRTO
 	c.stack.Connected++
 	c.sendAck()
 	if c.OnEstablished != nil {
@@ -477,7 +466,7 @@ func (c *Conn) inputSynRcvd(p *packet.Packet) {
 	c.peerWnd = int(p.Window) << c.sndWScale
 	c.state = StateEstablished
 	c.rtxTimer.Stop()
-	c.rto = c.cfg.MinRTO
+	c.rto = minRTO
 	c.stack.Accepted++
 	if c.onAccept != nil {
 		c.onAccept(c)

@@ -8,7 +8,7 @@ import (
 // simulator consume delivered data immediately (the OnData callback), so
 // only out-of-order bytes occupy the buffer.
 func (c *Conn) recvWindow() int {
-	w := c.cfg.RecvBuf - c.oooBytes
+	w := recvBuf - c.oooBytes
 	if w < 0 {
 		return 0
 	}
@@ -50,7 +50,7 @@ func (c *Conn) processData(p *packet.Packet) {
 		c.drainOOO()
 	} else {
 		// Out of order: queue if it fits, advertise SACK.
-		if len(data) > 0 && c.oooBytes+len(data) <= c.cfg.RecvBuf && len(c.ooo) < 1024 {
+		if len(data) > 0 && c.oooBytes+len(data) <= recvBuf && len(c.ooo) < 1024 {
 			c.insertOOO(oooSeg{seq: seq, data: data, fin: fin})
 		} else if fin && len(data) == 0 {
 			c.insertOOO(oooSeg{seq: seq, fin: fin})

@@ -103,7 +103,7 @@ func (c *Conn) trySend() {
 			if n <= 0 {
 				break
 			}
-			if n < c.mss && !c.cfg.NoDelay && c.flight() > 0 {
+			if n < c.mss && c.flight() > 0 {
 				// Nagle: sub-MSS data waits while anything is outstanding,
 				// coalescing into fuller segments on the next ACK.
 				break
@@ -289,16 +289,13 @@ func (c *Conn) sampleRTT(ack uint32, p *packet.Packet) {
 		c.srtt = (7*c.srtt + rtt) / 8
 	}
 	c.rto = c.srtt + 4*c.rttvar
-	if c.rto < c.cfg.MinRTO {
-		c.rto = c.cfg.MinRTO
+	if c.rto < minRTO {
+		c.rto = minRTO
 	}
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 }
-
-// SRTT returns the smoothed RTT estimate (0 until measured).
-func (c *Conn) SRTT() sim.Time { return c.srtt }
 
 // RTO returns the current retransmission timeout.
 func (c *Conn) RTO() sim.Time { return c.rto }
@@ -428,8 +425,8 @@ func (c *Conn) onRetransmitTimeout() {
 
 func (c *Conn) backoffRTO() {
 	c.rto *= 2
-	if c.rto > c.cfg.MaxRTO {
-		c.rto = c.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 }
 

@@ -23,69 +23,28 @@ import (
 
 // Config carries per-connection TCP parameters.
 type Config struct {
-	// MSS is the maximum segment size offered (default 1460).
-	MSS int
 	// DisableSACK turns off offering selective acknowledgments (on by
 	// default).
 	DisableSACK bool
-	// DisableTimestamps turns off the timestamp option (on by default).
-	DisableTimestamps bool
-	// WScale is the window-scale shift offered; 0 means the default of 7,
-	// NoWScale disables window scaling.
-	WScale int8
-	// RecvBuf is the receive buffer in bytes (default 4 MB), which bounds
-	// the advertised window.
-	RecvBuf int
-	// MinRTO/MaxRTO bound the retransmission timeout (defaults 200 ms / 60 s,
-	// the Linux values).
-	MinRTO sim.Time
-	MaxRTO sim.Time
-	// InitialCwndSegs is the initial congestion window in segments
-	// (default 10, RFC 6928).
-	InitialCwndSegs int
-	// NoDelay disables Nagle's algorithm (which coalesces sub-MSS writes
-	// while data is in flight, as Linux does by default).
-	NoDelay bool
 }
 
-// NoWScale disables window scaling when set as Config.WScale.
-const NoWScale int8 = -1
-
-// DefaultConfig returns the default TCP parameters.
-func DefaultConfig() Config {
-	return Config{
-		MSS:             1460,
-		WScale:          7,
-		RecvBuf:         4 << 20,
-		MinRTO:          200 * time.Millisecond,
-		MaxRTO:          60 * time.Second,
-		InitialCwndSegs: 10,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.MSS == 0 {
-		c.MSS = d.MSS
-	}
-	if c.WScale == 0 {
-		c.WScale = d.WScale
-	} else if c.WScale == NoWScale {
-		c.WScale = -1
-	}
-	if c.RecvBuf == 0 {
-		c.RecvBuf = d.RecvBuf
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = d.MaxRTO
-	}
-	if c.InitialCwndSegs == 0 {
-		c.InitialCwndSegs = d.InitialCwndSegs
-	}
-}
+// The fixed local parameters every connection uses, the Linux defaults:
+// the SYN offers MSS 1460, window-scale shift 7, SACK (unless
+// Config.DisableSACK) and timestamps, and Nagle's algorithm coalesces
+// sub-MSS writes while data is in flight.
+const (
+	offerMSS    = 1460
+	offerWScale = int8(7)
+	// recvBuf is the receive buffer in bytes, which bounds the
+	// advertised window.
+	recvBuf = 4 << 20
+	// minRTO/maxRTO bound the retransmission timeout.
+	minRTO = 200 * time.Millisecond
+	maxRTO = 60 * time.Second
+	// initialCwndSegs is the initial congestion window in segments
+	// (RFC 6928).
+	initialCwndSegs = 10
+)
 
 // Stack is the per-host TCP instance. It registers itself as the host's
 // TCP demultiplexer.
@@ -143,9 +102,6 @@ func (s *Stack) Listen(port packet.Port, onAccept func(*Conn)) {
 	s.listeners[port] = onAccept
 }
 
-// Unlisten removes a listener.
-func (s *Stack) Unlisten(port packet.Port) { delete(s.listeners, port) }
-
 // allocPort returns an unused ephemeral port.
 func (s *Stack) allocPort() packet.Port {
 	for i := 0; i < 65536; i++ {
@@ -165,7 +121,6 @@ func (s *Stack) allocPort() packet.Port {
 // returns the connection in SYN-SENT state. Completion is reported via
 // conn.OnEstablished.
 func (s *Stack) Connect(dst packet.Addr, dstPort packet.Port, cfg Config) *Conn {
-	cfg.fillDefaults()
 	tuple := packet.FiveTuple{
 		Proto:   packet.ProtoTCP,
 		SrcIP:   s.Host.Addr,
@@ -189,8 +144,7 @@ func (s *Stack) deliver(p *packet.Packet) {
 	}
 	if p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK) {
 		if onAccept, ok := s.listeners[p.Tuple.DstPort]; ok {
-			cfg := DefaultConfig()
-			c := newConn(s, local, cfg)
+			c := newConn(s, local, Config{})
 			c.onAccept = onAccept
 			s.addConn(c)
 			c.startPassiveOpen(p)

@@ -71,6 +71,39 @@ func TestHandshake(t *testing.T) {
 	if c.MSS() != 1460 {
 		t.Errorf("MSS = %d", c.MSS())
 	}
+	for _, end := range []*Conn{c, serverSide} {
+		if end.SndWScale() != 7 || end.RcvWScale() != 7 {
+			t.Errorf("%v: window scale snd=%d rcv=%d, want 7 each way", end.Tuple(), end.SndWScale(), end.RcvWScale())
+		}
+		if !end.tsOK {
+			t.Errorf("%v: timestamps not negotiated", end.Tuple())
+		}
+	}
+}
+
+// TestSYNWithoutOptions: a peer whose SYN offers no options gets a
+// connection without SACK, timestamps or window scaling, whatever this
+// end's SYN-ACK offers.
+func TestSYNWithoutOptions(t *testing.T) {
+	h := newHarness(t, netsim.LinkConfig{Delay: time.Millisecond}, 1)
+	var accepted *Conn
+	h.server.Listen(80, func(c *Conn) { accepted = c })
+	tup := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: h.hc.Addr, DstIP: h.hs.Addr, SrcPort: 4000, DstPort: 80}
+	const iss = 1000
+	h.hs.InjectLocal(packet.NewTCP(tup, packet.FlagSYN, iss, 0, nil))
+	h.runFor(100 * time.Microsecond) // the SYN-ACK is still on its way
+	c := h.server.conns[tup.Reverse()]
+	if c == nil {
+		t.Fatal("no connection for the injected SYN")
+	}
+	h.hs.InjectLocal(packet.NewTCP(tup, packet.FlagACK, iss+1, c.ISS()+1, nil))
+	h.runFor(100 * time.Microsecond)
+	if accepted != c {
+		t.Fatalf("accepted %v, want the SYN's connection", accepted)
+	}
+	if c.SACKEnabled() || c.tsOK || c.SndWScale() != 0 || c.RcvWScale() != 0 {
+		t.Errorf("sack=%v ts=%v scales snd=%d rcv=%d, want none", c.SACKEnabled(), c.tsOK, c.SndWScale(), c.RcvWScale())
+	}
 }
 
 func TestConnectLatencyIsOneRTT(t *testing.T) {
@@ -572,17 +605,6 @@ func TestNagleCoalescesSmallWrites(t *testing.T) {
 	}
 	if segs > 5 {
 		t.Errorf("Nagle off? %d segments for 100 tiny writes", segs)
-	}
-	// With NoDelay, each write goes out immediately.
-	c2 := h.client.Connect(h.hs.Addr, 80, Config{NoDelay: true})
-	h.runFor(time.Second)
-	before2 := c2.Stats.SegsSent
-	for i := 0; i < 20; i++ {
-		c2.Send(make([]byte, 10))
-	}
-	h.runFor(100 * time.Millisecond)
-	if got := c2.Stats.SegsSent - before2; got < 15 {
-		t.Errorf("NoDelay coalesced: only %d segments for 20 writes", got)
 	}
 }
 

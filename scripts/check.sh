@@ -62,17 +62,6 @@ go run ./cmd/dyscofault -short -json FAULT_sweep.json
 # exactly the checked-in experiments_output.txt (EXPERIMENTS.md).
 go run ./cmd/dyscobench -exp all 2>/dev/null | cmp - experiments_output.txt
 
-# Concurrent data-plane gate. internal/dataplane is the one package
-# dyscolint's walltime rule lets start goroutines or use sync, and beyond
-# the allocfree/blockfree hot-path proofs the lint suite does not analyze
-# its concurrency: these tests under -race do. The differential oracle
-# and the table churn stress already ran under -race above
-# (internal/dataplane is part of the module test sweep); this re-runs
-# just that package's oracle, table and raw-path tests as an explicit,
-# greppable gate. Engine throughput is measured by the perf ledger
-# (bench/), not here.
-go test -race -run 'TestEngine|TestTable|TestRaw' ./internal/dataplane
-
 # Critical-path determinism gate: for every scenario, extract the
 # reconfiguration critical paths twice with the same seed and require
 # byte-identical JSON (dyscotrace itself exits nonzero if any path fails
