@@ -138,10 +138,7 @@ type Stats struct {
 	ReconfigsStarted  uint64
 	ReconfigsDone     uint64
 	ReconfigsFailed   uint64
-	LocksGranted      uint64
-	LocksNacked       uint64
 	CtrlRetransmits   uint64
-	SplitPackets      uint64
 	OldPathPackets    uint64
 	NewPathPackets    uint64
 	SessionsCollected uint64
@@ -302,13 +299,7 @@ func (a *Agent) RestartDaemon() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		rc := old.reconfigs[id]
-		rc.rtxTimer.Stop()
-		if rc.finTimer != nil {
-			rc.finTimer.Stop()
-		}
-		if rc.deadline != nil {
-			rc.deadline.Stop()
-		}
+		rc.stopTimers()
 		rc.lastMsg = nil
 		rc.Sess.Reconfig = nil
 	}
@@ -465,18 +456,25 @@ func (a *Agent) egressSYN(p *packet.Packet) netsim.Verdict {
 	if a.Cfg.TransitChaining && p.Tuple.SrcIP == a.Host.Addr {
 		return netsim.Pass // never chain the edge router's own traffic
 	}
-	sess := &Session{
+	sess := a.openSession(&Session{
 		IDLeft:       p.Tuple,
 		IDRight:      p.Tuple,
 		Remainder:    append(append([]packet.Addr(nil), chain...), p.Tuple.DstIP),
 		wsOfferLocal: wsOffer(p),
-		lastActive:   a.eng.Now(),
-		obs:          a.obs,
-	}
-	a.sessions[sess.IDLeft] = sess
+	}, "policy", 0)
 	a.Stats.SessionsOpened++
-	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, Detail: "policy"})
 	return a.continueChain(p, sess)
+}
+
+// openSession registers a newly born session record under IDLeft: it
+// stamps the record's activity clock and recorder and logs the birth with
+// its origin and, for a new-path hop, the reconfiguration's ReqID.
+func (a *Agent) openSession(sess *Session, origin string, reqID uint64) *Session {
+	sess.lastActive = a.eng.Now()
+	sess.obs = a.obs
+	a.sessions[sess.IDLeft] = sess
+	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, ReqID: reqID, Detail: origin})
+	return sess
 }
 
 func wsOffer(p *packet.Packet) int8 {
@@ -668,8 +666,7 @@ func (a *Agent) ingressHook(p *packet.Packet, dir netsim.Direction) netsim.Verdi
 		// peer anchor has clearly switched already).
 		a.daemon.activateSwitch(e.sess.Reconfig)
 	}
-	rc := activeReconfig(e)
-	if rc != nil && e.anchorTrack {
+	if rc := e.sess.Reconfig; rc != nil && rc.switched && e.anchorTrack {
 		a.noteTwoPathIngress(p, e, rc)
 	}
 	return a.rewriteIn(p, e)
@@ -692,32 +689,6 @@ func (a *Agent) rewriteIn(p *packet.Packet, e *rewriteEntry) netsim.Verdict {
 	return netsim.Consume
 }
 
-func activeReconfig(e *rewriteEntry) *Reconfig {
-	if e.sess.Reconfig != nil && e.sess.Reconfig.switched {
-		return e.sess.Reconfig
-	}
-	return nil
-}
-
-// noteTwoPathIngress updates oldRcvd/firstNewRcvd as packets arrive on
-// either path during two-path operation (§3.5), in local space.
-func (a *Agent) noteTwoPathIngress(p *packet.Packet, e *rewriteEntry, rc *Reconfig) {
-	if e.newPath {
-		if p.DataLen() > 0 || p.Flags.Has(packet.FlagFIN) {
-			seqLocal := packet.SeqAdd(p.Seq, e.SeqAdd)
-			if !rc.hasFirstNew || packet.SeqLT(seqLocal, rc.firstNewRcvd) {
-				rc.firstNewRcvd = seqLocal
-				rc.hasFirstNew = true
-			}
-			a.Stats.NewPathPackets++
-		}
-	} else {
-		a.noteOldPathIngress(p, rc)
-		a.Stats.OldPathPackets++
-	}
-	a.daemon.checkOldPathDone(rc)
-}
-
 // ingressChainSYN establishes this hop of the chain when a SYN carrying a
 // Dysco payload arrives (§2.1). Returns handled=false for non-Dysco SYNs.
 func (a *Agent) ingressChainSYN(p *packet.Packet) (netsim.Verdict, bool) {
@@ -738,18 +709,14 @@ func (a *Agent) ingressChainSYN(p *packet.Packet) (netsim.Verdict, bool) {
 		// Misrouted chain SYN.
 		return netsim.Drop, true
 	}
-	sess := &Session{
-		IDLeft:     sp.Session,
-		IDRight:    sp.Session,
-		LeftHost:   p.Tuple.SrcIP,
-		SubLeft:    p.Tuple,
-		Remainder:  sp.List[1:],
-		lastActive: a.eng.Now(),
-		obs:        a.obs,
-	}
-	a.sessions[sess.IDLeft] = sess
+	sess := a.openSession(&Session{
+		IDLeft:    sp.Session,
+		IDRight:   sp.Session,
+		LeftHost:  p.Tuple.SrcIP,
+		SubLeft:   p.Tuple,
+		Remainder: sp.List[1:],
+	}, "chain-syn", 0)
 	a.Stats.SessionsOpened++
-	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, Detail: "chain-syn"})
 	final := len(sess.Remainder) == 0
 	// Ingress: left subsession → session header.
 	in := a.install(a.ingress, p.Tuple, &rewriteEntry{

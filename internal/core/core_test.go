@@ -873,7 +873,7 @@ func TestSpliceErrorPaths(t *testing.T) {
 	env.runFor(100 * time.Millisecond)
 	// Splice with an unknown client-side session errors.
 	other := env.sClient.Connect(env.server.Addr, 9999, tcp.Config{})
-	if err := env.aMbox[0].Splice(other, c, 0, 0); err == nil {
+	if err := env.aMbox[0].Splice(other, c); err == nil {
 		t.Error("Splice with unknown session did not error")
 	}
 	env.checkOwnership(t)

@@ -158,7 +158,8 @@ func (d *daemon) handleUDP(p *packet.Packet) {
 	case msgCancelLock:
 		d.onCancelLock(&m)
 	case msgAckCancel:
-		d.onAckCancel(&m)
+		// Informational: the left anchor already unlocked and failed
+		// locally.
 	case msgNewPathSYN:
 		d.onNewPathSYN(&m)
 	case msgNewPathSYNACK:
@@ -179,7 +180,7 @@ func (d *daemon) handleUDP(p *packet.Packet) {
 		// A neighbor vouches for the session (§2.1 keepalive). Refresh the
 		// keepalive clock only — not lastActive, which gates this hop's own
 		// heartbeat sending.
-		if sess := d.sessionByID(m.Session); sess != nil {
+		if sess := d.a.sessions[m.Session]; sess != nil {
 			sess.lastKeepalive = d.eng.Now()
 		}
 	}
@@ -233,13 +234,9 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 	if opt.RightAnchor == 0 {
 		return fmt.Errorf("core: StartReconfig: no right anchor")
 	}
-	sess := a.sessions[sessID]
-	if sess == nil {
-		var err error
-		sess, err = d.adoptPlainSession(sessID, true)
-		if err != nil {
-			return err
-		}
+	sess, err := d.anchorSession(sessID, true)
+	if err != nil {
+		return err
 	}
 	if sess.Reconfig != nil && sess.Reconfig.State != RcDone && sess.Reconfig.State != RcFailed {
 		return fmt.Errorf("core: session %v already reconfiguring", sessID)
@@ -267,15 +264,10 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 		NewList:   append(append([]packet.Addr(nil), opt.NewMiddleboxes...), opt.RightAnchor),
 		StateFrom: opt.StateFrom,
 		StateTo:   opt.StateTo,
-		started:   d.eng.Now(),
 		onDone:    opt.OnDone,
 	}
-	rc.rtxTimer = sim.NewTimer(d.eng, func() { d.onCtrlTimeout(rc) })
-	sess.Reconfig = rc
-	d.reconfigs[rc.ID] = rc
+	d.addAnchor(rc)
 	a.Stats.ReconfigsStarted++
-	// Anchor birth: From is empty, marking the initial state of the span.
-	a.obs.Emit(obs.Event{Kind: obs.KReconfig, Sess: sess.IDLeft, ReqID: rc.ID, To: rc.State.String()})
 
 	req := &ctrlMsg{
 		Type: msgReqLock, ReqID: rc.ID,
@@ -291,10 +283,14 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 	return nil
 }
 
-// adoptPlainSession creates a session record (with identity rewrite
-// entries for anchor tracking) for a TCP session this agent did not chain.
-func (d *daemon) adoptPlainSession(id packet.FiveTuple, leftSide bool) (*Session, error) {
+// anchorSession returns the record of the session this host anchors: the
+// existing one or, for a TCP session this agent did not chain, a new record
+// with identity rewrite entries for anchor tracking.
+func (d *daemon) anchorSession(id packet.FiveTuple, leftSide bool) (*Session, error) {
 	a := d.a
+	if sess := a.sessions[id]; sess != nil {
+		return sess, nil
+	}
 	if a.findConn == nil {
 		return nil, fmt.Errorf("core: unknown session %v and no FindConn", id)
 	}
@@ -308,9 +304,8 @@ func (d *daemon) adoptPlainSession(id packet.FiveTuple, leftSide bool) (*Session
 	if cv == nil {
 		return nil, fmt.Errorf("core: no local connection for session %v", id)
 	}
-	sess := &Session{
+	sess := a.openSession(&Session{
 		IDLeft: id, IDRight: id,
-		lastActive:   d.eng.Now(),
 		wsOfferLocal: cv.RcvWScale(),
 		sentHi:       cv.SndNxt(),
 		sentAckedHi:  cv.SndUna(),
@@ -318,9 +313,7 @@ func (d *daemon) adoptPlainSession(id packet.FiveTuple, leftSide bool) (*Session
 		rcvdAckedHi:  cv.RcvNxt(),
 		sentHiOK:     true, sentAckedOK: true, rcvdHiOK: true, rcvdAckedOK: true,
 		seenData: true,
-		obs:      a.obs,
-	}
-	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: id, Detail: "adopted"})
+	}, "adopted", 0)
 	if leftSide {
 		sess.RightHost = id.DstIP
 		sess.SubRight = id
@@ -332,7 +325,6 @@ func (d *daemon) adoptPlainSession(id packet.FiveTuple, leftSide bool) (*Session
 		a.install(a.egress, id.Reverse(), &rewriteEntry{Rule: Rule{To: id.Reverse()}, sess: sess, dirRight: false, anchorTrack: true})
 		a.install(a.ingress, id, &rewriteEntry{Rule: Rule{To: id}, sess: sess, dirRight: true, deliver: true, anchorTrack: true})
 	}
-	a.sessions[id] = sess
 	return sess, nil
 }
 
@@ -359,6 +351,29 @@ func (d *daemon) onCtrlTimeout(rc *Reconfig) {
 	}
 	d.send(rc.lastMsgTo, rc.lastMsg)
 	rc.rtxTimer.Reset(d.a.Cfg.ControlRTO * sim.Time(1<<uint(rc.retries-1)))
+}
+
+// addAnchor makes rc the live attempt of its session at this anchor: it
+// stamps the start, creates the control retransmission timer, registers rc
+// by ReqID and logs the anchor's birth (an empty From marks the initial
+// state of the span).
+func (d *daemon) addAnchor(rc *Reconfig) {
+	rc.started = d.eng.Now()
+	rc.rtxTimer = sim.NewTimer(d.eng, func() { d.onCtrlTimeout(rc) })
+	rc.Sess.Reconfig = rc
+	d.reconfigs[rc.ID] = rc
+	d.a.obs.Emit(obs.Event{Kind: obs.KReconfig, Sess: rc.Sess.IDLeft, ReqID: rc.ID, To: rc.State.String()})
+}
+
+// stopTimers disarms every timer of the attempt.
+func (rc *Reconfig) stopTimers() {
+	rc.rtxTimer.Stop()
+	if rc.finTimer != nil {
+		rc.finTimer.Stop()
+	}
+	if rc.deadline != nil {
+		rc.deadline.Stop()
+	}
 }
 
 // ackReceived stops the retransmission cycle for the outstanding message.
@@ -428,13 +443,7 @@ func (d *daemon) failReconfig(rc *Reconfig) {
 // closeReconfig is the common teardown after the attempt reached a final
 // state: stop timers, detach from the session, report, unblock waiters.
 func (d *daemon) closeReconfig(rc *Reconfig, ok bool) {
-	rc.rtxTimer.Stop()
-	if rc.finTimer != nil {
-		rc.finTimer.Stop()
-	}
-	if rc.deadline != nil {
-		rc.deadline.Stop()
-	}
+	rc.stopTimers()
 	d.doneReqs[rc.ID] = true
 	rc.Sess.Reconfig = nil
 	took := d.eng.Now() - rc.started
@@ -489,10 +498,7 @@ func (d *daemon) trigger(sessID packet.FiveTuple, replacement []packet.Addr, att
 		}
 		return fmt.Errorf("core: TriggerReplace: unknown session %v", sessID)
 	}
-	right := sess
-	if sess.Splice != nil {
-		right = sess.Splice
-	}
+	right := sess.across()
 	if sess.LeftHost == 0 || right.RightHost == 0 {
 		return fmt.Errorf("core: TriggerReplace: %v has no neighbors on both sides", sessID)
 	}
@@ -531,19 +537,13 @@ func (d *daemon) onTrigger(m *ctrlMsg) {
 
 // ---------- locking (§3.2) ----------
 
-// sessionByID finds a session by the id used on the side the message came
-// from (left side for rightward messages, right side for leftward).
-func (d *daemon) sessionByID(id packet.FiveTuple) *Session {
-	return d.a.sessions[id]
-}
-
 func (d *daemon) onReqLock(m *ctrlMsg) {
 	a := d.a
 	if m.RightAnchor == a.Host.Addr {
 		d.reqLockAtRightAnchor(m)
 		return
 	}
-	sess := d.sessionByID(m.Session)
+	sess := a.sessions[m.Session]
 	if sess == nil {
 		return // unknown session: drop; left anchor will time out
 	}
@@ -575,24 +575,10 @@ func (d *daemon) onReqLock(m *ctrlMsg) {
 // forwardReqLock adds this hop's deltas and sends the request to the right
 // neighbor, translating the session id across a splice.
 func (d *daemon) forwardReqLock(sess *Session, m *ctrlMsg) {
-	next := sess
-	if sess.Splice != nil {
-		next = sess.Splice
-	}
+	next := sess.across()
 	fwd := *m
 	fwd.Session = next.IDRight
-	fwd.D.Right += sess.MboxDeltas.Right
-	fwd.D.RightTS += sess.MboxDeltas.RightTS
-	if sess.MboxDeltas.RightWinFrom != sess.MboxDeltas.RightWinTo {
-		fwd.D.RightWinFrom = sess.MboxDeltas.RightWinFrom
-		fwd.D.RightWinTo = sess.MboxDeltas.RightWinTo
-	}
-	if sess.MboxDeltas.LeftWinFrom != sess.MboxDeltas.LeftWinTo {
-		fwd.D.LeftWinFrom = sess.MboxDeltas.LeftWinFrom
-		fwd.D.LeftWinTo = sess.MboxDeltas.LeftWinTo
-	}
-	fwd.D.Left += sess.MboxDeltas.Left
-	fwd.D.LeftTS += sess.MboxDeltas.LeftTS
+	fwd.D.fold(sess.MboxDeltas, true)
 	d.send(next.RightHost, &fwd)
 }
 
@@ -607,13 +593,9 @@ func (d *daemon) reqLockAtRightAnchor(m *ctrlMsg) {
 		d.replyAckLock(rc, m)
 		return
 	}
-	sess := d.sessionByID(m.Session)
-	if sess == nil {
-		var err error
-		sess, err = d.adoptPlainSession(m.Session, false)
-		if err != nil {
-			return
-		}
+	sess, err := d.anchorSession(m.Session, false)
+	if err != nil {
+		return
 	}
 	if sess.Reconfig != nil {
 		return // already the anchor of something else
@@ -623,17 +605,12 @@ func (d *daemon) reqLockAtRightAnchor(m *ctrlMsg) {
 		PeerAddr: m.LeftAnchor,
 		Delta:    m.D.Right, TSDelta: m.D.RightTS,
 		WinFrom: m.D.RightWinFrom, WinTo: m.D.RightWinTo,
-		started: d.eng.Now(),
 	}
-	rc.rtxTimer = sim.NewTimer(d.eng, func() { d.onCtrlTimeout(rc) })
+	d.addAnchor(rc)
 	if a.Cfg.AttemptTimeout >= 0 {
 		rc.deadline = sim.NewTimer(d.eng, func() { d.onAttemptDeadline(rc) })
 		rc.deadline.Reset(a.Cfg.AttemptTimeout)
 	}
-	sess.Reconfig = rc
-	d.reconfigs[rc.ID] = rc
-	a.Stats.LocksGranted++
-	a.obs.Emit(obs.Event{Kind: obs.KReconfig, Sess: sess.IDLeft, ReqID: rc.ID, To: rc.State.String()})
 	d.replyAckLock(rc, m)
 }
 
@@ -648,7 +625,7 @@ func (d *daemon) replyAckLock(rc *Reconfig, m *ctrlMsg) {
 }
 
 func (d *daemon) onAckLock(m *ctrlMsg) {
-	sess := d.sessionByID(m.Session)
+	sess := d.a.sessions[m.Session]
 	if sess == nil {
 		return
 	}
@@ -669,10 +646,7 @@ func (d *daemon) onAckLock(m *ctrlMsg) {
 	// Mid-path agent. The ack arrives from the right with our right-side
 	// session id; the lock state lives on the left-side session of a
 	// splice.
-	lockSess := sess
-	if sess.Splice != nil {
-		lockSess = sess.Splice
-	}
+	lockSess := sess.across()
 	if lockSess.Lock == LockPending && lockSess.LockReqID == m.ReqID {
 		lockSess.setLock(Locked)
 		d.nackBlocked(lockSess)
@@ -681,19 +655,13 @@ func (d *daemon) onAckLock(m *ctrlMsg) {
 	}
 	fwd := *m
 	fwd.Session = lockSess.IDLeft
-	fwd.D.Left += lockSess.MboxDeltas.Left
-	fwd.D.LeftTS += lockSess.MboxDeltas.LeftTS
-	if lockSess.MboxDeltas.LeftWinFrom != lockSess.MboxDeltas.LeftWinTo {
-		fwd.D.LeftWinFrom = lockSess.MboxDeltas.LeftWinFrom
-		fwd.D.LeftWinTo = lockSess.MboxDeltas.LeftWinTo
-	}
+	fwd.D.fold(lockSess.MboxDeltas, false)
 	d.send(lockSess.LeftHost, &fwd)
 }
 
 // nackBlocked rejects all requests blocked behind a now-locked subsession.
 func (d *daemon) nackBlocked(sess *Session) {
 	for _, b := range sess.blocked {
-		d.a.Stats.LocksNacked++
 		d.send(b.from, &ctrlMsg{
 			Type: msgNackLock, ReqID: b.ReqID, Session: b.Session,
 			LeftAnchor: b.LeftAnchor, RightAnchor: b.RightAnchor,
@@ -725,14 +693,11 @@ func (d *daemon) onNackLock(m *ctrlMsg) {
 	// Mid-path: reset our pending state and pass the nack leftward along
 	// the nacked request's path. The nack arrives from the right with our
 	// right-side session id; lock state lives on the splice's left side.
-	sess := d.sessionByID(m.Session)
+	sess := d.a.sessions[m.Session]
 	if sess == nil {
 		return
 	}
-	lockSess := sess
-	if sess.Splice != nil {
-		lockSess = sess.Splice
-	}
+	lockSess := sess.across()
 	if lockSess.Lock == LockPending && lockSess.LockReqID == m.ReqID {
 		lockSess.setLock(Unlocked)
 		d.processBlocked(lockSess)
@@ -745,7 +710,7 @@ func (d *daemon) onNackLock(m *ctrlMsg) {
 }
 
 func (d *daemon) onCancelLock(m *ctrlMsg) {
-	sess := d.sessionByID(m.Session)
+	sess := d.a.sessions[m.Session]
 	if sess == nil {
 		return
 	}
@@ -761,17 +726,10 @@ func (d *daemon) onCancelLock(m *ctrlMsg) {
 		sess.setLock(Unlocked)
 		d.processBlocked(sess)
 	}
-	next := sess
-	if sess.Splice != nil {
-		next = sess.Splice
-	}
+	next := sess.across()
 	fwd := *m
 	fwd.Session = next.IDRight
 	d.send(next.RightHost, &fwd)
-}
-
-func (d *daemon) onAckCancel(m *ctrlMsg) {
-	// Informational: the left anchor already unlocked and failed locally.
 }
 
 // ---------- new path setup (§3.1, Figure 4) ----------
@@ -792,7 +750,7 @@ func (d *daemon) beginNewPath(rc *Reconfig) {
 	}
 	rc.newPeerHost = first
 	rc.newSub = sub
-	d.installLeftAnchorNewPath(rc)
+	d.stageNewPath(rc)
 	m := &ctrlMsg{
 		Type: msgNewPathSYN, ReqID: rc.ID,
 		Session:    rc.Sess.IDRight,
@@ -803,43 +761,64 @@ func (d *daemon) beginNewPath(rc *Reconfig) {
 	d.sendReliable(rc, first, m)
 }
 
-// installLeftAnchorNewPath creates the left anchor's new-path entries:
-// ingress is active immediately (early new-path arrivals must be handled);
-// egress is staged in rc and activated at switch time.
-func (d *daemon) installLeftAnchorNewPath(rc *Reconfig) {
+// stageNewPath creates an anchor's new-path entries: ingress is active
+// immediately (early new-path arrivals must be handled); egress is staged
+// in rc and activated at switch time. The left anchor's new path leaves
+// to its right, the right anchor's to its left. New-path packets are
+// delivered as the old ingress entry delivered old-path ones or, without
+// one, as the session header the local side speaks.
+func (d *daemon) stageNewPath(rc *Reconfig) {
 	a := d.a
 	sess := rc.Sess
-	oldIn := a.ingress[sess.SubRight.Reverse()]
-	deliver := true
-	var to packet.FiveTuple
-	if oldIn != nil {
-		deliver = oldIn.deliver
-		to = oldIn.To
-	} else {
+	newIn := rc.newIngressKey()
+	to := sess.IDLeft
+	rc.oldEgressKey, rc.oldIngressKey = sess.IDLeft.Reverse(), sess.SubLeft
+	if rc.IsLeft {
 		to = sess.IDRight.Reverse()
+		rc.oldEgressKey, rc.oldIngressKey = sess.IDRight, sess.SubRight.Reverse()
 	}
-	a.install(a.ingress, rc.newSub.Reverse(), &rewriteEntry{
+	deliver := true
+	if oldIn := a.ingress[rc.oldIngressKey]; oldIn != nil {
+		to, deliver = oldIn.To, oldIn.deliver
+	}
+	a.install(a.ingress, newIn, &rewriteEntry{
 		Rule: Rule{To: to, SeqAdd: rc.Delta, TSAdd: rc.TSDelta},
-		sess: sess, dirRight: false, deliver: deliver,
+		sess: sess, dirRight: !rc.IsLeft, deliver: deliver,
 		anchorTrack: true, newPath: true,
 	})
 	rc.newEgressEntry = &rewriteEntry{
 		Rule: Rule{
-			To:     rc.newSub,
+			To:     newIn.Reverse(),
 			AckAdd: -rc.Delta, TSEcrAdd: -rc.TSDelta,
 			WinFrom: rc.WinFrom, WinTo: rc.WinTo,
 		},
-		sess: sess, dirRight: true,
+		sess: sess, dirRight: rc.IsLeft,
 		anchorTrack: true, newPath: true,
 	}
-	rc.oldEgressKey = sess.IDRight
-	rc.oldIngressKey = sess.SubRight.Reverse()
+}
+
+// newIngressKey is the tuple new-path packets arrive on at this anchor.
+func (rc *Reconfig) newIngressKey() packet.FiveTuple {
+	if rc.IsLeft {
+		return rc.newSub.Reverse()
+	}
+	return rc.newSub
 }
 
 func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 	a := d.a
 	if m.RightAnchor == a.Host.Addr {
-		d.newPathSYNAtRightAnchor(m)
+		rc, ok := d.reconfigs[m.ReqID]
+		if !ok {
+			return // no lock context (or already finished): ignore
+		}
+		rc.newSub = m.NewSub
+		rc.newPeerHost = m.from
+		d.stageNewPath(rc)
+		d.send(m.from, &ctrlMsg{
+			Type: msgNewPathSYNACK, ReqID: m.ReqID, Session: rc.Sess.IDLeft,
+			LeftAnchor: m.LeftAnchor, RightAnchor: a.Host.Addr,
+		})
 		return
 	}
 	// Mid new-path middlebox: install entries for both directions and
@@ -865,16 +844,12 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 	}
 	sess := a.sessions[m.Session]
 	if sess == nil {
-		sess = &Session{
+		sess = a.openSession(&Session{
 			IDLeft: m.Session, IDRight: m.Session,
-			LeftHost:   m.from,
-			SubLeft:    m.NewSub,
-			lastActive: d.eng.Now(),
-			obs:        a.obs,
-		}
-		a.sessions[m.Session] = sess
+			LeftHost: m.from,
+			SubLeft:  m.NewSub,
+		}, "new-path", m.ReqID)
 		a.Stats.SessionsOpened++
-		a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, ReqID: m.ReqID, Detail: "new-path"})
 	}
 	sess.RightHost = next
 	sess.SubRight = sub
@@ -890,46 +865,6 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 	fwd.NewSub = sub
 	fwd.NewList = m.NewList[1:]
 	d.send(next, &fwd)
-}
-
-func (d *daemon) newPathSYNAtRightAnchor(m *ctrlMsg) {
-	a := d.a
-	rc, ok := d.reconfigs[m.ReqID]
-	if !ok {
-		return // no lock context (or already finished): ignore
-	}
-	sess := rc.Sess
-	rc.newSub = m.NewSub
-	rc.newPeerHost = m.from
-	// Ingress from new path → local session (right side: IDLeft is what
-	// the local stack speaks).
-	oldIn := a.ingress[sess.SubLeft]
-	deliver := true
-	to := sess.IDLeft
-	if oldIn != nil {
-		deliver = oldIn.deliver
-		to = oldIn.To
-	}
-	a.install(a.ingress, m.NewSub, &rewriteEntry{
-		Rule: Rule{To: to, SeqAdd: rc.Delta, TSAdd: rc.TSDelta},
-		sess: sess, dirRight: true, deliver: deliver,
-		anchorTrack: true, newPath: true,
-	})
-	rc.newEgressEntry = &rewriteEntry{
-		Rule: Rule{
-			To:     m.NewSub.Reverse(),
-			AckAdd: -rc.Delta, TSEcrAdd: -rc.TSDelta,
-			WinFrom: rc.WinFrom, WinTo: rc.WinTo,
-		},
-		sess: sess, dirRight: false,
-		anchorTrack: true, newPath: true,
-	}
-	rc.oldEgressKey = sess.IDLeft.Reverse()
-	rc.oldIngressKey = sess.SubLeft
-	d.send(m.from, &ctrlMsg{
-		Type: msgNewPathSYNACK, ReqID: m.ReqID, Session: sess.IDLeft,
-		LeftAnchor: m.LeftAnchor, RightAnchor: a.Host.Addr,
-	})
 }
 
 func (d *daemon) onNewPathSYNACK(m *ctrlMsg) {
@@ -995,11 +930,7 @@ func (d *daemon) activateSwitch(rc *Reconfig) {
 
 // teardownNewPathEntries removes staged new-path state after a cancel.
 func (d *daemon) teardownNewPathEntries(rc *Reconfig) {
-	key := rc.newSub
-	if rc.IsLeft {
-		key = key.Reverse()
-	}
-	d.a.uninstall(d.a.ingress[key])
+	d.a.uninstall(d.a.ingress[rc.newIngressKey()])
 }
 
 // ---------- old path completion (§3.5) ----------
@@ -1088,7 +1019,7 @@ func (d *daemon) onOldPathFIN(m *ctrlMsg) {
 	// until its own downstream connection has drained everything it
 	// relayed — otherwise the anchors finalize while bytes the sender
 	// already discarded are still in the proxy's buffers.
-	sess := d.sessionByID(m.Session)
+	sess := d.a.sessions[m.Session]
 	if sess == nil {
 		return
 	}
@@ -1100,10 +1031,7 @@ func (d *daemon) onOldPathFIN(m *ctrlMsg) {
 // spliced connection has drained, and tears the hop down when both
 // directions' FINs have passed.
 func (d *daemon) forwardOldPathFIN(sess *Session, m *ctrlMsg, fromLeft bool) {
-	next := sess
-	if sess.Splice != nil {
-		next = sess.Splice
-	}
+	next := sess.across()
 	// Drain gate: conns[0] faces left, conns[1] faces right. A FIN going
 	// right is held until the right-facing connection flushed; a FIN
 	// going left until the left-facing one did.
@@ -1130,9 +1058,7 @@ func (d *daemon) forwardOldPathFIN(sess *Session, m *ctrlMsg, fromLeft bool) {
 	// The two FINs arrive addressed to opposite sides of a splice; mark
 	// both session records so either can observe completion.
 	sess.finSeen[dirIdx] = true
-	if sess.Splice != nil {
-		sess.Splice.finSeen[dirIdx] = true
-	}
+	next.finSeen[dirIdx] = true
 	if sess.finSeen[0] && sess.finSeen[1] {
 		d.scheduleOldPathCleanup(sess)
 	}

@@ -48,6 +48,25 @@ type Deltas struct {
 	LeftWinFrom, LeftWinTo   int8
 }
 
+// fold adds one deleted hop's contribution h to the deltas a lock message
+// accumulates along the old path (§3.4). The rightward requestLock folds
+// both streams, the leftward ackLock only the left one. A hop's window
+// pair replaces the message's only when the hop rescales (From != To).
+func (d *Deltas) fold(h Deltas, rightward bool) {
+	if rightward {
+		d.Right += h.Right
+		d.RightTS += h.RightTS
+		if h.RightWinFrom != h.RightWinTo {
+			d.RightWinFrom, d.RightWinTo = h.RightWinFrom, h.RightWinTo
+		}
+	}
+	d.Left += h.Left
+	d.LeftTS += h.LeftTS
+	if h.LeftWinFrom != h.LeftWinTo {
+		d.LeftWinFrom, d.LeftWinTo = h.LeftWinFrom, h.LeftWinTo
+	}
+}
+
 // Session is the per-hop state for one Dysco session: the session identity
 // on each side of this host, the neighboring subsessions, and lock and
 // reconfiguration state.
@@ -149,6 +168,16 @@ type Session struct {
 
 // IsLeftEnd reports whether this host is the left end of the chain.
 func (s *Session) IsLeftEnd() bool { return s.LeftHost == 0 }
+
+// across returns the record on the far side of this hop: the splice
+// partner at a TCP-terminating proxy (§2.4), the record itself elsewhere.
+// A control message crossing the hop continues under its identity.
+func (s *Session) across() *Session {
+	if s.Splice != nil {
+		return s.Splice
+	}
+	return s
+}
 
 // ReconfigState tracks the phase of a reconfiguration at an anchor.
 type ReconfigState int

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -28,18 +27,14 @@ type SpliceConn interface {
 // Splice links a TCP-terminating proxy's two sessions so the proxy can be
 // deleted from the chain (§2.4, §4.2 dysco_splice). left is the
 // connection facing the client (accepted with the session header), right
-// the connection the proxy opened toward the server. contentDelta is the
-// number of bytes the proxy added to (positive) or removed from (negative)
-// the client→server stream beyond pure relaying, and contentDeltaBack the
-// same for the server→client stream — both zero for an L7 load balancer
-// that relays verbatim.
+// the connection the proxy opened toward the server.
 //
-// Splice computes the sequence, timestamp, and window-scale deltas (§3.4),
-// records the session continuation for control-message translation, and
-// triggers the removal reconfiguration at the left neighbor. Data keeps
-// flowing through the proxy's TCP stacks until the old path drains; the
-// connections are detached when the old path is torn down.
-func (a *Agent) Splice(left, right SpliceConn, contentDelta, contentDeltaBack int) error {
+// Splice computes the sequence, timestamp, and window-scale deltas (§3.4)
+// and records the session continuation for control-message translation;
+// SpliceAndRemove then triggers the removal at the left neighbor. Data
+// keeps flowing through the proxy's TCP stacks until the old path drains;
+// the connections are detached when the old path is torn down.
+func (a *Agent) Splice(left, right SpliceConn) error {
 	// The client-side connection was accepted: its local tuple is the
 	// reverse of the session's forward tuple.
 	sessID := left.Tuple().Reverse()
@@ -52,15 +47,11 @@ func (a *Agent) Splice(left, right SpliceConn, contentDelta, contentDeltaBack in
 	if sess2 == nil {
 		// The server-side session is plain TCP (no chain): create its
 		// record so the reconfiguration protocol can traverse this hop.
-		sess2 = &Session{
+		sess2 = a.openSession(&Session{
 			IDLeft: rightID, IDRight: rightID,
-			RightHost:  rightID.DstIP,
-			SubRight:   rightID,
-			lastActive: a.eng.Now(),
-			obs:        a.obs,
-		}
-		a.sessions[rightID] = sess2
-		a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: rightID, Detail: "splice"})
+			RightHost: rightID.DstIP,
+			SubRight:  rightID,
+		}, "splice", 0)
 	}
 	sess.Splice = sess2
 	sess2.Splice = sess
@@ -93,13 +84,6 @@ func (a *Agent) Splice(left, right SpliceConn, contentDelta, contentDeltaBack in
 		LeftWinFrom:  left.SndWScale(),  // client's own offer
 		LeftWinTo:    right.RcvWScale(), // proxy's offer on the server side
 	}
-	// Content deltas shift the stream positions beyond pure relaying; the
-	// connection counters above already include any bytes the proxy added
-	// or removed so far, so extra adjustment applies only to future
-	// divergence, which the §3.4 assumption forbids. They are accepted for
-	// API fidelity with dysco_splice(fd_in, fd_out, delta).
-	_ = contentDelta
-	_ = contentDeltaBack
 	return nil
 }
 
@@ -107,7 +91,7 @@ func (a *Agent) Splice(left, right SpliceConn, contentDelta, contentDeltaBack in
 // triggers this host's removal from the chain (the common "splice system
 // call intercepted" flow of §4.2).
 func (a *Agent) SpliceAndRemove(left, right SpliceConn) error {
-	if err := a.Splice(left, right, 0, 0); err != nil {
+	if err := a.Splice(left, right); err != nil {
 		return err
 	}
 	return a.TriggerRemoval(left.Tuple().Reverse())

@@ -9,30 +9,24 @@ import (
 // emitted by the local stack (or application); this function decides which
 // path each byte and acknowledgment travels, splitting the packet when the
 // rules demand it, and transmits the results directly (bypassing egress
-// hooks, which already ran).
+// hooks, which already ran). The old path always carries a head of the
+// payload and the new path a tail.
 func (a *Agent) steerEgress(p *packet.Packet, oldE *rewriteEntry) {
-	sess := oldE.sess
-	rc := sess.Reconfig
-	newE := rc.newEgressEntry
+	rc := oldE.sess.Reconfig
 	a.track(p, oldE, false)
 
 	dataLen := p.DataLen()
-	seq := p.Seq
 	fin := p.Flags.Has(packet.FlagFIN)
 
 	// Split the payload at the oldSent cutoff: bytes below it belong to
 	// the old path, bytes at/after it to the new path.
 	oldBytes := 0
-	if dataLen > 0 && packet.SeqLT(seq, rc.oldSent) {
-		oldBytes = int(packet.SeqDiff(seq, rc.oldSent))
-		if oldBytes > dataLen {
-			oldBytes = dataLen
-		}
+	if dataLen > 0 && packet.SeqLT(p.Seq, rc.oldSent) {
+		oldBytes = min(int(packet.SeqDiff(p.Seq, rc.oldSent)), dataLen)
 	}
 	newBytes := dataLen - oldBytes
 	// The FIN occupies the sequence position right after the data.
-	finSeq := packet.SeqAdd(seq, int64(dataLen))
-	finOld := fin && packet.SeqLT(finSeq, rc.oldSent)
+	finOld := fin && packet.SeqLT(packet.SeqAdd(p.Seq, int64(dataLen)), rc.oldSent)
 	finNew := fin && !finOld
 
 	// Acknowledgment routing (§3.5 second table). Old-path packets carry
@@ -41,121 +35,94 @@ func (a *Agent) steerEgress(p *packet.Packet, oldE *rewriteEntry) {
 	ackForOld := packet.SeqMin(p.Ack, rc.oldRcvd)
 	oldAckAdvances := p.Flags.Has(packet.FlagACK) && packet.SeqGT(ackForOld, rc.oldRcvdAcked)
 
-	sentOld, sentNew := false, false
+	// A pure acknowledgment beyond oldRcvd travels the new path.
+	pureAck := dataLen == 0 && !fin
+	ackOnNew := pureAck && p.Flags.Has(packet.FlagACK) && packet.SeqGT(p.Ack, rc.oldRcvd)
 
-	if oldBytes > 0 || finOld {
-		op := p.ShallowClone()
-		if oldBytes > 0 {
-			op.Payload = p.Payload[:oldBytes:oldBytes]
-		} else {
-			op.Payload = nil
-		}
-		if !finOld {
-			op.Flags &^= packet.FlagFIN
-		}
-		op.Ack = ackForOld
-		a.prepareOldPathPacket(op, rc)
-		a.applyEgress(op, oldE)
-		a.Host.SendDirect(op)
-		sentOld = true
-		a.Stats.OldPathPackets++
-		if packet.SeqGT(ackForOld, rc.oldRcvdAcked) {
-			rc.oldRcvdAcked = ackForOld
-		}
+	sentOld := oldBytes > 0 || finOld
+	if sentOld {
+		a.sendOldPath(p, oldE, oldBytes, finOld, ackForOld)
 	}
-	if newBytes > 0 || finNew {
-		np := p.ShallowClone()
-		if newBytes > 0 {
-			np.Seq = packet.SeqAdd(seq, int64(oldBytes))
-			np.Payload = p.Payload[oldBytes:dataLen:dataLen]
-		} else {
-			np.Seq = finSeq
-			np.Payload = nil
-		}
-		if !finNew {
-			np.Flags &^= packet.FlagFIN
-		}
-		a.applyEgress(np, newE)
-		a.Host.SendDirect(np)
-		sentNew = true
-		a.Stats.NewPathPackets++
+	if newBytes > 0 || finNew || ackOnNew {
+		a.sendNewPath(p, rc, newBytes, finNew)
 	}
-	if sentOld && sentNew {
-		a.Stats.SplitPackets++
-	}
-
-	if dataLen == 0 && !fin {
-		// Pure acknowledgment: route per the ack table.
-		if p.Flags.Has(packet.FlagACK) && packet.SeqGT(p.Ack, rc.oldRcvd) {
-			np := p.ShallowClone()
-			a.applyEgress(np, newE)
-			a.Host.SendDirect(np)
-			a.Stats.NewPathPackets++
-			if oldAckAdvances {
-				// Third row: also acknowledge oldRcvd on the old path.
-				op := p.ShallowClone()
-				op.Ack = rc.oldRcvd
-				op.Payload = nil
-				a.prepareOldPathPacket(op, rc)
-				a.applyEgress(op, oldE)
-				a.Host.SendDirect(op)
-				rc.oldRcvdAcked = rc.oldRcvd
-				a.Stats.SplitPackets++
-				a.Stats.OldPathPackets++
-			}
-		} else {
-			op := p.ShallowClone()
-			op.Ack = ackForOld
-			a.prepareOldPathPacket(op, rc)
-			a.applyEgress(op, oldE)
-			a.Host.SendDirect(op)
-			a.Stats.OldPathPackets++
-			if packet.SeqGT(ackForOld, rc.oldRcvdAcked) {
-				rc.oldRcvdAcked = ackForOld
-			}
-		}
-	} else if !sentOld && oldAckAdvances {
-		// Data went entirely to the new path but the ack still advances
-		// the old path: emit a pure ack there.
-		op := p.ShallowClone()
-		op.Payload = nil
-		op.Flags &^= packet.FlagFIN
-		op.Ack = ackForOld
-		a.prepareOldPathPacket(op, rc)
-		a.applyEgress(op, oldE)
-		a.Host.SendDirect(op)
-		rc.oldRcvdAcked = ackForOld
-		a.Stats.OldPathPackets++
+	if !sentOld && (oldAckAdvances || pureAck && !ackOnNew) {
+		// A pure ack on the old path: the packet's own ack when it stays
+		// within oldRcvd, or — after the new-path copy — oldRcvd when the
+		// old path's ack level still advances (the ack table's third row).
+		a.sendOldPath(p, oldE, 0, false, ackForOld)
 	}
 
 	a.daemon.checkOldPathDone(rc)
 }
 
-// prepareOldPathPacket clamps the advertised window (§5.3: the strategy
-// that worked best was min(advertised, 64 KB)) and trims SACK blocks that
-// refer to bytes old-path middleboxes never saw.
-func (a *Agent) prepareOldPathPacket(p *packet.Packet, rc *Reconfig) {
-	a.clampWindow(p, rc.Sess.wsOfferLocal)
-	if len(p.Opts.SACK) > 0 {
-		kept := p.Opts.SACK[:0]
-		for _, b := range p.Opts.SACK {
+// sendOldPath transmits the first n payload bytes of p, with its FIN when
+// fin, on the old path, acknowledging ack (at most oldRcvd). It clamps the
+// advertised window (§5.3: the strategy that worked best was
+// min(advertised, 64 KB)) and trims SACK blocks that refer to bytes
+// old-path middleboxes never saw.
+func (a *Agent) sendOldPath(p *packet.Packet, oldE *rewriteEntry, n int, fin bool, ack uint32) {
+	rc := oldE.sess.Reconfig
+	op := p.ShallowClone()
+	op.Payload = p.Payload[:n:n]
+	if !fin {
+		op.Flags &^= packet.FlagFIN
+	}
+	op.Ack = ack
+	a.clampWindow(op, oldE.sess.wsOfferLocal)
+	if len(op.Opts.SACK) > 0 {
+		kept := op.Opts.SACK[:0]
+		for _, b := range op.Opts.SACK {
 			if packet.SeqLEQ(b.End, rc.oldRcvd) {
 				kept = append(kept, b)
 			}
 		}
-		p.Opts.SACK = kept
+		op.Opts.SACK = kept
+	}
+	a.applyEgress(op, oldE)
+	a.Host.SendDirect(op)
+	a.Stats.OldPathPackets++
+	if packet.SeqGT(ack, rc.oldRcvdAcked) {
+		rc.oldRcvdAcked = ack
 	}
 }
 
-// noteOldPathIngress updates the dynamic §3.5 variables when a packet
-// arrives on the old path during two-path operation.
-func (a *Agent) noteOldPathIngress(p *packet.Packet, rc *Reconfig) {
-	if p.DataLen() > 0 || p.Flags.Has(packet.FlagFIN) {
-		end := dataSeqEnd(p)
-		if packet.SeqGT(end, rc.oldRcvd) {
+// sendNewPath transmits the last n payload bytes of p, with its FIN when
+// fin, on the new path; the acknowledgment travels unchanged.
+func (a *Agent) sendNewPath(p *packet.Packet, rc *Reconfig, n int, fin bool) {
+	off := p.DataLen() - n
+	np := p.ShallowClone()
+	np.Seq = packet.SeqAdd(p.Seq, int64(off))
+	np.Payload = p.Payload[off : off+n : off+n]
+	if !fin {
+		np.Flags &^= packet.FlagFIN
+	}
+	a.applyEgress(np, rc.newEgressEntry)
+	a.Host.SendDirect(np)
+	a.Stats.NewPathPackets++
+}
+
+// noteTwoPathIngress updates the dynamic §3.5 variables as packets arrive
+// on either path during two-path operation, in local space: the first
+// new-path byte (firstNewRcvd) and the end of old-path data (oldRcvd).
+// Acks for our old-path data need nothing here: Session.sentAckedHi
+// already tracks them (they may arrive via either path).
+func (a *Agent) noteTwoPathIngress(p *packet.Packet, e *rewriteEntry, rc *Reconfig) {
+	data := p.DataLen() > 0 || p.Flags.Has(packet.FlagFIN)
+	if e.newPath {
+		if data {
+			seqLocal := packet.SeqAdd(p.Seq, e.SeqAdd)
+			if !rc.hasFirstNew || packet.SeqLT(seqLocal, rc.firstNewRcvd) {
+				rc.firstNewRcvd = seqLocal
+				rc.hasFirstNew = true
+			}
+			a.Stats.NewPathPackets++
+		}
+	} else {
+		if end := dataSeqEnd(p); data && packet.SeqGT(end, rc.oldRcvd) {
 			rc.oldRcvd = end
 		}
+		a.Stats.OldPathPackets++
 	}
-	// Acks for our old-path data arrive here too, but Session.sentAckedHi
-	// already tracks them (they may also arrive via the new path).
+	a.daemon.checkOldPathDone(rc)
 }

@@ -48,7 +48,7 @@ func AblationWindow(sc Scale, seed int64) *Result {
 		}
 		env.RunUntil(10 * time.Second)
 		g := goodput.Rate()
-		after := meanOver(g, 70, 95)
+		after := stats.MeanOver(g, 70, 95)
 		dip := minOver(g, 30, 45)
 		res.dip = dip / after
 		r.addRow("%-28s dip=%5.2f reconfig-done-in=%v ok=%v", label, res.dip, res.took, res.ok)

@@ -113,8 +113,8 @@ func Fig12(sc Scale, seed int64) *Result {
 		stats.Gbps(pre), stats.Gbps(post), post/pre)
 	r.check("goodput roughly doubles after all removals (paper: 2x)",
 		post/pre > 1.5 && post/pre < 3.5, "ratio=%.2fx", post/pre)
-	cpuPre := meanOver(cpu, preIdx-3, preIdx+1)
-	cpuPost := meanOver(cpu, postIdx-3, postIdx+1)
+	cpuPre := stats.MeanOver(cpu, preIdx-3, preIdx+1)
+	cpuPost := stats.MeanOver(cpu, postIdx-3, postIdx+1)
 	r.addRow("proxy CPU before: %5.1f%%; after: %5.1f%%", cpuPre*100, cpuPost*100)
 	r.check("proxy CPU falls to ~0 after all removals",
 		cpuPost < 0.05 && cpuPre > 0.3 && cpuPre < 0.98, "pre=%.2f post=%.2f", cpuPre, cpuPost)
@@ -124,8 +124,8 @@ func Fig12(sc Scale, seed int64) *Result {
 	steps := 0
 	for _, at := range reconfigAt {
 		i := int(at / time.Second)
-		before := meanOver(gbps, i-3, i)
-		after := meanOver(gbps, i+2, i+5)
+		before := stats.MeanOver(gbps, i-3, i)
+		after := stats.MeanOver(gbps, i+2, i+5)
 		if after > before*1.05 {
 			steps++
 		}
@@ -140,21 +140,4 @@ func Fig12(sc Scale, seed int64) *Result {
 			h.N == uint64(reconfigsDone), "observed=%d done=%d", h.N, reconfigsDone)
 	}
 	return r
-}
-
-func meanOver(xs []float64, from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(xs) {
-		to = len(xs)
-	}
-	if to <= from {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs[from:to] {
-		sum += x
-	}
-	return sum / float64(to-from)
 }

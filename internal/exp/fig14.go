@@ -74,7 +74,7 @@ func Fig14(seed int64) *Result {
 		// Disruption: the transient right after the removal, measured
 		// against the steady state the session eventually reaches on the
 		// (faster) new path.
-		after := meanOver(mbps, 45, 55)
+		after := stats.MeanOver(mbps, 45, 55)
 		during := minOver(mbps, 30, 37)
 		return out{cwnd: cwnd, goodput: mbps, dipRatio: during / after,
 			timeouts: conn.Stats.Timeouts - timeoutsAtSwitch}

@@ -61,11 +61,14 @@ func buildGoodputEnv(dysco bool, seed int64) *goodputEnv {
 	// not host CPUs — are the bottleneck, the regime of §5.2 ("after 100
 	// sessions the link becomes the bottleneck").
 	link := netsim.LinkConfig{Delay: 20 * time.Microsecond, Bandwidth: netsim.Gbps(1), QueueBytes: 4 << 20}
+	// The baseline steers by IP routing alone, so its hosts get no access
+	// link to the router: client—mb—server is the only path. Dysco steers
+	// by addressing over the same links.
 	for i := 0; i < 4; i++ {
 		ge.clients = append(ge.clients, env.AddNode(fmt.Sprintf("client%d", i),
-			lab.HostOptions{Link: link, Stack: true, Agent: dysco}))
+			lab.HostOptions{Link: link, Stack: true, Agent: dysco, NoRouterLink: !dysco}))
 	}
-	opt := lab.HostOptions{Link: link}
+	opt := lab.HostOptions{Link: link, NoRouterLink: !dysco}
 	if dysco {
 		opt.App = &mbox.Forwarder{}
 	}
@@ -75,26 +78,16 @@ func buildGoodputEnv(dysco bool, seed int64) *goodputEnv {
 	}
 	for i := 0; i < 4; i++ {
 		ge.servers = append(ge.servers, env.AddNode(fmt.Sprintf("server%d", i),
-			lab.HostOptions{Link: link, Stack: true, Agent: dysco}))
+			lab.HostOptions{Link: link, Stack: true, Agent: dysco, NoRouterLink: !dysco}))
 	}
-	if !dysco {
-		// Baseline: clients and servers connect through the middlebox as
-		// an extra router hop; force it with line links (client—mb and
-		// mb—server are the shortest paths).
-		for _, c := range ge.clients {
-			env.Net.Connect(c.Host, ge.mb.Host, link)
-		}
-		for _, s := range ge.servers {
-			env.Net.Connect(ge.mb.Host, s.Host, link)
-		}
-	} else {
-		for _, c := range ge.clients {
-			env.Net.Connect(c.Host, ge.mb.Host, link)
+	for _, c := range ge.clients {
+		env.Net.Connect(c.Host, ge.mb.Host, link)
+		if dysco {
 			env.ChainPolicy(c, 5001, ge.mb)
 		}
-		for _, s := range ge.servers {
-			env.Net.Connect(ge.mb.Host, s.Host, link)
-		}
+	}
+	for _, s := range ge.servers {
+		env.Net.Connect(ge.mb.Host, s.Host, link)
 	}
 	env.Net.ComputeRoutes()
 	for _, h := range env.Net.Hosts() {
@@ -106,11 +99,10 @@ func buildGoodputEnv(dysco bool, seed int64) *goodputEnv {
 // run starts n bulk sessions (spread over the 4 client-server pairs) and
 // measures aggregate goodput at the receivers over the window.
 func (ge *goodputEnv) run(n int, window time.Duration) float64 {
-	for i, s := range ge.servers {
+	for _, s := range ge.servers {
 		sink := app.NewSink(ge.env.Eng, time.Second)
 		sink.Serve(s.Stack, 5001)
 		ge.sinks = append(ge.sinks, sink)
-		_ = i
 	}
 	// Stagger connection starts (as any real workload would) to avoid
 	// synchronized slow-start bursts.

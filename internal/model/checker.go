@@ -30,7 +30,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -130,15 +129,4 @@ func Explore(init State, maxStates int) (Stats, *Violation) {
 		}
 	}
 	return st, nil
-}
-
-// sortedKeys renders a map deterministically for Key encodings.
-func sortedKeys[K comparable, V any](m map[K]V, format func(K, V) string) string {
-	parts := make([]string, 0, len(m))
-	//lint:ignore mapiter format is a pure formatter and parts are sorted before joining
-	for k, v := range m {
-		parts = append(parts, format(k, v))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
 }

@@ -190,18 +190,17 @@ func (ts *TimeSeries) Rate() []float64 {
 }
 
 // MeanOver returns the mean per-bin value over bins [from, to).
-func (ts *TimeSeries) MeanOver(from, to int) float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(ts.bins) {
-		to = len(ts.bins)
-	}
+func (ts *TimeSeries) MeanOver(from, to int) float64 { return MeanOver(ts.bins, from, to) }
+
+// MeanOver returns the mean of xs[from:to], with the window clipped to xs;
+// an empty window has mean 0.
+func MeanOver(xs []float64, from, to int) float64 {
+	from, to = max(from, 0), min(to, len(xs))
 	if to <= from {
 		return 0
 	}
 	var sum float64
-	for _, v := range ts.bins[from:to] {
+	for _, v := range xs[from:to] {
 		sum += v
 	}
 	return sum / float64(to-from)

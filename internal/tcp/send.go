@@ -25,20 +25,6 @@ func (c *Conn) obsRTO(detail string) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // flight returns bytes in flight (sent, unacknowledged).
 func (c *Conn) flight() int { return int(packet.SeqDiff(c.sndUna, c.sndNxt)) }
 
@@ -453,8 +439,6 @@ func (c *Conn) onPersistTimeout() {
 type sackScoreboard struct {
 	ranges []packet.SACKBlock // sorted, disjoint
 }
-
-func (sb *sackScoreboard) clear() { sb.ranges = sb.ranges[:0] }
 
 // merge folds advertised blocks into the scoreboard, ignoring stale ones
 // below una.
