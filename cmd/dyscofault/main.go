@@ -9,8 +9,7 @@
 // artifacts between runs. The exit status is non-zero when any oracle
 // fails.
 //
-//	dyscofault                       # full sweep: every scenario x plan, seeds 1..5
-//	dyscofault -short                # CI-sized sweep (seeds 1..2)
+//	dyscofault                       # full sweep: every scenario x plan, seeds 1..5 (what CI runs)
 //	dyscofault -scenario chain       # one scenario
 //	dyscofault -plan crash-mid1      # one plan
 //	dyscofault -seeds 8              # more seeds
@@ -33,7 +32,6 @@ func main() {
 		scenario = flag.String("scenario", "all", "scenario to sweep (or \"all\")")
 		planName = flag.String("plan", "all", "fault plan to apply (or \"all\")")
 		seeds    = flag.Int("seeds", 5, "number of seeds (1..N)")
-		short    = flag.Bool("short", false, "CI-sized sweep: 2 seeds")
 		jsonOut  = flag.String("json", "", "also write the full sweep result as JSON to this file")
 		list     = flag.Bool("list", false, "list scenarios, plans, and model coverage, then exit")
 	)
@@ -59,9 +57,6 @@ func main() {
 		opt.Plans = []fault.Plan{p}
 	}
 	n := *seeds
-	if *short {
-		n = 2
-	}
 	if n < 1 {
 		fatalf("-seeds must be >= 1")
 	}

@@ -46,9 +46,15 @@ type StatefulApp interface {
 // originated session (excluding the destination), or nil for no chain.
 type PolicyFunc func(p *packet.Packet) []packet.Addr
 
-// maxControlRetries bounds control retransmissions before a
-// reconfiguration attempt is declared failed (§3.6).
+// maxControlRetries bounds the control retransmissions before an anchor
+// gives up, counting only silent ones after the switch: an unswitched
+// attempt fails (§3.6), a switched one finalizes (onCtrlTimeout). It also
+// bounds trigger re-sends.
 const maxControlRetries = 8
+
+// closedQuiet is how long a session whose FINs were seen both ways must
+// stay quiet before it is forgotten (Agent.closed).
+const closedQuiet = time.Second
 
 // Config tunes an agent.
 type Config struct {
@@ -773,6 +779,7 @@ func (a *Agent) ReportDelta(sessID packet.FiveTuple, d Deltas) error {
 }
 
 // removeSession drops all state for a session at this hop (idempotent).
+// A spliced record takes its partner and both proxy connections with it.
 func (a *Agent) removeSession(sess *Session) {
 	if a.sessions[sess.IDLeft] == nil && a.sessions[sess.IDRight] == nil {
 		return
@@ -784,6 +791,18 @@ func (a *Agent) removeSession(sess *Session) {
 	delete(a.sessions, sess.IDRight)
 	a.Stats.SessionsCollected++
 	a.obs.Emit(obs.Event{Kind: obs.KSessionClose, Sess: sess.IDLeft})
+	if sess.Splice != nil {
+		for _, c := range sess.spliceConns {
+			c.Detach()
+		}
+		a.removeSession(sess.Splice)
+	}
+}
+
+// closed reports whether sess has seen FINs both ways and then stayed
+// quiet for closedQuiet: nothing is left in flight to need its state.
+func (a *Agent) closed(sess *Session) bool {
+	return sess.finSeen[0] && sess.finSeen[1] && a.eng.Now()-sess.lastActive > closedQuiet
 }
 
 // EachSubsession visits the installed rewrite entries in deterministic
@@ -816,6 +835,9 @@ func (a *Agent) CollectIdle() int {
 	n := 0
 	now := a.eng.Now()
 	a.EachSession(func(sess *Session) {
+		if a.sessions[sess.IDLeft] == nil {
+			return // removed with its splice partner
+		}
 		if sess.Reconfig == nil && a.Cfg.LockTimeout >= 0 &&
 			sess.Lock != Unlocked && now-sess.lockSince > a.Cfg.LockTimeout {
 			// Orphaned lock: no local anchor state references it and the
@@ -827,10 +849,9 @@ func (a *Agent) CollectIdle() int {
 		if sess.Reconfig != nil {
 			return
 		}
-		closed := sess.finSeen[0] && sess.finSeen[1] && now-sess.lastActive > time.Second
 		idle := now-sess.lastActive > a.Cfg.IdleTimeout &&
 			now-sess.lastKeepalive > a.Cfg.IdleTimeout
-		if closed || idle {
+		if a.closed(sess) || idle {
 			a.removeSession(sess)
 			n++
 		}

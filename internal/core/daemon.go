@@ -328,15 +328,23 @@ func (d *daemon) anchorSession(id packet.FiveTuple, leftSide bool) (*Session, er
 	return sess, nil
 }
 
-// sendReliable transmits m and arms the anchor's retransmission timer.
+// sendReliable transmits m and arms the anchor's retransmission timer,
+// the one control retransmit clock of the attempt.
 func (d *daemon) sendReliable(rc *Reconfig, to packet.Addr, m *ctrlMsg) {
 	rc.lastMsg = m
 	rc.lastMsgTo = to
-	rc.retries = 0
+	rc.retries, rc.liveRetry, rc.oldPkts = 0, 0, d.oldPathPkts(rc)
 	d.send(to, m)
 	rc.rtxTimer.Reset(d.a.Cfg.ControlRTO)
 }
 
+// onCtrlTimeout retransmits the outstanding message with exponential
+// backoff capped at 64×, and gives up after maxControlRetries retries: an
+// unswitched attempt aborts and cancels its locks (§3.6), a switched one,
+// whose oldPathFIN nothing answered, finalizes. After the switch only
+// silent retries count, those after which the old path has delivered
+// nothing more to this anchor: while it still delivers, the peer's FIN
+// may be held behind a draining hop, so the count restarts.
 func (d *daemon) onCtrlTimeout(rc *Reconfig) {
 	if rc.State == RcDone || rc.State == RcFailed || rc.lastMsg == nil {
 		return
@@ -344,13 +352,28 @@ func (d *daemon) onCtrlTimeout(rc *Reconfig) {
 	rc.retries++
 	d.a.Stats.CtrlRetransmits++
 	d.a.obs.Metrics().Add(obs.MCtrlRetransmits, 1)
-	if rc.retries > maxControlRetries {
-		// New path (or peer) unreachable: abort and cancel locks (§3.6).
-		d.abortReconfig(rc)
+	if pkts := d.oldPathPkts(rc); rc.switched && pkts != rc.oldPkts {
+		rc.oldPkts, rc.liveRetry = pkts, rc.retries
+	}
+	if rc.retries-rc.liveRetry > maxControlRetries {
+		if rc.switched {
+			d.finalizeAnchor(rc)
+		} else {
+			d.abortReconfig(rc)
+		}
 		return
 	}
 	d.send(rc.lastMsgTo, rc.lastMsg)
-	rc.rtxTimer.Reset(d.a.Cfg.ControlRTO * sim.Time(1<<uint(rc.retries-1)))
+	rc.rtxTimer.Reset(d.a.Cfg.ControlRTO << min(rc.retries-1, 6))
+}
+
+// oldPathPkts counts the packets this anchor's old-path ingress entry has
+// rewritten: the evidence that the old path is still delivering.
+func (d *daemon) oldPathPkts(rc *Reconfig) uint64 {
+	if e := d.a.ingress[rc.oldIngressKey]; e != nil {
+		return e.pkts
+	}
+	return 0
 }
 
 // addAnchor makes rc the live attempt of its session at this anchor: it
@@ -368,9 +391,6 @@ func (d *daemon) addAnchor(rc *Reconfig) {
 // stopTimers disarms every timer of the attempt.
 func (rc *Reconfig) stopTimers() {
 	rc.rtxTimer.Stop()
-	if rc.finTimer != nil {
-		rc.finTimer.Stop()
-	}
 	if rc.deadline != nil {
 		rc.deadline.Stop()
 	}
@@ -385,8 +405,8 @@ func (rc *Reconfig) ackReceived() {
 // onAttemptDeadline fires at a right anchor whose attempt never reached
 // the path switch: the left anchor went away (crash, or an aborting
 // cancelLock that was lost). Tear the staged new path down and fail
-// locally. A switched attempt is left alone — the oldPathFIN
-// retransmission drives it to completion.
+// locally. A switched attempt is left alone — its oldPathFIN, on the
+// control retransmit clock, drives it to completion or to the give-up.
 func (d *daemon) onAttemptDeadline(rc *Reconfig) {
 	if rc.State == RcDone || rc.State == RcFailed {
 		return
@@ -955,50 +975,20 @@ func (d *daemon) checkOldPathDone(rc *Reconfig) {
 	}
 }
 
-// sendOldPathFIN transmits this anchor's UDP FIN and keeps retransmitting
-// it (bounded exponential backoff, then a steady capped interval) until the
-// attempt finalizes. The FIN is the only §3.5 message whose loss would
-// otherwise wedge both anchors in the two-path phase forever: there is no
-// reply to arm the ordinary reliable-send timer with, so it gets its own.
+// sendOldPathFIN sends this anchor's UDP FIN to its old-path neighbor on
+// the control retransmit clock. Nothing answers it but the peer's own
+// FIN, so it is retransmitted until the attempt finalizes (onCtrlTimeout).
 func (d *daemon) sendOldPathFIN(rc *Reconfig) {
-	if rc.State != RcTwoPath {
-		return
-	}
-	fin := &ctrlMsg{Type: msgOldPathFIN, ReqID: rc.ID}
+	fin := &ctrlMsg{Type: msgOldPathFIN, ReqID: rc.ID, Session: rc.Sess.IDLeft}
+	to := rc.Sess.LeftHost
 	if rc.IsLeft {
-		fin.Session = rc.Sess.IDRight
-		d.send(rc.Sess.RightHost, fin)
-	} else {
-		fin.Session = rc.Sess.IDLeft
-		d.send(rc.Sess.LeftHost, fin)
+		fin.Session, to = rc.Sess.IDRight, rc.Sess.RightHost
 	}
-	if rc.finTimer == nil {
-		rc.finTimer = sim.NewTimer(d.eng, func() {
-			if rc.finRetries >= maxControlRetries {
-				// Nothing will ever answer: the peer anchor finalized while
-				// its own FIN toward us was lost (it now discards this ReqID
-				// as already handled), or the old path's mid-hop state is
-				// gone so our FIN can no longer be forwarded. The switch
-				// happened and our send side is fully acknowledged, so
-				// finalize rather than retransmit forever (P5).
-				d.finalizeAnchor(rc)
-				return
-			}
-			rc.finRetries++
-			d.a.Stats.CtrlRetransmits++
-			d.a.obs.Metrics().Add(obs.MCtrlRetransmits, 1)
-			d.sendOldPathFIN(rc)
-		})
-	}
-	backoff := rc.finRetries
-	if backoff > 6 {
-		backoff = 6
-	}
-	rc.finTimer.Reset(d.a.Cfg.ControlRTO * sim.Time(1<<uint(backoff)))
+	d.sendReliable(rc, to, fin)
 }
 
 // onOldPathFIN handles the UDP FIN traversing the old path: mid agents
-// forward it and clean up; anchors complete.
+// forward it and forget the session once it is closed; anchors complete.
 func (d *daemon) onOldPathFIN(m *ctrlMsg) {
 	if d.doneReqs[m.ReqID] {
 		return // retransmitted FIN racing our completion: already handled
@@ -1028,8 +1018,8 @@ func (d *daemon) onOldPathFIN(m *ctrlMsg) {
 }
 
 // forwardOldPathFIN relays the UDP FIN across this hop once the relevant
-// spliced connection has drained, and tears the hop down when both
-// directions' FINs have passed.
+// spliced connection has drained. Once both directions' FINs have
+// passed, the hop forgets the session by the closed-session rule.
 func (d *daemon) forwardOldPathFIN(sess *Session, m *ctrlMsg, fromLeft bool) {
 	next := sess.across()
 	// Drain gate: conns[0] faces left, conns[1] faces right. A FIN going
@@ -1060,26 +1050,19 @@ func (d *daemon) forwardOldPathFIN(sess *Session, m *ctrlMsg, fromLeft bool) {
 	sess.finSeen[dirIdx] = true
 	next.finSeen[dirIdx] = true
 	if sess.finSeen[0] && sess.finSeen[1] {
-		d.scheduleOldPathCleanup(sess)
+		d.forgetWhenClosed(sess)
 	}
 }
 
-// scheduleOldPathCleanup removes the deleted hop's session state shortly
-// after the old path is torn down.
-func (d *daemon) scheduleOldPathCleanup(sess *Session) {
-	a := d.a
-	d.eng.Schedule(10*d.a.Cfg.ControlRTO, func() {
-		if sess.Splice != nil {
-			other := sess.Splice
-			for _, det := range sess.spliceConns {
-				if det != nil {
-					det.Detach()
-				}
-			}
-			a.removeSession(other)
-		}
-		a.removeSession(sess)
-	})
+// forgetWhenClosed removes the deleted hop's records once both are closed
+// (Agent.closed): stragglers still in the old path's queues keep them
+// alive, so a late segment finds its spliced connection, not a reset.
+func (d *daemon) forgetWhenClosed(sess *Session) {
+	if d.a.closed(sess) && d.a.closed(sess.across()) {
+		d.a.removeSession(sess)
+		return
+	}
+	d.eng.Schedule(closedQuiet, func() { d.forgetWhenClosed(sess) })
 }
 
 // finalizeAnchor completes a successful reconfiguration at this anchor:
@@ -1087,15 +1070,9 @@ func (d *daemon) scheduleOldPathCleanup(sess *Session) {
 func (d *daemon) finalizeAnchor(rc *Reconfig) {
 	a := d.a
 	sess := rc.Sess
-	// Swap the egress entry to the new path permanently.
+	// Swap the egress entry to the new path permanently. The old ingress
+	// entry stays for stragglers and leaves with the session.
 	a.install(a.egress, rc.oldEgressKey, rc.newEgressEntry)
-	// The old ingress entry lingers briefly for stragglers.
-	oldKey := rc.oldIngressKey
-	d.eng.Schedule(time.Second, func() {
-		if e := a.ingress[oldKey]; e != nil && e.sess == sess && !e.newPath {
-			a.uninstall(e)
-		}
-	})
 	// Update the chain topology at this anchor.
 	if rc.IsLeft {
 		sess.RightHost = rc.newPeerHost

@@ -113,8 +113,8 @@ type Session struct {
 	// packet apps via ReportDelta.
 	MboxDeltas Deltas
 
-	// spliceConns holds the proxy's two TCP connections to detach once the
-	// old path is torn down.
+	// spliceConns holds the proxy's two TCP connections; removeSession
+	// detaches them when the spliced records are forgotten.
 	spliceConns [2]SpliceConn
 
 	// Draining marks a session whose host is being deleted: the agent
@@ -147,8 +147,8 @@ type Session struct {
 	// reconfiguration of this session.
 	Reconfig *Reconfig
 
-	// finSeen tracks TCP FINs observed in each direction (0 = rightward)
-	// for garbage collection.
+	// finSeen tracks the FINs observed in each direction (0 = rightward):
+	// TCP FINs and, at a deleted hop, the old-path FINs (Agent.closed).
 	finSeen [2]bool
 	// lastActive is the virtual time of the last data-path packet. It
 	// gates both idle cleanup and heartbeat sending.
@@ -250,10 +250,6 @@ type Reconfig struct {
 
 	sentOldFIN bool
 	rcvdOldFIN bool
-	// finTimer retransmits this anchor's oldPathFIN until finalization
-	// (the FIN has no acknowledgment of its own; see sendOldPathFIN).
-	finTimer   *sim.Timer
-	finRetries int
 	// deadline bounds a right anchor's unswitched attempt (see
 	// onAttemptDeadline). Nil at left anchors.
 	deadline *sim.Timer
@@ -262,6 +258,10 @@ type Reconfig struct {
 	switchAt sim.Time
 	retries  int
 	rtxTimer *sim.Timer
+	// oldPkts is oldPathPkts at the last timeout and liveRetry the retry
+	// that saw it grow: only the retries after it count to the give-up.
+	oldPkts   uint64
+	liveRetry int
 	// lastMsg is retransmitted by rtxTimer until the awaited reply arrives.
 	lastMsg   *ctrlMsg
 	lastMsgTo packet.Addr

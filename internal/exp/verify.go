@@ -36,7 +36,7 @@ func Verify() *Result {
 		lock("cancel after lock (§3.6)", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 0, Right: 3}}, WinnerCancels: true}),
 		lock("cancel with contention", model.LockConfig{Agents: 4, Requests: []model.Segment{{Left: 0, Right: 2}, {Left: 1, Right: 3}}, WinnerCancels: true}),
 		twoPath("3 tokens, no delta", model.TwoPathConfig{N: 3}),
-		twoPath("3 tokens, delta=1000 (proxy deleted)", model.TwoPathConfig{N: 3, Delta: 1000}),
+		twoPath("3 tokens, delta=1000 (proxy deleted)", model.TwoPathConfig{N: 3, Delta: 1000, Terminating: true}),
 		twoPath("4 tokens, switch after 2 (split stream)", model.TwoPathConfig{N: 4, Delta: 7, SwitchAfterMin: 2}),
 		twoPath("5 tokens, delta, free switch point", model.TwoPathConfig{N: 5, Delta: 13}),
 		twoPath("switch before any data", model.TwoPathConfig{N: 2}),

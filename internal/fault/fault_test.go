@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/lab"
 	"repro/internal/model"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
 )
@@ -115,6 +117,31 @@ func TestMultiPair(t *testing.T) {
 		}
 		if done, _ := reconfigOutcomes(hub.Events()); len(done) != pairs {
 			t.Errorf("%s: %d reconfigurations done, want one per pair", sc.Name, len(done))
+		}
+	}
+}
+
+// TestSlowProxyDrainLosesNoBytes: eight proxied pairs on 100 Mb/s links
+// with shallow queues, each proxy splicing out after 2 MB. The proxy
+// holds each client's oldPathFIN until its backend connection drains,
+// which takes seconds, while each server, its own FIN long sent, waits on
+// the client's. A server must not finalize on a count of unanswered FINs
+// while the old path still delivers to it: every byte reaches every
+// server and every reconfiguration completes.
+func TestSlowProxyDrainLosesNoBytes(t *testing.T) {
+	sc, _ := ScenarioByName("proxyremoval")
+	link := netsim.LinkConfig{Delay: 50 * time.Microsecond, Bandwidth: netsim.Mbps(100), QueueBytes: 256 << 10}
+	p := sc.Sweep
+	p.Pairs, p.Link, p.MBLink = 8, link, link
+	p.Bytes, p.Horizon = 8<<20, 20*time.Second
+	for seed := int64(1); seed <= 3; seed++ {
+		run := sc.Build(seed, p)
+		run.Proxy.AutoSpliceAfter = 2 << 20
+		run.Observe()
+		run.Start()
+		run.Run()
+		if v := run.Violations(); len(v) > 0 {
+			t.Errorf("seed %d: %v", seed, v)
 		}
 	}
 }

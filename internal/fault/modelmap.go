@@ -66,7 +66,8 @@ func ModelCoverage() []Coverage {
 			Op: OpCtrlDrop, ModelFault: "winner-cancels",
 			Why: "dropping control messages forces the same §3.6 abort/cancel transitions the " +
 				"model explores via WinnerCancels; the retransmission that precedes the abort " +
-				"is implementation-only",
+				"is implementation-only. A dropped oldPathFIN ends in the give-up the two-path " +
+				"model explores as fin-give-up",
 		},
 		{
 			Op: OpCtrlDelay, ModelFault: "message-interleaving",

@@ -417,6 +417,54 @@ func TestProxySpliceRemovalMidTransfer(t *testing.T) {
 	}
 }
 
+// TestSplicedHopOutlivesOldPathStragglers: the deleted proxy keeps its
+// spliced connections until the old path is quiet. A pure ACK the server
+// sends on the old sub-session 100 ms after both oldPathFINs have passed
+// (a straggler behind a deep queue) must reach the proxy's connection,
+// not draw a RST that would reset the server's session. Once the hop has
+// been quiet for a second it forgets both records and both connections,
+// with no idle GC running.
+func TestSplicedHopOutlivesOldPathStragglers(t *testing.T) {
+	pe := newProxyEnv(t, 9, fastLink())
+	pe.proxy.AutoSpliceAfter = 50 << 10
+	c := pe.client.Stack.Connect(pe.server.Addr(), 80, tcp.Config{})
+	c.OnEstablished = func() { c.Send(make([]byte, 1<<20)) }
+	var rsts uint64
+	injected := false
+	inject := func() {
+		srv := pe.proxy.Pairs()[0].Server
+		rsts = pe.proxyN.Stack.RSTsSent
+		pe.proxyN.Host.InjectLocal(packet.NewTCP(srv.Tuple().Reverse(), packet.FlagACK, srv.RcvNxt(), srv.SndNxt(), nil))
+		injected = true
+	}
+	done := 0
+	onDone := func(_ packet.FiveTuple, ok bool, _ sim.Time) {
+		if !ok {
+			t.Error("reconfiguration failed")
+		}
+		// Each anchor finalizes on the other's oldPathFIN: both have
+		// crossed the proxy.
+		if done++; done == 2 {
+			pe.env.Eng.Schedule(100*time.Millisecond, inject)
+		}
+	}
+	pe.client.Agent.OnReconfigDone = onDone
+	pe.server.Agent.OnReconfigDone = onDone
+	pe.env.RunFor(5 * time.Second)
+	if !injected {
+		t.Fatal("the anchors never both finalized")
+	}
+	if got := pe.proxyN.Stack.RSTsSent; got != rsts {
+		t.Errorf("proxy answered an old-path straggler with %d RST(s)", got-rsts)
+	}
+	if n := pe.proxyN.Agent.Sessions(); n != 0 {
+		t.Errorf("proxy agent retains %d sessions", n)
+	}
+	if n := pe.proxyN.Stack.Conns(); n != 0 {
+		t.Errorf("proxy stack retains %d conns", n)
+	}
+}
+
 func TestProxyRemovalSACKTranslationUnderLoss(t *testing.T) {
 	// After proxy removal the path is lossy; SACK blocks must be
 	// translated at the anchors or the peers discard the packets (§4.2).

@@ -19,6 +19,9 @@
 //	P4 — the sequence and acknowledgment numbers received by end-hosts
 //	     are correct;
 //	P5 — all sessions terminate cleanly;
+//	P6 — an anchor never finalizes while old-path bytes its peer's
+//	     sender discarded are still in flight to it (added here: the
+//	     implementation's FIN give-up, which the paper does not model);
 //	plus absence of deadlock (a non-terminal state with no enabled
 //	transition fails the check).
 //

@@ -41,9 +41,20 @@ func ModeledFaults() []ModeledFault {
 				"(TwoPathConfig.SwitchAfterMin and the switch nondeterminism in Next)",
 		},
 		{
+			Name: "fin-give-up",
+			Description: "an anchor whose peer's oldPathFIN is late (lost, or held behind a draining " +
+				"proxy) gives up once the old path toward it is silent, explored at every such point; " +
+				"with a terminating proxy the sender discards bytes still in flight (P6; TwoPathConfig.Terminating)",
+		},
+		{
 			Name: "double-delta",
 			Description: "checker self-test: the left anchor misapplies the §3.4 delta so the " +
 				"P4 invariant must observably fail (TwoPathConfig.BugDoubleDelta)",
+		},
+		{
+			Name: "early-give-up",
+			Description: "checker self-test: the FIN give-up counts every retry, silent or not, so the " +
+				"P6 invariant must observably fail (TwoPathConfig.BugGiveUpAnyTime)",
 		},
 	}
 }

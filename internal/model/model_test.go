@@ -110,6 +110,30 @@ func TestCheckerDetectsInjectedBug(t *testing.T) {
 	t.Logf("caught: %v (trace %d steps)", v.Err, len(v.Trace))
 }
 
+// TestTwoPathSilentGiveUp: a terminating proxy acknowledges L's old-path
+// tokens before R has them, and either anchor may give up on its peer's
+// FIN once the old path toward it has gone silent. No execution finalizes
+// R ahead of a discarded token (P6), and every one still tears down (P5).
+func TestTwoPathSilentGiveUp(t *testing.T) {
+	explore(t, NewTwoPathState(&TwoPathConfig{N: 3, Delta: 11, Terminating: true}),
+		"terminating proxy, silent give-up")
+}
+
+// TestCheckerFindsEarlyGiveUp: with a give-up that counts every retry,
+// silent or not, the checker reaches R finalizing while tokens L has seen
+// acknowledged by the proxy are still on the old path (P6).
+func TestCheckerFindsEarlyGiveUp(t *testing.T) {
+	init := NewTwoPathState(&TwoPathConfig{N: 3, Delta: 11, Terminating: true, BugGiveUpAnyTime: true})
+	_, v := Explore(init, 0)
+	if v == nil {
+		t.Fatal("checker missed the early give-up")
+	}
+	if !strings.Contains(v.Err.Error(), "P6") {
+		t.Fatalf("unexpected violation: %v", v.Err)
+	}
+	t.Logf("caught: %v (trace %d steps)", v.Err, len(v.Trace))
+}
+
 func BenchmarkLockModelFig5(b *testing.B) {
 	cfg := &LockConfig{Agents: 4, Requests: []Segment{{1, 3}, {0, 2}}}
 	b.ReportAllocs()

@@ -139,7 +139,7 @@ func ReconfigTable() FSMTable {
 			{From: "RcSettingUp", To: "RcFailed", Label: "cancelLock|timeout"},
 			{From: "RcStateWait", To: "RcTwoPath", Label: "stateReady"},
 			{From: "RcStateWait", To: "RcFailed", Label: "cancelLock|timeout"},
-			{From: "RcTwoPath", To: "RcDone", Label: "oldPathDrained"},
+			{From: "RcTwoPath", To: "RcDone", Label: "oldPathDrained|silentGiveUp"},
 			{From: "RcTwoPath", To: "RcFailed", Label: "cancelLock|timeout"},
 		},
 	}

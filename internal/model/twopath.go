@@ -20,7 +20,18 @@ import (
 //	P2: every token is delivered exactly once (no loss, no duplication);
 //	P4: R's stack observes sequence numbers Delta, Delta+1, ... in order,
 //	    and L's stack observes only acknowledgments for data it sent;
-//	P5: every execution reaches old-path teardown with empty channels.
+//	P5: every execution reaches old-path teardown with empty channels;
+//	P6: an anchor never finalizes while old-path bytes its peer's sender
+//	    discarded are still in flight to it.
+//
+// Each anchor sends its oldPathFIN once its send side is acknowledged and
+// finalizes when the peer's FIN is in and its receive side is complete,
+// or when it gives up waiting for that FIN. The implementation gives up
+// after a run of silent retries: retries during which the old path
+// delivered nothing to the anchor. The model abstracts time away, so it
+// takes a retry interval to be long enough for a non-empty old path to
+// deliver something: the give-up is enabled exactly when the old-path
+// channel toward the anchor is empty.
 type TwoPathConfig struct {
 	N     int   // tokens to transfer
 	Delta int64 // the deleted middlebox's stream shift (§3.4)
@@ -32,6 +43,15 @@ type TwoPathConfig struct {
 	// though §3.4 assigns that translation to the right anchor's ingress,
 	// so tokens arrive shifted by 2×Delta.
 	BugDoubleDelta bool
+	// Terminating makes the deleted middlebox a TCP-terminating proxy: it
+	// acknowledges L's old-path tokens itself, so L discards them while
+	// they are still in flight to R, and it absorbs R's old-path acks.
+	Terminating bool
+	// BugGiveUpAnyTime is the checker's second self-test: an anchor gives
+	// up waiting for its peer's FIN after a fixed count of retries,
+	// whatever the old path still delivers — with arbitrary delays, at
+	// any point after its own FIN. With Terminating, P6 must fail.
+	BugGiveUpAnyTime bool
 }
 
 // channel ids.
@@ -68,7 +88,7 @@ type twoPathState struct {
 	// R's view (its stack space: expects Delta, Delta+1, ...).
 	rSwitched    bool
 	rRcvd        int64 // next expected in R space (= delivered count + Delta)
-	rOldRcvd     int64 // highest in-order byte received on the old path +1 (R space)
+	rOldRcvd     int64 // end of the highest token received on the old path (R space)
 	rOldAckSent  int64 // highest ack sent on the old path (R space)
 	rFirstNew    int64
 	rHasFirstNew bool
@@ -77,6 +97,8 @@ type twoPathState struct {
 	rSentFIN     bool
 	rGotFIN      bool
 	rDone        bool
+	// rEarly records P6: R finalized with discarded tokens in flight.
+	rEarly bool
 
 	queues [numCh][]tmsg
 }
@@ -121,7 +143,7 @@ func (s *twoPathState) Key() string {
 		s.rFirstNew,
 		s.rDone,
 		s.rDelivered, s.queues,
-		s.lBadAck, false, s.rDup, s.lAckedFuture,
+		s.lBadAck, s.rEarly, s.rDup, s.lAckedFuture,
 	})
 }
 
@@ -141,6 +163,17 @@ func (s *twoPathState) Next() []State {
 			out = append(out, s.deliver(ch))
 		}
 	}
+	// An anchor waiting for its peer's FIN gives up (see TwoPathConfig).
+	if s.lSentFIN && !s.lDone && (s.cfg.BugGiveUpAnyTime || len(s.queues[chOldRL]) == 0) {
+		c := s.clone()
+		c.lDone = true // L receives no data: nothing of P6 to check
+		out = append(out, c)
+	}
+	if s.rSentFIN && !s.rDone && (s.cfg.BugGiveUpAnyTime || len(s.queues[chOldLR]) == 0) {
+		c := s.clone()
+		c.rFinalize()
+		out = append(out, c)
+	}
 	return out
 }
 
@@ -153,6 +186,10 @@ func (s *twoPathState) lSendToken() State {
 		// Old path carries the middlebox's shift: the mbox used to add
 		// Delta (modeled at dequeue).
 		c.queues[chOldLR] = append(c.queues[chOldLR], tmsg{seq: seq, ack: -1, data: true})
+		if c.cfg.Terminating {
+			// The proxy takes the token into its buffer and acks it.
+			c.queues[chOldRL] = append(c.queues[chOldRL], tmsg{ack: c.lSent + c.cfg.Delta})
+		}
 	} else {
 		if c.cfg.BugDoubleDelta {
 			seq += c.cfg.Delta // fault injection: wrong side translates
@@ -184,17 +221,29 @@ func (c *twoPathState) maybeSendLFIN() {
 	}
 }
 
-// maybeSendRFIN: R sends nothing, so its send side is trivially complete;
+// maybeSendRFIN: R sends nothing, so its send side is complete at the
+// switch and it sends its FIN then; it finalizes once L's FIN is in and
 // its receive side completes per the §3.5 predicate.
 func (c *twoPathState) maybeSendRFIN() {
-	recvDone := c.rOldAckSent >= c.rOldRcvd &&
-		((c.rHasFirstNew && c.rFirstNew == c.rOldRcvd) || c.rGotFIN)
-	if c.rSwitched && !c.rSentFIN && recvDone {
+	if c.rSwitched && !c.rSentFIN {
 		c.rSentFIN = true
 		c.queues[chOldRL] = append(c.queues[chOldRL], tmsg{ack: -1, fin: true})
 	}
-	if c.rSentFIN && c.rGotFIN {
-		c.rDone = true
+	recvDone := c.rOldAckSent >= c.rOldRcvd &&
+		((c.rHasFirstNew && c.rFirstNew == c.rOldRcvd) || c.rGotFIN)
+	if c.rSentFIN && c.rGotFIN && recvDone && !c.rDone {
+		c.rFinalize()
+	}
+}
+
+// rFinalize ends R's two-path phase, recording P6 if a token L has seen
+// acknowledged (and so discarded) is still on the old path to R.
+func (c *twoPathState) rFinalize() {
+	c.rDone = true
+	for _, m := range c.queues[chOldLR] {
+		if m.data && m.seq < c.lAcked {
+			c.rEarly = true
+		}
 	}
 }
 
@@ -262,23 +311,31 @@ func (c *twoPathState) rReceive(ch int, m tmsg) {
 			c.rRcvd++
 		}
 	}
-	if ch == chOldLR && c.rRcvd > c.rOldRcvd {
-		c.rOldRcvd = c.rRcvd
+	if ch == chOldLR && seqR+1 > c.rOldRcvd {
+		c.rOldRcvd = seqR + 1
 	}
 	// R acks cumulatively, routed by the §3.5 ack rules.
 	ack := c.rRcvd
 	switch {
 	case ack <= c.rOldRcvd && ack > c.rOldAckSent:
-		c.queues[chOldRL] = append(c.queues[chOldRL], tmsg{ack: ack})
+		c.sendOldAck(ack)
 		c.rOldAckSent = ack
 	case ack > c.rOldRcvd && c.rOldRcvd == c.rOldAckSent:
 		c.queues[chNewRL] = append(c.queues[chNewRL], tmsg{ack: ack})
 	case ack > c.rOldRcvd && c.rOldRcvd > c.rOldAckSent:
 		c.queues[chNewRL] = append(c.queues[chNewRL], tmsg{ack: ack})
-		c.queues[chOldRL] = append(c.queues[chOldRL], tmsg{ack: c.rOldRcvd})
+		c.sendOldAck(c.rOldRcvd)
 		c.rOldAckSent = c.rOldRcvd
 	}
 	c.maybeSendRFIN()
+}
+
+// sendOldAck sends R's ack on the old path; a terminating proxy absorbs
+// it (it acked L's tokens itself).
+func (c *twoPathState) sendOldAck(ack int64) {
+	if !c.cfg.Terminating {
+		c.queues[chOldRL] = append(c.queues[chOldRL], tmsg{ack: ack})
+	}
 }
 
 // lReceive runs L's anchor+stack logic for acks.
@@ -315,6 +372,9 @@ func (s *twoPathState) Invariant() error {
 	}
 	if s.lAckedFuture || s.lBadAck {
 		return fmt.Errorf("P4 violated: acknowledgment or sequence outside the stream")
+	}
+	if s.rEarly {
+		return fmt.Errorf("P6 violated: R finalized with old-path bytes L discarded still in flight")
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ go test ./internal/sim    -run '^$' -fuzz '^FuzzQueueOrder$'  -fuzztime 10s
 # Nor this: random push/acknowledge/read programs on the TCP send queue
 # against a flat byte slice (bytes, sub-slice sharing, capped results).
 go test ./internal/tcp    -run '^$' -fuzz '^FuzzSendQueue$'   -fuzztime 10s
-go run ./cmd/dyscofault -short -json FAULT_sweep.json
+go run ./cmd/dyscofault -json FAULT_sweep.json
 
 # Figure regression: every experiment at quick scale, seed 42, must print
 # exactly the checked-in experiments_output.txt (EXPERIMENTS.md).
