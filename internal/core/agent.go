@@ -78,13 +78,14 @@ type Config struct {
 	// disables.
 	LockTimeout sim.Time
 	// AttemptTimeout bounds how long a right anchor keeps a
-	// reconfiguration attempt alive before the path switches. The right
-	// anchor only ever replies — it has no reliable send of its own to
-	// time out on — so a left anchor that aborts and loses its cancelLock
-	// (§3.6) would leave the right anchor's attempt pending forever.
-	// Once the attempt reaches the two-path phase it is exempt: the FIN
-	// retransmission guarantees progress. Default 10 s; negative
-	// disables.
+	// reconfiguration attempt alive before the path switches. Until then
+	// the right anchor only replies, so its attempt timer (the control
+	// retransmit clock) carries this deadline, armed when it accepts the
+	// lock: a left anchor that crashed, or aborted and lost its
+	// cancelLock (§3.6), would otherwise leave the attempt pending
+	// forever. At the deadline the staged new path is torn down and the
+	// attempt fails. A switched attempt is exempt: its oldPathFIN, on the
+	// same timer, ends it. Default 10 s; negative disables.
 	AttemptTimeout sim.Time
 	// HeartbeatInterval, when positive, makes the agent send keepalive
 	// signals for idle sessions to its neighbors so good subsessions are
@@ -305,7 +306,7 @@ func (a *Agent) RestartDaemon() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		rc := old.reconfigs[id]
-		rc.stopTimers()
+		rc.rtxTimer.Stop()
 		rc.lastMsg = nil
 		rc.Sess.Reconfig = nil
 	}

@@ -879,6 +879,63 @@ func TestSpliceErrorPaths(t *testing.T) {
 	env.checkOwnership(t)
 }
 
+// stuckConn is a spliced proxy connection whose send queue never drains:
+// it holds one byte forever and keeps the drain callbacks it is given.
+type stuckConn struct {
+	tuple   packet.FiveTuple
+	drained []func()
+}
+
+func (c *stuckConn) Tuple() packet.FiveTuple { return c.tuple }
+func (c *stuckConn) SndNxt() uint32          { return 0 }
+func (c *stuckConn) RcvNxt() uint32          { return 0 }
+func (c *stuckConn) SndUna() uint32          { return 0 }
+func (c *stuckConn) RcvWScale() int8         { return 0 }
+func (c *stuckConn) SndWScale() int8         { return 0 }
+func (c *stuckConn) TSRecent() uint32        { return 0 }
+func (c *stuckConn) TSNow() uint32           { return 0 }
+func (c *stuckConn) BufferedOut() int        { return 1 }
+func (c *stuckConn) OnDrained(fn func())     { c.drained = append(c.drained, fn) }
+func (c *stuckConn) Detach()                 {}
+
+// TestHeldOldPathFINPostsNoEvents: an oldPathFIN held at a deleted hop
+// behind a connection that never drains waits on the drain callback, not
+// on a timer. The idle network stays empty; the FIN crosses the hop when
+// the connection reports the drain.
+func TestHeldOldPathFINPostsNoEvents(t *testing.T) {
+	env := newChainEnv(t, 1, netsim.LinkConfig{Delay: 100 * time.Microsecond}, 84)
+	env.sServer.Listen(80, func(c *tcp.Conn) {})
+	c := env.sClient.Connect(env.server.Addr, 80, tcp.Config{})
+	env.runFor(100 * time.Millisecond)
+	hop := env.aMbox[0]
+	left := &stuckConn{tuple: c.Tuple().Reverse()}
+	right := &stuckConn{tuple: packet.FiveTuple{
+		SrcIP: env.mboxes[0].Addr, DstIP: env.server.Addr, SrcPort: 5000, DstPort: 80, Proto: packet.ProtoTCP,
+	}}
+	if err := hop.Splice(left, right); err != nil {
+		t.Fatal(err)
+	}
+	if n := env.eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending on the idle network before the FIN", n)
+	}
+	hop.daemon.onOldPathFIN(&ctrlMsg{Type: msgOldPathFIN, ReqID: 1, Session: c.Tuple(), from: env.client.Addr})
+	env.runFor(time.Second)
+	if n := env.eng.Pending(); n != 0 {
+		t.Fatalf("a held oldPathFIN left %d events pending", n)
+	}
+	if len(right.drained) != 1 || len(left.drained) != 0 {
+		t.Fatalf("drain callbacks: %d on the right-facing conn, %d on the left-facing, want 1 and 0", len(right.drained), len(left.drained))
+	}
+	sess := hop.Session(c.Tuple())
+	if sess.finSeen[0] {
+		t.Fatal("the FIN crossed the hop before its connection drained")
+	}
+	right.drained[0]()
+	if !sess.finSeen[0] || !sess.across().finSeen[0] {
+		t.Fatal("the FIN did not cross the hop at the drain")
+	}
+}
+
 // Satellite of the fault-injection work: §2.1 keepalives must distinguish
 // a dead peer from a merely-lossy path. With every link dropping 15%
 // of its packets, enough heartbeats still get through to keep the idle

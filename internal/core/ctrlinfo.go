@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/packet"
 )
@@ -107,7 +108,7 @@ func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 		return nil, fmt.Errorf("core: bad control checksum %#04x, want %#04x", stored, got)
 	}
 	m := &ctrlMsg{Type: msgType(b[1])}
-	if _, ok := msgNames[m.Type]; !ok {
+	if !m.Type.known() {
 		return nil, fmt.Errorf("core: unknown control message type %d", b[1])
 	}
 	m.ReqID = binary.BigEndian.Uint64(b[4:])
@@ -191,4 +192,10 @@ func CtrlTypeName(payload []byte) string {
 		return ""
 	}
 	return m.Type.String()
+}
+
+// IsCtrlTypeName reports whether name is a control message type's name as
+// CtrlTypeName returns it.
+func IsCtrlTypeName(name string) bool {
+	return name != "" && slices.Contains(msgNames[:], name)
 }

@@ -32,7 +32,9 @@ const (
 	msgHeartbeat
 )
 
-var msgNames = map[msgType]string{
+// msgNames is the control vocabulary: each message type's name, indexed
+// by its msgType. Index 0 is no type.
+var msgNames = [...]string{
 	msgTrigger: "trigger", msgReqLock: "requestLock", msgAckLock: "ackLock",
 	msgNackLock: "nackLock", msgCancelLock: "cancelLock", msgAckCancel: "ackCancel",
 	msgNewPathSYN: "newPathSYN", msgNewPathSYNACK: "newPathSYNACK",
@@ -42,9 +44,12 @@ var msgNames = map[msgType]string{
 	msgHeartbeat: "heartbeat",
 }
 
+// known reports whether t is a control message type.
+func (t msgType) known() bool { return t > 0 && int(t) < len(msgNames) }
+
 func (t msgType) String() string {
-	if s, ok := msgNames[t]; ok {
-		return s
+	if t.known() {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("msg(%d)", uint8(t))
 }
@@ -335,18 +340,36 @@ func (d *daemon) sendReliable(rc *Reconfig, to packet.Addr, m *ctrlMsg) {
 	rc.lastMsgTo = to
 	rc.retries, rc.liveRetry, rc.oldPkts = 0, 0, d.oldPathPkts(rc)
 	d.send(to, m)
-	rc.rtxTimer.Reset(d.a.Cfg.ControlRTO)
+	rc.rtxTimer.Reset(d.backoff(0))
 }
 
-// onCtrlTimeout retransmits the outstanding message with exponential
-// backoff capped at 64×, and gives up after maxControlRetries retries: an
+// backoff is the daemon's one retransmission backoff, ControlRTO doubled n
+// times and capped at 64×. An attempt waits backoff(0) after a first send
+// and backoff(n-1) after its n-th retransmission; a trigger waits
+// backoff(k+2) after its send number k.
+func (d *daemon) backoff(n int) sim.Time { return d.a.Cfg.ControlRTO << min(n, 6) }
+
+// onCtrlTimeout is the attempt's one timer firing. With no message
+// outstanding it is a right anchor's AttemptTimeout deadline, armed at the
+// lock and bounding the attempt until the path switch: the left anchor
+// went away (crash, or an aborting cancelLock that was lost), so the
+// staged new path is torn down and the attempt fails; a switched attempt
+// is left to its oldPathFIN. Otherwise it retransmits the outstanding
+// message with backoff and gives up after maxControlRetries retries: an
 // unswitched attempt aborts and cancels its locks (§3.6), a switched one,
 // whose oldPathFIN nothing answered, finalizes. After the switch only
 // silent retries count, those after which the old path has delivered
 // nothing more to this anchor: while it still delivers, the peer's FIN
 // may be held behind a draining hop, so the count restarts.
 func (d *daemon) onCtrlTimeout(rc *Reconfig) {
-	if rc.State == RcDone || rc.State == RcFailed || rc.lastMsg == nil {
+	if rc.State == RcDone || rc.State == RcFailed {
+		return
+	}
+	if rc.lastMsg == nil {
+		if !rc.switched {
+			d.teardownNewPathEntries(rc)
+			d.failReconfig(rc)
+		}
 		return
 	}
 	rc.retries++
@@ -364,7 +387,7 @@ func (d *daemon) onCtrlTimeout(rc *Reconfig) {
 		return
 	}
 	d.send(rc.lastMsgTo, rc.lastMsg)
-	rc.rtxTimer.Reset(d.a.Cfg.ControlRTO << min(rc.retries-1, 6))
+	rc.rtxTimer.Reset(d.backoff(rc.retries - 1))
 }
 
 // oldPathPkts counts the packets this anchor's old-path ingress entry has
@@ -388,35 +411,10 @@ func (d *daemon) addAnchor(rc *Reconfig) {
 	d.a.obs.Emit(obs.Event{Kind: obs.KReconfig, Sess: rc.Sess.IDLeft, ReqID: rc.ID, To: rc.State.String()})
 }
 
-// stopTimers disarms every timer of the attempt.
-func (rc *Reconfig) stopTimers() {
-	rc.rtxTimer.Stop()
-	if rc.deadline != nil {
-		rc.deadline.Stop()
-	}
-}
-
 // ackReceived stops the retransmission cycle for the outstanding message.
 func (rc *Reconfig) ackReceived() {
 	rc.lastMsg = nil
 	rc.rtxTimer.Stop()
-}
-
-// onAttemptDeadline fires at a right anchor whose attempt never reached
-// the path switch: the left anchor went away (crash, or an aborting
-// cancelLock that was lost). Tear the staged new path down and fail
-// locally. A switched attempt is left alone — its oldPathFIN, on the
-// control retransmit clock, drives it to completion or to the give-up.
-func (d *daemon) onAttemptDeadline(rc *Reconfig) {
-	if rc.State == RcDone || rc.State == RcFailed {
-		return
-	}
-	if rc.switched {
-		rc.deadline.Reset(d.a.Cfg.AttemptTimeout)
-		return
-	}
-	d.teardownNewPathEntries(rc)
-	d.failReconfig(rc)
 }
 
 // abortReconfig cancels a failed attempt: the session continues on the old
@@ -461,9 +459,9 @@ func (d *daemon) failReconfig(rc *Reconfig) {
 }
 
 // closeReconfig is the common teardown after the attempt reached a final
-// state: stop timers, detach from the session, report, unblock waiters.
+// state: stop its timer, detach from the session, report, unblock waiters.
 func (d *daemon) closeReconfig(rc *Reconfig, ok bool) {
-	rc.stopTimers()
+	rc.rtxTimer.Stop()
 	d.doneReqs[rc.ID] = true
 	rc.Sess.Reconfig = nil
 	took := d.eng.Now() - rc.started
@@ -509,9 +507,10 @@ func (a *Agent) TriggerReplaceWithState(sessID packet.FiveTuple, replacement []p
 	return a.daemon.trigger(sessID, replacement, 0, stateFrom, stateTo)
 }
 
+// trigger sends the trigger to the left neighbor and re-sends it after
+// backoff(attempt+2) until the lock request passes this hop.
 func (d *daemon) trigger(sessID packet.FiveTuple, replacement []packet.Addr, attempt int, stateFrom, stateTo packet.Addr) error {
-	a := d.a
-	sess := a.sessions[sessID]
+	sess := d.a.sessions[sessID]
 	if sess == nil {
 		if attempt > 0 {
 			return nil // session reconfigured away in the meantime
@@ -536,7 +535,7 @@ func (d *daemon) trigger(sessID packet.FiveTuple, replacement []packet.Addr, att
 		StateFrom:   stateFrom,
 		StateTo:     stateTo,
 	})
-	d.eng.Schedule(4*a.Cfg.ControlRTO*sim.Time(1<<uint(min(attempt, 6))), func() {
+	d.eng.Schedule(d.backoff(attempt+2), func() {
 		d.trigger(sessID, replacement, attempt+1, stateFrom, stateTo)
 	})
 	return nil
@@ -628,8 +627,7 @@ func (d *daemon) reqLockAtRightAnchor(m *ctrlMsg) {
 	}
 	d.addAnchor(rc)
 	if a.Cfg.AttemptTimeout >= 0 {
-		rc.deadline = sim.NewTimer(d.eng, func() { d.onAttemptDeadline(rc) })
-		rc.deadline.Reset(a.Cfg.AttemptTimeout)
+		rc.rtxTimer.Reset(a.Cfg.AttemptTimeout) // the deadline (onCtrlTimeout)
 	}
 	d.replyAckLock(rc, m)
 }
@@ -1018,23 +1016,26 @@ func (d *daemon) onOldPathFIN(m *ctrlMsg) {
 }
 
 // forwardOldPathFIN relays the UDP FIN across this hop once the relevant
-// spliced connection has drained. Once both directions' FINs have
-// passed, the hop forgets the session by the closed-session rule.
+// spliced connection has drained: conns[0] faces left, conns[1] right, and
+// a FIN going right waits for the right-facing connection to flush, one
+// going left for the left-facing one. Every copy that arrives is relayed.
 func (d *daemon) forwardOldPathFIN(sess *Session, m *ctrlMsg, fromLeft bool) {
-	next := sess.across()
-	// Drain gate: conns[0] faces left, conns[1] faces right. A FIN going
-	// right is held until the right-facing connection flushed; a FIN
-	// going left until the left-facing one did.
-	var gate SpliceConn
+	gate := sess.spliceConns[0]
 	if fromLeft {
 		gate = sess.spliceConns[1]
-	} else {
-		gate = sess.spliceConns[0]
 	}
-	if gate != nil && gate.BufferedOut() > 0 {
-		d.eng.Schedule(d.a.Cfg.ControlRTO, func() { d.forwardOldPathFIN(sess, m, fromLeft) })
+	if gate == nil {
+		d.relayOldPathFIN(sess, m, fromLeft)
 		return
 	}
+	gate.OnDrained(func() { d.relayOldPathFIN(sess, m, fromLeft) })
+}
+
+// relayOldPathFIN sends the FIN on across the hop. Once both directions'
+// FINs have passed, the hop forgets the session by the closed-session
+// rule.
+func (d *daemon) relayOldPathFIN(sess *Session, m *ctrlMsg, fromLeft bool) {
+	next := sess.across()
 	fwd := *m
 	dirIdx := 1
 	if fromLeft {

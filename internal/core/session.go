@@ -250,13 +250,12 @@ type Reconfig struct {
 
 	sentOldFIN bool
 	rcvdOldFIN bool
-	// deadline bounds a right anchor's unswitched attempt (see
-	// onAttemptDeadline). Nil at left anchors.
-	deadline *sim.Timer
 
 	started  sim.Time
 	switchAt sim.Time
 	retries  int
+	// rtxTimer is the attempt's one timer: the control retransmit clock
+	// and, at a right anchor before the switch, its deadline.
 	rtxTimer *sim.Timer
 	// oldPkts is oldPathPkts at the last timeout and liveRetry the retry
 	// that saw it grow: only the retries after it count to the give-up.

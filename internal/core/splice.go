@@ -21,6 +21,9 @@ type SpliceConn interface {
 	// BufferedOut reports bytes accepted for sending but not yet
 	// acknowledged; the old path is drained only when it reaches zero.
 	BufferedOut() int
+	// OnDrained runs fn once BufferedOut is zero: at once, or at the ACK
+	// that empties the send queue. A detached connection never runs it.
+	OnDrained(fn func())
 	Detach()
 }
 

@@ -52,9 +52,16 @@ func Fig12(sc Scale, seed int64) *Result {
 	in.Proxy.RelayCostPerKB = 2 * time.Microsecond
 	in.Proxy.AutoSpliceAfter = 0 // the figure splices on its own schedule
 	goodput := stats.NewTimeSeries(time.Second)
+	// The figure drives its own sources and sinks, so it counts their
+	// resets itself: no removal may reset a session.
+	resets := 0
+	countReset := func() { resets++ }
+	sink := &app.Sink{Eng: env.Eng, Series: goodput}
 	for _, s := range in.Servers {
-		sink := &app.Sink{Eng: env.Eng, Series: goodput}
-		sink.Serve(s.Stack, 80)
+		s.Stack.Listen(80, func(c *tcp.Conn) {
+			sink.Attach(c)
+			c.OnReset = countReset
+		})
 	}
 	var reconfigsDone int
 	for _, c := range in.Clients {
@@ -68,6 +75,7 @@ func Fig12(sc Scale, seed int64) *Result {
 	for p, c := range in.Clients {
 		for s := 0; s < perPair; s++ {
 			conn := c.Stack.Connect(in.Servers[p].Addr(), 80, tcp.Config{})
+			conn.OnReset = countReset
 			app.NewSource(conn, 0)
 		}
 	}
@@ -120,6 +128,7 @@ func Fig12(sc Scale, seed int64) *Result {
 		cpuPost < 0.05 && cpuPre > 0.3 && cpuPre < 0.98, "pre=%.2f post=%.2f", cpuPre, cpuPost)
 	r.check("all reconfigurations completed",
 		reconfigsDone == 4*perPair, "done=%d want=%d", reconfigsDone, 4*perPair)
+	r.check("no session reset at either end", resets == 0, "resets=%d", resets)
 	// Goodput increases stepwise at each removal mark.
 	steps := 0
 	for _, at := range reconfigAt {

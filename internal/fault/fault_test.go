@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/model"
 	"repro/internal/netsim"
@@ -37,6 +38,24 @@ func TestBuiltinsValidate(t *testing.T) {
 	crash := Plan{Name: "bad", Ops: []Op{{Kind: OpHostCrash, Host: "client"}}}
 	if err := crash.Validate(); err == nil {
 		t.Error("crash without a restart time validated")
+	}
+}
+
+// TestPlanRejectsUnknownCtrlMessage: a control op must name a message type
+// the daemon sends, spelled as CtrlTypeName spells it; a typo would be an
+// op that never fires.
+func TestPlanRejectsUnknownCtrlMessage(t *testing.T) {
+	for _, msg := range []string{"requestlock", "oldPathFin", "msg(3)", ""} {
+		for _, kind := range []OpKind{OpCtrlDrop, OpCtrlDelay} {
+			p := Plan{Name: "typo", Ops: []Op{{Kind: kind, Msg: msg, Delay: time.Millisecond}}}
+			if err := p.Validate(); err == nil {
+				t.Errorf("%v op on control message %q validated", kind, msg)
+			}
+		}
+	}
+	ok := Plan{Name: "ok", Ops: []Op{{Kind: OpCtrlDrop, Msg: "requestLock"}}}
+	if err := ok.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -142,6 +161,49 @@ func TestSlowProxyDrainLosesNoBytes(t *testing.T) {
 		run.Run()
 		if v := run.Violations(); len(v) > 0 {
 			t.Errorf("seed %d: %v", seed, v)
+		}
+	}
+}
+
+// TestAnchorsLeaveTheOldPathAfterTheirFIN: once an anchor has sent its
+// oldPathFIN it has nothing more for the old path, so it must not put
+// payload or a TCP FIN on its old-path tuple again; pure ACKs for old-path
+// data it still receives are allowed. The old path of proxyremoval runs
+// through the proxy at both anchors, so a hook on each anchor's access
+// link (the agent's two-path packets bypass host egress hooks) sees every
+// old-path packet the anchor transmits.
+func TestAnchorsLeaveTheOldPathAfterTheirFIN(t *testing.T) {
+	sc, _ := ScenarioByName("proxyremoval")
+	for seed := int64(1); seed <= 3; seed++ {
+		run := sc.Build(seed, sc.Inspect)
+		proxy := run.Mids[0].Addr()
+		anchors := []*lab.Node{run.Clients[0], run.Servers[0]}
+		finSent := map[string]bool{}
+		for _, anchor := range anchors {
+			name := anchor.Host.Name
+			out := anchor.Host.LinkTo(run.Env.Router.Addr)
+			out.SetLoss(0.01)
+			out.SetFault(func(p *packet.Packet) netsim.FaultDecision {
+				switch {
+				case p.Tuple.Proto == packet.ProtoUDP && core.CtrlTypeName(p.Payload) == "oldPathFIN":
+					finSent[name] = true
+				case finSent[name] && p.Tuple.Proto == packet.ProtoTCP && p.Tuple.DstIP == proxy &&
+					(len(p.Payload) > 0 || p.Flags.Has(packet.FlagFIN)):
+					t.Errorf("seed %d: %s sent %d bytes (flags %v) on the old path after its oldPathFIN", seed, name, len(p.Payload), p.Flags)
+				}
+				return netsim.FaultDecision{}
+			})
+		}
+		run.Observe()
+		run.Start()
+		run.Run()
+		if v := run.Violations(); len(v) > 0 {
+			t.Errorf("seed %d: %v", seed, v)
+		}
+		for _, anchor := range anchors {
+			if !finSent[anchor.Host.Name] {
+				t.Errorf("seed %d: %s never sent its oldPathFIN", seed, anchor.Host.Name)
+			}
 		}
 	}
 }

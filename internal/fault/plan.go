@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -199,8 +200,8 @@ func (p Plan) Validate() error {
 				return bad("partition needs two role groups")
 			}
 		case OpCtrlDrop, OpCtrlDelay:
-			if o.Msg == "" {
-				return bad("ctrl op needs a message type")
+			if !core.IsCtrlTypeName(o.Msg) {
+				return bad("ctrl op needs a control message type name")
 			}
 			if o.Nth < 0 {
 				return bad("negative Nth")

@@ -76,6 +76,9 @@ type Conn struct {
 	// buffer below 128 KB; bulk senders refill from it.
 	OnSendBufferLow func()
 	onAccept        func(*Conn)
+	// onDrained are the OnDrained callbacks waiting for the send queue to
+	// empty, in registration order.
+	onDrained []func()
 
 	// Send state.
 	iss        uint32
@@ -186,6 +189,19 @@ func (c *Conn) SACKEnabled() bool { return c.sackOK }
 
 // BufferedOut returns bytes accepted by Send but not yet acknowledged.
 func (c *Conn) BufferedOut() int { return c.snd.n }
+
+// OnDrained runs fn once every byte accepted by Send has been
+// acknowledged: at once when the send queue is empty, else at the ACK that
+// empties it, with every callback pending then, in registration order,
+// even if one of them detaches the connection. A destroyed connection runs
+// none of its pending callbacks.
+func (c *Conn) OnDrained(fn func()) {
+	if c.snd.n == 0 {
+		fn()
+		return
+	}
+	c.onDrained = append(c.onDrained, fn)
+}
 
 // RcvWScale returns the shift this endpoint applies to windows it
 // advertises (its own negotiated offer; 0 when scaling is off).
@@ -330,6 +346,7 @@ func (c *Conn) destroy() {
 	c.persistTimer.Stop()
 	c.twTimer.Stop()
 	c.snd.release()
+	c.onDrained = nil
 	c.ooo, c.oooBytes = nil, 0
 	c.stack.removeConn(c)
 }
@@ -386,6 +403,9 @@ func (c *Conn) input(p *packet.Packet) {
 	}
 	if p.Flags.Has(packet.FlagACK) {
 		c.processAck(p)
+		if c.state == StateClosed {
+			return // an OnDrained callback detached the connection
+		}
 	}
 	if len(p.Payload) > 0 || p.Flags.Has(packet.FlagFIN) {
 		c.processData(p)

@@ -243,6 +243,13 @@ func (c *Conn) ackAdvance(ack uint32, p *packet.Packet) {
 	if c.OnSendBufferLow != nil && c.snd.n < 128<<10 {
 		c.OnSendBufferLow()
 	}
+	if c.snd.n == 0 && c.onDrained != nil {
+		fns := c.onDrained
+		c.onDrained = nil
+		for _, fn := range fns {
+			fn()
+		}
+	}
 }
 
 func (c *Conn) sampleRTT(ack uint32, p *packet.Packet) {

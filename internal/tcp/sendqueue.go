@@ -41,7 +41,8 @@ func (q *sendQueue) push(b []byte) {
 }
 
 // drop removes the first n bytes (acknowledged) and releases every slice
-// they finish.
+// they finish. A queue it empties gives back a ring grown past 8 slots: a
+// drained connection keeps no burst-sized ring.
 func (q *sendQueue) drop(n int) {
 	q.n -= n
 	q.acked += n
@@ -52,6 +53,9 @@ func (q *sendQueue) drop(n int) {
 		q.first++
 	}
 	q.head = n
+	if q.first == q.last && len(q.ring) > 8 {
+		q.ring = nil
+	}
 }
 
 // read returns the n bytes at offset off from the front of the queue

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -234,6 +235,65 @@ func TestPersistProbeCarriesOneQueuedByte(t *testing.T) {
 	}
 	if sink.got != len(data) || sink.bad != 0 {
 		t.Fatalf("sink verified %d of %d bytes, %d mismatched", sink.got, len(data), sink.bad)
+	}
+}
+
+// TestOnDrained: a drain callback runs at once on an empty send queue;
+// otherwise every pending one runs, in registration order, at the ACK that
+// empties the queue and not before, even after one of them detaches the
+// connection. A destroyed connection runs none.
+func TestOnDrained(t *testing.T) {
+	h := newHarness(t, netsim.LinkConfig{Delay: time.Millisecond, Bandwidth: netsim.Mbps(100)}, 1)
+	var sink streamSink
+	sink.listen(h.server)
+	c := h.client.Connect(h.hs.Addr, 80, Config{})
+	h.runFor(10 * time.Millisecond)
+
+	var got []string
+	note := func(s string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%d", s, c.BufferedOut())) }
+	}
+	c.OnDrained(note("now"))
+	if len(got) != 1 {
+		t.Fatalf("on an empty queue: ran %v, want now", got)
+	}
+
+	const n = 200 << 10
+	if err := c.Send(streamChunk(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	c.OnDrained(note("a"))
+	c.OnDrained(note("b"))
+	h.runFor(5 * time.Millisecond)
+	if len(got) != 1 || c.BufferedOut() == 0 {
+		t.Fatalf("ran %v with %d bytes still queued, want nothing yet", got, c.BufferedOut())
+	}
+	h.runFor(time.Second)
+	if want := []string{"now@0", "a@0", "b@0"}; fmt.Sprint(got) != fmt.Sprint(want) || sink.got != n {
+		t.Fatalf("ran %v after %d of %d bytes, want %v", got, sink.got, n, want)
+	}
+
+	if err := c.Send(streamChunk(n, n)); err != nil {
+		t.Fatal(err)
+	}
+	c.OnDrained(c.Detach)
+	c.OnDrained(note("after-detach"))
+	h.runFor(time.Second)
+	if c.State() != StateClosed || len(got) != 4 {
+		t.Fatalf("detaching callback: state %v, ran %v", c.State(), got)
+	}
+
+	d := h.client.Connect(h.hs.Addr, 80, Config{})
+	h.runFor(10 * time.Millisecond)
+	if err := d.Send(streamChunk(0, n)); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	d.OnDrained(func() { ran = true })
+	d.Detach()
+	h.runFor(time.Second)
+	if ran {
+		t.Fatal("a destroyed connection ran its drain callback")
 	}
 }
 

@@ -13,8 +13,8 @@
 # per-scenario reconfiguration critical paths land in CRITPATH.json,
 # gated on byte-identical re-extraction. CI archives all five as
 # workflow artifacts. The figure regression
-# regenerates every quick-scale figure and compares it byte for byte
-# with experiments_output.txt (the longest step: about 1.5-2.5 min on a
+# regenerates every quick-scale figure and diffs it byte for byte
+# against experiments_output.txt (the longest step: about 1.5-2.5 min on a
 # 2-vCPU host). Everything here must pass before a change lands; CI and
 # developers run the same script.
 #
@@ -59,8 +59,12 @@ go test ./internal/tcp    -run '^$' -fuzz '^FuzzSendQueue$'   -fuzztime 10s
 go run ./cmd/dyscofault -json FAULT_sweep.json
 
 # Figure regression: every experiment at quick scale, seed 42, must print
-# exactly the checked-in experiments_output.txt (EXPERIMENTS.md).
-go run ./cmd/dyscobench -exp all 2>/dev/null | cmp - experiments_output.txt
+# exactly the checked-in experiments_output.txt (EXPERIMENTS.md); a
+# mismatch prints the moved lines as a unified diff.
+figs=$(mktemp)
+trap 'rm -f "$figs"' EXIT
+go run ./cmd/dyscobench -exp all 2>/dev/null > "$figs"
+diff -u experiments_output.txt "$figs"
 
 # Critical-path determinism gate: for every scenario, extract the
 # reconfiguration critical paths twice with the same seed and require
