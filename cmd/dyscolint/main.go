@@ -6,15 +6,14 @@
 //
 // Usage:
 //
-//	dyscolint [-rules walltime,seqarith,...] [-json] [-fsm] [-callgraph] [-wire] [packages]
+//	dyscolint [-rules walltime,seqarith,...] [-json] [-fsm] [-callgraph] [packages]
 //
 // The only package patterns supported are "./..." (the whole module, the
 // default) and directory paths relative to the module root. -json switches
 // the report to a machine-readable array (interprocedural findings carry a
 // "chain" field: the call path from the hot-path root to the finding);
-// -fsm prints the statically extracted state machines, -callgraph the
-// RTA call graph, and -wire the wire-format layout tables the wiresafe
-// rule extracts, instead of running the analyzers.
+// -fsm prints the statically extracted state machines and -callgraph the
+// RTA call graph, instead of running the analyzers.
 package main
 
 import (
@@ -34,7 +33,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit findings as JSON")
 	fsm := flag.Bool("fsm", false, "print the extracted state machines and exit")
 	callgraph := flag.Bool("callgraph", false, "print the module call graph and exit")
-	wire := flag.Bool("wire", false, "print the extracted wire-format layout tables and exit")
 	flag.Parse()
 
 	if *list {
@@ -90,11 +88,6 @@ func main() {
 
 	if *callgraph {
 		fmt.Print(lint.FormatCallGraph(lint.BuildCallGraph(pkgs), nil))
-		return
-	}
-
-	if *wire {
-		fmt.Print(lint.WireReport(pkgs))
 		return
 	}
 

@@ -91,9 +91,10 @@ func encodeCtrlMsg(m *ctrlMsg) []byte {
 
 // decodeCtrlMsg parses a control message. The bytes are
 // attacker-controllable wire input: every read is dominated by a length
-// guard (proven by the wiresafe lint pass), and the message length must
-// match the header's counts exactly — trailing junk is rejected, so each
-// message has one canonical encoding.
+// guard (TestCtrlMsgTruncationEveryBoundary re-stamps the checksum of each
+// cut so those guards see it), and the message length must match the
+// header's counts exactly — trailing junk is rejected, so each message
+// has one canonical encoding.
 func decodeCtrlMsg(b []byte) (*ctrlMsg, error) {
 	if len(b) < ctrlFixedLen {
 		return nil, errors.New("core: short control message")

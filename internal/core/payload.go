@@ -44,7 +44,8 @@ func encodeSynPayload(sp *synPayload) []byte {
 // decodeSynPayload parses a SYN payload; ok is false when the payload is
 // not Dysco metadata. Every read is dominated by a length guard: the
 // payload comes off the wire, so the decoder must return an error — never
-// panic — on truncated input (proven by the wiresafe lint pass).
+// panic — on truncated input (TestSynPayloadTruncationEveryBoundary and
+// FuzzSynPayload).
 func decodeSynPayload(b []byte) (*synPayload, bool, error) {
 	if len(b) < 4 || binary.BigEndian.Uint32(b) != synPayloadMagic {
 		return nil, false, nil

@@ -71,14 +71,28 @@ func TestCtrlMsgRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCtrlMsgTruncationEveryBoundary cuts a full control message at every
-// byte boundary: each prefix must error (the whole-message checksum makes
-// every strict prefix invalid) and must never panic.
+// TestCtrlMsgTruncationEveryBoundary cuts a full control message (both
+// tails non-empty) at every byte boundary. The bare prefix fails the
+// whole-message checksum; the same prefix with its checksum re-stamped
+// passes it, so the fixed-header, address-list and state-length guards
+// see the cut. Either way the decoder must error and never panic.
 func TestCtrlMsgTruncationEveryBoundary(t *testing.T) {
-	b := encodeCtrlMsg(fullCtrlMsg())
+	m := fullCtrlMsg()
+	if len(m.NewList) == 0 || len(m.State) == 0 {
+		t.Fatal("fullCtrlMsg must carry both variable-length tails")
+	}
+	b := encodeCtrlMsg(m)
 	for i := 0; i < len(b); i++ {
 		if _, err := decodeCtrlMsg(b[:i]); err == nil {
 			t.Errorf("decodeCtrlMsg accepted a %d-byte prefix of a %d-byte message", i, len(b))
+		}
+		if i < 4 {
+			continue // no checksum field to re-stamp
+		}
+		c := append([]byte(nil), b[:i]...)
+		patchCtrlChecksum(c)
+		if _, err := decodeCtrlMsg(c); err == nil {
+			t.Errorf("decodeCtrlMsg accepted the re-stamped %d-byte prefix of a %d-byte message", i, len(b))
 		}
 	}
 }

@@ -162,12 +162,14 @@ func flowPacket(rng *rand.Rand, i, k int) *packet.Packet {
 		p.Opts.SACK = []packet.SACKBlock{{Start: uint32(6000 * i), End: uint32(6000*i + 77)}}
 		p.Opts.HasDyscoTag = true
 		p.Opts.DyscoTag = uint32(i)
-	case 4: // SYN-shaped: handshake options, no ACK flag
+	case 4: // SYN-shaped: handshake options, no ACK flag; the 3-byte
+		// window scale leaves the timestamp at an odd offset
 		p.Flags = packet.FlagSYN
 		p.Ack = 0
 		p.Opts.MSS = 1460
 		p.Opts.WScale = int8(rng.Intn(15))
 		p.Opts.SACKPermitted = true
+		p.Opts.TS = &packet.Timestamp{Val: uint32(95000 + k), Ecr: 0}
 	}
 	return p
 }

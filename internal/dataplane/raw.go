@@ -81,15 +81,15 @@ func (r *RawRule) ApplyEgress(v *packet.View, translateOptions bool) {
 					ns, ne := packet.SeqAdd(os, r.ackAdd), packet.SeqAdd(oe, r.ackAdd)
 					v.SetSACKStart(i, ns)
 					v.SetSACKEnd(i, ne)
-					csum = packet.ChecksumUpdate32(csum, os, ns)
-					csum = packet.ChecksumUpdate32(csum, oe, ne)
+					csum = foldOption(csum, v.SACKOdd(), os, ns)
+					csum = foldOption(csum, v.SACKOdd(), oe, ne)
 				}
 			}
 			if r.hasTSEcrAdd && v.HasTS() {
 				old := v.TSEcr()
 				nw := packet.SeqAdd(old, r.tsEcrAdd)
 				v.SetTSEcr(nw)
-				csum = packet.ChecksumUpdate32(csum, old, nw)
+				csum = foldOption(csum, v.TSOdd(), old, nw)
 			}
 			if r.rescale {
 				oldW := v.Window()
@@ -122,10 +122,20 @@ func (r *RawRule) ApplyIngress(v *packet.View, translateOptions bool) {
 			old := v.TSVal()
 			nw := packet.SeqAdd(old, r.tsAdd)
 			v.SetTSVal(nw)
-			csum = packet.ChecksumUpdate32(csum, old, nw)
+			csum = foldOption(csum, v.TSOdd(), old, nw)
 		}
 	}
 	v.SetTransportChecksum(r.rewriteTuple(v, csum))
+}
+
+// foldOption folds the change of a 32-bit TCP option word into the
+// transport checksum csum. An odd-length option before it (window scale)
+// leaves the word at an odd offset, where the aligned fold is wrong.
+func foldOption(csum uint16, odd bool, old, nw uint32) uint16 {
+	if odd {
+		return packet.ChecksumUpdate32Odd(csum, old, nw)
+	}
+	return packet.ChecksumUpdate32(csum, old, nw)
 }
 
 // rewriteTuple substitutes the compiled five-tuple, folding the address

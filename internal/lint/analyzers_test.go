@@ -475,7 +475,7 @@ func missingReason() {}
 func TestAllAnalyzersPresent(t *testing.T) {
 	want := []string{"walltime", "seqarith", "mapiter", "errdrop",
 		"statexhaust", "rewritetaint", "fsmconform", "obsexhaust",
-		"allocfree", "blockfree", "wiresafe"}
+		"allocfree", "blockfree"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(got), len(want))

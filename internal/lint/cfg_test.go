@@ -53,8 +53,8 @@ func (intsLattice) Transfer(n ast.Node, f intsFact) intsFact {
 }
 
 func (intsLattice) Refine(e Edge, f intsFact) (intsFact, bool) {
-	refine := func(atom CondAtom) {
-		be, ok := atom.Expr.(*ast.BinaryExpr)
+	refine := func(cond ast.Expr, truth bool) {
+		be, ok := cond.(*ast.BinaryExpr)
 		if !ok {
 			return
 		}
@@ -70,7 +70,7 @@ func (intsLattice) Refine(e Edge, f intsFact) (intsFact, bool) {
 		if !ok {
 			return
 		}
-		eq := (be.Op == token.EQL) == atom.Truth
+		eq := (be.Op == token.EQL) == truth
 		if be.Op != token.EQL && be.Op != token.NEQ {
 			return
 		}
@@ -92,13 +92,9 @@ func (intsLattice) Refine(e Edge, f intsFact) (intsFact, bool) {
 	}
 	switch e.Kind {
 	case EdgeTrue:
-		for _, a := range CondAtoms(e.Cond, true) {
-			refine(a)
-		}
+		refine(e.Cond, true)
 	case EdgeFalse:
-		for _, a := range CondAtoms(e.Cond, false) {
-			refine(a)
-		}
+		refine(e.Cond, false)
 	case EdgeCase:
 		if e.Tag != nil && isX(e.Tag) {
 			g := intsFact{}
@@ -195,41 +191,6 @@ func TestDataflowBranchRefinement(t *testing.T) {
 	}
 	sink(x)
 `, "sink")
-	if len(facts) != 1 {
-		t.Fatalf("got %d sink sites, want 1", len(facts))
-	}
-	wantVals(t, facts[0], 1)
-}
-
-func TestDataflowShortCircuit(t *testing.T) {
-	facts := factsAtCalls(t, `
-	x := n
-	if x != 1 && x != 2 {
-		return
-	}
-	sink(x)
-`, "sink")
-	// The false edge of (x!=1 && x!=2) is disjunctive... but each return
-	// path prunes: falling through means !(x!=1 && x!=2) i.e. x==1 || x==2.
-	// CondAtoms yields nothing for that edge, so the fact stays unknown —
-	// conservative, not wrong.
-	if len(facts) != 1 || facts[0] != nil {
-		t.Fatalf("fact = %v, want unknown", facts)
-	}
-	// The conjunctive direction must refine.
-	facts = factsAtCalls(t, `
-	x := n
-	if x == 1 || x == 2 {
-		return
-	}
-	if x == 1 {
-		sink(x)
-	}
-`, "sink")
-	// x==1 contradicts the surviving !(x==1||x==2) atoms: both atoms hold
-	// on the false edge, so x∉{1,2}; the inner true edge then refines the
-	// unknown-minus set to {1}∩complement — engine keeps it reachable only
-	// via ⊤ since we don't track negative sets; fact is {1}.
 	if len(facts) != 1 {
 		t.Fatalf("got %d sink sites, want 1", len(facts))
 	}

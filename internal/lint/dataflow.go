@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // Forward-dataflow worklist engine over the CFGs of cfg.go. Clients
 // implement Lattice; the engine computes the fact holding at the entry of
@@ -80,34 +77,4 @@ func ForwardVisit[F any](g *CFG, lat Lattice[F], visit func(n ast.Node, before F
 			f = lat.Transfer(n, f)
 		}
 	}
-}
-
-// CondAtom is one conjunct extracted from a branch condition: Expr holds
-// with the given truth on the refined edge.
-type CondAtom struct {
-	Expr  ast.Expr
-	Truth bool
-}
-
-// CondAtoms decomposes cond under the given truth into conjuncts that all
-// hold: `a && b` true yields both; `a || b` false yields both negated;
-// `!a` flips; parentheses unwrap. Disjunctive knowledge (`a && b` false)
-// yields nothing — clients must stay conservative there.
-func CondAtoms(cond ast.Expr, truth bool) []CondAtom {
-	switch e := cond.(type) {
-	case *ast.ParenExpr:
-		return CondAtoms(e.X, truth)
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			return CondAtoms(e.X, !truth)
-		}
-	case *ast.BinaryExpr:
-		if (e.Op == token.LAND && truth) || (e.Op == token.LOR && !truth) {
-			return append(CondAtoms(e.X, truth), CondAtoms(e.Y, truth)...)
-		}
-		if e.Op == token.LAND || e.Op == token.LOR {
-			return nil // disjunction: no conjunctive refinement
-		}
-	}
-	return []CondAtom{{Expr: cond, Truth: truth}}
 }

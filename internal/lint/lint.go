@@ -64,7 +64,6 @@ func All() []*Analyzer {
 		ObsexhaustAnalyzer,
 		AllocfreeAnalyzer,
 		BlockfreeAnalyzer,
-		WiresafeAnalyzer,
 	}
 }
 

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,18 +33,10 @@ func fullSynPacket() *Packet {
 }
 
 // TestParseTruncationEveryBoundary cuts the serialized SYN-with-options at
-// every byte boundary: each prefix must return an error, never panic (the
-// IP total-length check makes every strict prefix invalid).
+// every byte boundary (see checkEveryCut).
 func TestParseTruncationEveryBoundary(t *testing.T) {
-	b := fullSynPacket().Serialize()
-	if _, err := Parse(b); err != nil {
-		t.Fatalf("full packet does not parse: %v", err)
-	}
-	for i := 0; i < len(b); i++ {
-		if _, err := Parse(b[:i]); err == nil {
-			t.Errorf("Parse accepted a %d-byte prefix of a %d-byte packet", i, len(b))
-		}
-	}
+	p := fullSynPacket()
+	checkEveryCut(t, p.Serialize(), IPHeaderLen+tcpHeaderLen(&p.Opts))
 }
 
 func TestParseTruncationEveryBoundaryUDP(t *testing.T) {
@@ -52,14 +45,52 @@ func TestParseTruncationEveryBoundaryUDP(t *testing.T) {
 		SrcPort: 5353, DstPort: 53,
 	}, []byte("payload"))
 	b := p.Serialize()
+	checkEveryCut(t, b, len(b))
+}
+
+// checkEveryCut cuts frame b at every byte boundary, three ways, and no
+// decoder may panic on any of them:
+//   - the bare prefix: its IP total length still claims the whole frame,
+//     so Parse must reject it at the IP header;
+//   - the re-framed prefix (see reframe): it passes the IP header, so
+//     Parse's transport and option guards see the cut and must reject it;
+//   - ParseView of the re-framed prefix, which checks no checksum: it must
+//     reject every cut that ends before viewFrom (inside the headers, or
+//     anywhere while the UDP length field is stale) and accept the rest.
+func checkEveryCut(t *testing.T, b []byte, viewFrom int) {
+	t.Helper()
 	if _, err := Parse(b); err != nil {
-		t.Fatalf("full packet does not parse: %v", err)
+		t.Fatalf("full frame does not parse: %v", err)
 	}
-	for i := 0; i < len(b); i++ {
-		if _, err := Parse(b[:i]); err == nil {
-			t.Errorf("Parse accepted a %d-byte prefix of a %d-byte datagram", i, len(b))
+	for n := 0; n < len(b); n++ {
+		if _, err := Parse(b[:n]); err == nil {
+			t.Errorf("Parse accepted a %d-byte prefix of a %d-byte frame", n, len(b))
+		}
+		c := reframe(b, n)
+		if _, err := Parse(c); err == nil {
+			t.Errorf("Parse accepted the %d-byte re-framed prefix of a %d-byte frame", n, len(b))
+		}
+		if _, err := ParseView(c); (err == nil) != (n >= viewFrom) {
+			t.Errorf("ParseView of the %d-byte re-framed prefix: err=%v, want accept=%v", n, err, n >= viewFrom)
 		}
 	}
+}
+
+// reframe copies the first n bytes of frame b and makes them a frame of
+// their own: the IP total length says n and the IP header checksum is
+// recomputed (each as far as the cut still holds the field). The transport
+// header keeps its stale lengths and checksum, which is what the inner
+// guards must catch.
+func reframe(b []byte, n int) []byte {
+	c := append([]byte(nil), b[:n]...)
+	if n >= OffIPTotalLen+2 {
+		binary.BigEndian.PutUint16(c[OffIPTotalLen:], uint16(n))
+	}
+	if n >= IPHeaderLen {
+		c[OffIPCsum], c[OffIPCsum+1] = 0, 0
+		binary.BigEndian.PutUint16(c[OffIPCsum:], Checksum(c[:IPHeaderLen]))
+	}
+	return c
 }
 
 func TestParseChecksumMismatch(t *testing.T) {
@@ -157,19 +188,38 @@ func TestParseOptionsMalformed(t *testing.T) {
 }
 
 // TestParseOptionsTruncationNeverPanics cuts a full option block at every
-// boundary. A cut can land between options (legal, shorter list) but must
-// never panic, and a cut inside an option body must error.
+// boundary and feeds each cut to both option walkers, parseOptions (Parse)
+// and parseViewOptions (ParseView). A cut can land between options (legal,
+// shorter list) but must never panic, a cut inside an option body must
+// error, and the two walkers must agree on which regions are malformed.
+// Every option kind at every length from 2 to 12 must agree the same way.
 func TestParseOptionsTruncationNeverPanics(t *testing.T) {
 	p := fullSynPacket()
 	full := appendOptions(nil, &p.Opts)
 	for i := 0; i <= len(full); i++ {
-		var o Options
-		_ = parseOptions(full[:i], &o) // must not panic
+		checkOptionWalkersAgree(t, full[:i])
 	}
 	// One byte into the MSS body (kind+len present, body short).
 	var o Options
 	if err := parseOptions(full[:3], &o); err == nil {
 		t.Error("option cut inside its body parsed clean")
+	}
+	for _, kind := range []byte{optMSS, optWScale, optSACKPermitted, optSACK, optTimestamp, OptDyscoTag, 200} {
+		for length := 2; length <= 12; length++ {
+			opt := make([]byte, length)
+			opt[0], opt[1] = kind, byte(length)
+			checkOptionWalkersAgree(t, opt)
+		}
+	}
+}
+
+func checkOptionWalkersAgree(t *testing.T, region []byte) {
+	t.Helper()
+	var o Options
+	err := parseOptions(region, &o)
+	_, _, _, verr := parseViewOptions(region)
+	if (err == nil) != (verr == nil) {
+		t.Errorf("option region % x: parseOptions err=%v, parseViewOptions err=%v", region, err, verr)
 	}
 }
 
@@ -182,6 +232,16 @@ func FuzzPacketParse(f *testing.F) {
 		p, err := Parse(b)
 		if err != nil {
 			return
+		}
+		// ParseView takes what Parse takes, less the IHL > 5 headers and
+		// trailing bytes it rejects by design, and reads the same fields
+		// (checked before Serialize re-stamps p.Checksum).
+		if b[0] == 0x45 && int(binary.BigEndian.Uint16(b[OffIPTotalLen:])) == len(b) {
+			v, err := ParseView(b)
+			if err != nil {
+				t.Fatalf("ParseView rejects a frame Parse accepts: %v", err)
+			}
+			checkViewMatchesPacket(t, &v, p, b)
 		}
 		// Anything Parse accepts must survive a serialize/parse round trip
 		// with its addressing and sequencing intact.

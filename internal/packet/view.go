@@ -6,9 +6,9 @@ import "errors"
 // IP offsets are absolute frame offsets; TCP/UDP offsets are relative to
 // the transport header (frame offset IPHeaderLen + OffTCP*/OffUDP*).
 // They mirror what serializeIP/appendTCP/appendUDP lay down and what
-// parseIP/parseTCP/parseUDP read back — a lint-package test pins each
-// constant to the wiresafe-extracted layout tables, so a codec change
-// that moves a field fails that pin, not just the golden.
+// parseIP/parseTCP/parseUDP read back: TestViewMatchesParse reads and
+// writes every field through View and through Parse, so a constant that
+// drifts from the codec fails there.
 const (
 	// IPv4 header (fixed 20 bytes, IHL always 5 in this codebase).
 	IPHeaderLen   = 20
@@ -74,8 +74,9 @@ type View struct {
 // path preserves checksum validity by construction, folding every store
 // into the stored sums) and rejects frames with trailing bytes past the
 // IP total length, which Parse tolerates but cannot round-trip. Every
-// byte read is dominated by a length guard (wiresafe-proven), and the
-// reject path performs no allocation and leaves b untouched.
+// byte read is dominated by a length guard (TestParseTruncationEveryBoundary
+// cuts a re-framed frame at every byte), and the reject path performs no
+// allocation and leaves b untouched.
 func ParseView(b []byte) (View, error) {
 	v := View{tsOff: -1, sackOff: -1}
 	if len(b) < IPHeaderLen {
@@ -153,9 +154,6 @@ func parseViewOptions(b []byte) (tsOff, sackOff, sackN int, err error) {
 		if length < 2 || length > len(b) {
 			return -1, -1, 0, errViewOption
 		}
-		// Per-kind body sizes live in a helper so the bounds prover keeps
-		// one uniform fact for length (its drop-on-differ join would lose
-		// `length >= 2` if the arms refined length to different constants).
 		if !viewOptionSane(kind, length) {
 			return -1, -1, 0, errViewOption
 		}
@@ -175,6 +173,8 @@ func parseViewOptions(b []byte) (tsOff, sackOff, sackN int, err error) {
 // viewOptionSane mirrors parseOptions' per-kind body-size checks: MSS is
 // 4 bytes on the wire, window scale 3, timestamp 10, the Dysco tag 6,
 // and SACK data a multiple of 8. Unknown kinds are skipped wholesale.
+// TestParseOptionsTruncationNeverPanics holds the two walkers to the same
+// verdict for every kind at every length.
 func viewOptionSane(kind byte, length int) bool {
 	switch kind {
 	case optMSS:
@@ -298,6 +298,11 @@ func (v *View) SetTransportChecksum(c uint16) {
 // HasTS reports whether the frame carries a TCP timestamp option.
 func (v *View) HasTS() bool { return v.tsOff >= 0 }
 
+// TSOdd reports whether the timestamp option sits at an odd frame offset
+// (it follows an odd-length option, as window scale is). A checksum fold
+// of TSVal or TSEcr must then use ChecksumUpdate32Odd.
+func (v *View) TSOdd() bool { return v.tsOff%2 != 0 }
+
 // TSVal returns the timestamp option's TSval. Only valid when HasTS.
 func (v *View) TSVal() uint32 { return be32(v.b, v.tsOff+2) }
 
@@ -312,6 +317,10 @@ func (v *View) SetTSEcr(ts uint32) { putBE32(v.b, v.tsOff+6, ts) }
 
 // SACKCount returns the number of SACK blocks (0 when the option is absent).
 func (v *View) SACKCount() int { return v.sackN }
+
+// SACKOdd reports whether the SACK option sits at an odd frame offset; see
+// TSOdd.
+func (v *View) SACKOdd() bool { return v.sackOff%2 != 0 }
 
 // SACKStart returns block i's left edge. i must be < SACKCount.
 func (v *View) SACKStart(i int) uint32 {

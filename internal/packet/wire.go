@@ -154,7 +154,7 @@ func parseOptions(b []byte, o *Options) error {
 				return errors.New("packet: bad SACK option")
 			}
 			// Consume-from-front so each read is dominated by the loop's
-			// own length guard (wiresafe proves per-index safety).
+			// own length guard.
 			for len(body) >= 8 {
 				o.SACK = append(o.SACK, SACKBlock{
 					Start: binary.BigEndian.Uint32(body),
@@ -211,8 +211,7 @@ func (p *Packet) AppendTo(b []byte) []byte {
 
 // appendIP appends the 20-byte IPv4 header for a transport segment of
 // transportLen bytes. The header is built in a fixed-size local first so
-// its checksum covers the finished bytes (and so the wiresafe extractor
-// sees concrete offsets for every field, checksum back-patch included).
+// its checksum covers the finished bytes.
 func (p *Packet) appendIP(b []byte, transportLen int) []byte {
 	total := 20 + transportLen
 	hdr := make([]byte, 20)
@@ -267,9 +266,10 @@ func (p *Packet) appendUDP(b []byte) []byte {
 
 // Parse decodes wire bytes produced by Serialize back into a Packet. It
 // verifies the IP header and transport checksums and returns an error on
-// mismatch. Parse never panics on truncated or malformed input (every
-// byte read inside the sub-parsers is dominated by a length guard, proven
-// by the wiresafe lint pass).
+// mismatch. Parse never panics on truncated or malformed input: every
+// byte read inside the sub-parsers is dominated by a length guard, and
+// TestParseTruncationEveryBoundary re-frames each cut so the transport
+// and option guards, not just the IP total length, see it.
 func Parse(b []byte) (*Packet, error) {
 	p := &Packet{Opts: NoOptions()}
 	t, err := parseIP(b, p)
@@ -429,6 +429,15 @@ func ChecksumUpdate16(old uint16, oldVal, newVal uint16) uint16 {
 func ChecksumUpdate32(old uint16, oldVal, newVal uint32) uint16 {
 	old = ChecksumUpdate16(old, uint16(oldVal>>16), uint16(newVal>>16))
 	return ChecksumUpdate16(old, uint16(oldVal), uint16(newVal))
+}
+
+// ChecksumUpdate32Odd is ChecksumUpdate32 for a 32-bit field that starts
+// at an odd offset of the checksummed bytes. Its bytes a b c d then
+// straddle three 16-bit words, and add up to the same sum as the aligned
+// words bc and da (RFC 1071 §2(B): the sum does not depend on byte order),
+// so the field folds as its value rotated left by 8 bits.
+func ChecksumUpdate32Odd(old uint16, oldVal, newVal uint32) uint16 {
+	return ChecksumUpdate32(old, oldVal<<8|oldVal>>24, newVal<<8|newVal>>24)
 }
 
 // RewriteTuple replaces the packet's five-tuple with nt and incrementally

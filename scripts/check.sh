@@ -5,13 +5,12 @@
 # sweep. The observability checks of an instrumented reconfiguration
 # run (span, histograms, causal DAG, critical path, same-seed replay)
 # are internal/lab tests and run in `go test -race ./...`. The lint run
-# lands its machine-readable findings in LINT_report.json, the module call graph (the input to the
-# allocfree/blockfree hot-path proofs) in LINT_callgraph.txt, and the
-# extracted wire-format layout tables (the input to the wiresafe codec
-# proofs) in LINT_wire.txt; the fault sweep's per-run results
+# lands its machine-readable findings in LINT_report.json and the module
+# call graph (the input to the allocfree/blockfree hot-path proofs) in
+# LINT_callgraph.txt; the fault sweep's per-run results
 # (event/schedule/DAG hashes, oracles) land in FAULT_sweep.json; the
 # per-scenario reconfiguration critical paths land in CRITPATH.json,
-# gated on byte-identical re-extraction. CI archives all five as
+# gated on byte-identical re-extraction. CI archives all four as
 # workflow artifacts. The figure regression
 # regenerates every quick-scale figure and diffs it byte for byte
 # against experiments_output.txt (the longest step: about 1.5-2.5 min on a
@@ -42,10 +41,11 @@ go -C bench test ./...
 
 go run ./cmd/dyscolint -json ./... > LINT_report.json || { cat LINT_report.json; exit 1; }
 go run ./cmd/dyscolint -callgraph ./... > LINT_callgraph.txt
-go run ./cmd/dyscolint -wire ./... > LINT_wire.txt
 
-# Fuzz smoke: the wiresafe pass proves the decoders panic-free statically;
-# these runs pin the same claim dynamically from the checked-in corpora.
+# Fuzz smoke: the codec tests cut every frame and message at every byte;
+# these runs probe the decoders beyond those cuts, from the checked-in
+# corpora. FuzzPacketParse also requires ParseView to accept, and read
+# the same fields from, every exact-length IHL-5 frame Parse accepts.
 go test ./internal/packet -run '^$' -fuzz '^FuzzPacketParse$' -fuzztime 10s
 go test ./internal/core   -run '^$' -fuzz '^FuzzSynPayload$'  -fuzztime 10s
 go test ./internal/core   -run '^$' -fuzz '^FuzzCtrlMsg$'     -fuzztime 10s
