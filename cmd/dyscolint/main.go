@@ -1,19 +1,17 @@
 // Command dyscolint runs the repo's static-analysis suite (internal/lint)
 // over the module: it loads, parses, and type-checks every package using
-// only the standard library, applies the determinism, protocol-conformance
-// and hot-path analyzers, and prints findings as file:line:col lines.
+// only the standard library, applies the determinism and
+// protocol-conformance analyzers, and prints findings as file:line:col lines.
 // It exits non-zero when any finding survives //lint:ignore suppression.
 //
 // Usage:
 //
-//	dyscolint [-rules walltime,seqarith,...] [-json] [-fsm] [-callgraph] [packages]
+//	dyscolint [-rules walltime,seqarith,...] [-json] [-fsm] [packages]
 //
 // The only package patterns supported are "./..." (the whole module, the
 // default) and directory paths relative to the module root. -json switches
-// the report to a machine-readable array (interprocedural findings carry a
-// "chain" field: the call path from the hot-path root to the finding);
-// -fsm prints the statically extracted state machines and -callgraph the
-// RTA call graph, instead of running the analyzers.
+// the report to a machine-readable array; -fsm prints the statically
+// extracted state machines instead of running the analyzers.
 package main
 
 import (
@@ -32,7 +30,6 @@ func main() {
 	list := flag.Bool("list", false, "list available rules and exit")
 	asJSON := flag.Bool("json", false, "emit findings as JSON")
 	fsm := flag.Bool("fsm", false, "print the extracted state machines and exit")
-	callgraph := flag.Bool("callgraph", false, "print the module call graph and exit")
 	flag.Parse()
 
 	if *list {
@@ -86,11 +83,6 @@ func main() {
 		}
 	}
 
-	if *callgraph {
-		fmt.Print(lint.FormatCallGraph(lint.BuildCallGraph(pkgs), nil))
-		return
-	}
-
 	if *fsm {
 		fsms, finds := lint.ExtractFSMs(pkgs, lint.DefaultFSMSpecs())
 		fmt.Print(lint.FormatFSMs(fsms))
@@ -111,17 +103,16 @@ func main() {
 	}
 	if *asJSON {
 		type jsonFinding struct {
-			Rule  string   `json:"rule"`
-			File  string   `json:"file"`
-			Line  int      `json:"line"`
-			Col   int      `json:"col"`
-			Msg   string   `json:"msg"`
-			Chain []string `json:"chain,omitempty"`
+			Rule string `json:"rule"`
+			File string `json:"file"`
+			Line int    `json:"line"`
+			Col  int    `json:"col"`
+			Msg  string `json:"msg"`
 		}
 		out := make([]jsonFinding, 0, len(findings))
 		for _, f := range findings {
 			out = append(out, jsonFinding{
-				Rule: f.Rule, File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column, Msg: f.Msg, Chain: f.Chain,
+				Rule: f.Rule, File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column, Msg: f.Msg,
 			})
 		}
 		enc := json.NewEncoder(os.Stdout)

@@ -557,8 +557,8 @@ func (a *Agent) applyIngress(p *packet.Packet, e *rewriteEntry) {
 }
 
 // chargeRewrite bills the configured per-rewrite CPU cost to the host.
-//
-//lint:coldpath simulation cost model, not data plane: runs only when Cfg.RewriteCost > 0, which the zero-alloc benchmarks and real fast-path configs leave at 0
+// Every default agent runs it per rewritten packet (fillDefaults sets
+// RewriteCost), so TestRewritePathZeroAlloc measures it at that default.
 func (a *Agent) chargeRewrite() {
 	if a.Cfg.RewriteCost > 0 {
 		done := a.Host.CPU.Acquire(a.Cfg.RewriteCost)

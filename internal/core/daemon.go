@@ -955,9 +955,8 @@ func (d *daemon) teardownNewPathEntries(rc *Reconfig) {
 
 // checkOldPathDone sends the UDP FIN when this anchor has nothing more for
 // the old path, and finalizes when both FINs are in and the receive side
-// is complete.
-//
-//lint:coldpath reconfiguration completion is control-plane work: track() only calls in while a reconfiguration is in two-path state (§3.5), never in steady-state forwarding
+// is complete. track() calls it per packet while a reconfiguration is in
+// two-path state (§3.5); the FIN it sends once is control-plane work.
 func (d *daemon) checkOldPathDone(rc *Reconfig) {
 	if !rc.switched || rc.State != RcTwoPath {
 		return

@@ -9,8 +9,8 @@ import "repro/internal/packet"
 // the deterministic core.Agent and the concurrent internal/dataplane
 // engine execute the exact same rewrite code — the property the
 // differential oracle in internal/dataplane relies on. Methods mutate the
-// packet in place and never allocate; they are hot-path roots for the
-// allocfree/blockfree lint proofs.
+// packet in place and never allocate, on any branch
+// (TestRewritePathZeroAlloc).
 type Rule struct {
 	// To replaces the packet's five-tuple (egress: session→subsession;
 	// ingress: subsession→session).

@@ -30,8 +30,8 @@
 // install/remove churn — either untouched bytes or the exact rewrite of
 // one installed version (never a torn entry).
 //
-// Table.Lookup, Engine.ProcessInline, worker.processRaw and the RawRule
-// kernels are hot-path roots: the allocfree and blockfree lint rules
-// statically prove the reader fast path allocates nothing and cannot
-// block.
+// The reader fast path — Table.Lookup, Engine.ProcessInline,
+// worker.processRaw and the RawRule kernels — allocates nothing on any
+// branch (TestDataplaneLookupZeroAlloc, TestRawPathZeroAlloc) and never
+// waits on a writer's lock (TestReaderPathTakesNoLock).
 package dataplane

@@ -176,9 +176,9 @@ func (e *Engine) Stop() {
 // the caller's goroutine: one table lookup, then the direction's side of
 // the core.Rule rewrite, in place. Workers never run it — it is the
 // reference the raw path is diffed against (Parse → ProcessInline →
-// Serialize) and the ledger's struct_ns_per_frame. Hot-path root: Lookup
-// and the Rule kernel under it are proven alloc-free and non-blocking by
-// the lint rules.
+// Serialize) and the ledger's struct_ns_per_frame. It allocates nothing
+// and takes no lock (TestDataplaneLookupZeroAlloc,
+// TestReaderPathTakesNoLock).
 func (e *Engine) ProcessInline(p *packet.Packet) Verdict {
 	ent := e.table.Lookup(p.Tuple)
 	if ent == nil {
@@ -267,10 +267,9 @@ func (w *worker) run() {
 	}
 }
 
-// processRaw handles one frame to completion, in place. Hot-path root:
-// ParseView, the table lookup, and the RawRule kernel under it are
-// proven alloc-free and non-blocking by the lint rules, and
-// TestRawPathZeroAlloc pins the same claim dynamically.
+// processRaw handles one frame to completion, in place, without
+// allocating: TestRawPathZeroAlloc feeds batches through the rings to a
+// running worker.
 func (w *worker) processRaw(frame []byte) {
 	switch w.eng.processRawOne(frame) {
 	case Rewritten:

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -64,6 +66,14 @@ func rawKernelFrames() map[string]*packet.Packet {
 	syn.Opts.WScale = 7
 	syn.Opts.SACKPermitted = true
 	add("tcp_syn_no_ack_flag", syn)
+
+	// Window scale is 3 bytes long, so the SACK and timestamp words
+	// after it sit at odd offsets and fold through ChecksumUpdate32Odd.
+	odd := packet.NewTCP(tpl, packet.FlagACK, 1000, 2000, []byte("odd"))
+	odd.Opts.WScale = 7
+	odd.Opts.SACK = []packet.SACKBlock{{Start: 10, End: 20}}
+	odd.Opts.TS = &packet.Timestamp{Val: 5, Ecr: 6}
+	add("tcp_wscale_odd_options", odd)
 
 	utpl := tpl
 	udp := packet.NewUDP(utpl, []byte("datagram!"))
@@ -146,46 +156,149 @@ func TestRawRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRawPathZeroAlloc is the dynamic half of the hot-path proof: the
-// full raw pipeline — ParseView, table lookup, in-place RawRule rewrite
-// with checksum folding — runs with zero heap allocations per frame. The
-// static half is the allocfree lint proof over the same roots.
+// TestRawPathZeroAlloc pins the raw pipeline — ParseView, table lookup,
+// in-place RawRule rewrite with checksum folding — at zero heap
+// allocations per frame on every branch: every rawKernelFrames frame in
+// both directions with option translation on and off, a lookup miss,
+// each shape ParseView rejects, and the same frames fed through the
+// rings to a running worker.
 func TestRawPathZeroAlloc(t *testing.T) {
+	frames := rawKernelFrames()
+	names := make([]string, 0, len(frames))
+	for name := range frames {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	measure := func(name string, eng *Engine, orig []byte, want Verdict) {
+		t.Helper()
+		frame := append([]byte(nil), orig...)
+		bad := 0
+		if n := testing.AllocsPerRun(200, func() {
+			copy(frame, orig) // re-arm in place; copy does not allocate
+			if eng.ProcessRawInline(frame) != want {
+				bad++
+			}
+		}); n != 0 {
+			t.Errorf("%s: ProcessRawInline allocates %v/op, want 0", name, n)
+		}
+		if bad != 0 {
+			t.Errorf("%s: %d runs did not return %v", name, bad, want)
+		}
+	}
+
+	tcp, udp := frames["tcp_plain"].Tuple, frames["udp_empty"].Tuple
+	for _, dir := range []Dir{Egress, Ingress} {
+		for _, opts := range []bool{true, false} {
+			eng := New(Config{Workers: 1, DisableOptionTranslation: !opts})
+			eng.Table().Install(tcp, &Entry{Dir: dir, Rule: rawKernelRule(packet.ProtoTCP)})
+			eng.Table().Install(udp, &Entry{Dir: dir, Rule: rawKernelRule(packet.ProtoUDP)})
+			for _, name := range names {
+				measure(fmt.Sprintf("%s dir=%v opts=%v", name, dir, opts), eng, frames[name].Serialize(), Rewritten)
+			}
+		}
+	}
+
 	eng := New(Config{Workers: 1})
-	p := rawKernelFrames()["tcp_ts_sack_wraparound"]
-	eng.Table().Install(p.Tuple, &Entry{Dir: Egress, Rule: rawKernelRule(packet.ProtoTCP)})
-
-	orig := p.Serialize()
-	frame := append([]byte(nil), orig...)
-	bad := uint64(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		copy(frame, orig) // re-arm in place; copy does not allocate
-		if eng.ProcessRawInline(frame) != Rewritten {
-			bad++
-		}
-	}); n != 0 {
-		t.Errorf("ProcessRawInline allocates %v/op, want 0", n)
-	}
-	if bad != 0 {
-		t.Fatalf("%d runs did not rewrite", bad)
+	eng.Table().Install(tcp, &Entry{Dir: Egress, Rule: rawKernelRule(packet.ProtoTCP)})
+	miss := packet.NewTCP(tcp.Reverse(), packet.FlagACK, 1, 2, nil)
+	measure("lookup miss", eng, miss.Serialize(), Pass)
+	measure("END option, lookup miss", eng, ipFrame(packet.ProtoTCP, tcpHeader(0, 0, 0, 0)), Pass)
+	rejects := viewRejects()
+	for _, r := range rejects {
+		measure("reject "+r.name, eng, r.frame, Rejected)
 	}
 
-	// The kernel alone, without the engine wrapper.
-	rule := rawKernelRule(packet.ProtoTCP)
-	rr := CompileRaw(&rule, Ingress)
-	if n := testing.AllocsPerRun(1000, func() {
-		copy(frame, orig)
-		v, err := packet.ParseView(frame)
-		if err != nil {
-			bad++
-			return
+	// The worker path: FeedRaw → ring → worker.processRaw, one batch of
+	// rewritten, passed and rejected frames per run, waiting until the
+	// worker has popped it. Two frame sets alternate, so a run never
+	// re-arms a frame the worker may still be rewriting: the worker pops
+	// run k+1's frames only after it has processed run k's.
+	batch := [][]byte{frames["tcp_ts_sack_wraparound"].Serialize(), frames["tcp_wscale_odd_options"].Serialize(),
+		miss.Serialize(), rejects[0].frame}
+	var sets [2][][]byte
+	for i := range sets {
+		for _, f := range batch {
+			sets[i] = append(sets[i], append([]byte(nil), f...))
 		}
-		rr.ApplyIngress(&v, true)
-	}); n != 0 {
-		t.Errorf("ParseView+ApplyIngress allocates %v/op, want 0", n)
 	}
-	if bad != 0 {
-		t.Fatalf("%d kernel runs failed to parse", bad)
+	eng.Start()
+	runs := 0
+	if n := testing.AllocsPerRun(200, func() {
+		set := sets[runs%2]
+		runs++
+		for i, f := range set {
+			copy(f, batch[i])
+			for !eng.FeedRaw(f) {
+				runtime.Gosched()
+			}
+		}
+		for eng.workers[0].ring.Len() != 0 {
+			runtime.Gosched()
+		}
+	}); n != 0 {
+		t.Errorf("worker path allocates %v per batch of %d frames, want 0", n, len(batch))
+	}
+	eng.Stop()
+	st := eng.Stats()
+	if want := uint64(runs * len(batch)); st.Processed != want || st.Rewritten != 2*uint64(runs) || st.Rejected != uint64(runs) {
+		t.Fatalf("worker stats %+v after %d runs of %d frames", st, runs, len(batch))
+	}
+}
+
+// ipFrame wraps transport bytes in a minimal IPv4 header. ParseView does
+// not verify checksums, so none are filled in.
+func ipFrame(proto packet.Proto, transport []byte) []byte {
+	n := packet.IPHeaderLen + len(transport)
+	b := make([]byte, packet.IPHeaderLen, n)
+	b[0] = 0x45
+	b[packet.OffIPTotalLen], b[packet.OffIPTotalLen+1] = byte(n>>8), byte(n)
+	b[packet.OffIPProto] = byte(proto)
+	return append(b, transport...)
+}
+
+// tcpHeader is a TCP header whose data offset covers the given option
+// bytes (a multiple of 4 long).
+func tcpHeader(opts ...byte) []byte {
+	t := make([]byte, packet.TCPFixedLen, packet.TCPFixedLen+len(opts))
+	t[packet.OffTCPDataOff] = byte((packet.TCPFixedLen+len(opts))/4) << 4
+	return append(t, opts...)
+}
+
+// viewRejects is one frame per ParseView reject branch.
+func viewRejects() []struct {
+	name  string
+	frame []byte
+} {
+	withDataOff := func(words byte) []byte {
+		b := ipFrame(packet.ProtoTCP, tcpHeader())
+		b[packet.IPHeaderLen+packet.OffTCPDataOff] = words << 4
+		return b
+	}
+	udp := func(lenField int) []byte {
+		u := make([]byte, packet.UDPHeaderLen)
+		u[packet.OffUDPLen], u[packet.OffUDPLen+1] = byte(lenField>>8), byte(lenField)
+		return ipFrame(packet.ProtoUDP, u)
+	}
+	notIPv4 := ipFrame(packet.ProtoTCP, tcpHeader())
+	notIPv4[0] = 0x46
+	// Option bytes: 1 is NOP, 2 is MSS (4 bytes on the wire).
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"truncated IP header", ipFrame(packet.ProtoTCP, tcpHeader())[:packet.IPHeaderLen-1]},
+		{"not IPv4/IHL 5", notIPv4},
+		{"trailing bytes past the total length", append(ipFrame(packet.ProtoTCP, tcpHeader()), 0)},
+		{"truncated TCP header", ipFrame(packet.ProtoTCP, make([]byte, packet.TCPFixedLen-1))},
+		{"data offset below 20", withDataOff(4)},
+		{"data offset past the frame", withDataOff(15)},
+		{"option without length byte", ipFrame(packet.ProtoTCP, tcpHeader(1, 1, 1, 2))},
+		{"option length below 2", ipFrame(packet.ProtoTCP, tcpHeader(2, 1, 0, 0))},
+		{"option length past the region", ipFrame(packet.ProtoTCP, tcpHeader(2, 8, 0, 0))},
+		{"option body size wrong", ipFrame(packet.ProtoTCP, tcpHeader(2, 3, 0, 1))},
+		{"truncated UDP header", ipFrame(packet.ProtoUDP, make([]byte, packet.UDPHeaderLen-1))},
+		{"UDP length mismatch", udp(packet.UDPHeaderLen + 1)},
+		{"unknown protocol", ipFrame(1, make([]byte, 8))},
 	}
 }
 

@@ -169,7 +169,7 @@ func (t *Table) slotBits(h uint64) uint64 {
 // fast path: one hash, one atomic array load, atomic slot loads along
 // the probe chain until the key matches or a nil slot ends it, one
 // epoch stamp per epoch — lock-free, allocation-free, non-blocking
-// (proven by the allocfree/blockfree lint rules). The chain is short
+// (TestDataplaneLookupZeroAlloc, TestReaderPathTakesNoLock). The chain is short
 // because at most half the slots are in use; the loop is bounded by the
 // array length anyway, so a lookup racing a writer that keeps refilling
 // the slots ahead of it still terminates.

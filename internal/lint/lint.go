@@ -22,14 +22,11 @@ import (
 	"strings"
 )
 
-// Finding is one rule violation at a position. Interprocedural rules
-// (allocfree, blockfree) additionally carry the call chain from the
-// hot-path root to the function containing Pos.
+// Finding is one rule violation at a position.
 type Finding struct {
-	Rule  string
-	Pos   token.Position
-	Msg   string
-	Chain []string
+	Rule string
+	Pos  token.Position
+	Msg  string
 }
 
 func (f Finding) String() string {
@@ -62,8 +59,6 @@ func All() []*Analyzer {
 		RewritetaintAnalyzer,
 		FsmconformAnalyzer,
 		ObsexhaustAnalyzer,
-		AllocfreeAnalyzer,
-		BlockfreeAnalyzer,
 	}
 }
 

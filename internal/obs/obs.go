@@ -254,7 +254,10 @@ func (r *Recorder) Emit(e Event) {
 	e.Seq = r.seq
 	e.LC = r.clock.Now()
 	r.seq++
-	//lint:ignore allocfree event storage is the recorder's one deliberate allocation: nil and disabled-kind recorders return before reaching it, which is exactly the configuration TestRewritePathZeroAlloc pins at zero allocs per rewrite
+	// Event storage is the recorder's one deliberate allocation: nil and
+	// disabled-kind recorders return before reaching it, which is the
+	// configuration TestRewritePathZeroAlloc pins at zero allocs per
+	// rewrite.
 	r.events = append(r.events, e)
 }
 

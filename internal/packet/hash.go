@@ -20,8 +20,7 @@ func fnv1aByte(h uint64, b byte) uint64 {
 // everything that shards or load-balances by flow: the concurrent
 // rewrite table's shard index and the engine's worker (RSS queue)
 // selection, both derived through Bucket. Allocation-free and
-// branch-free, proven on the hot path by the allocfree/blockfree lint
-// rules.
+// branch-free (TestHotpathHelpersZeroAlloc in internal/core).
 func (ft FiveTuple) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnv1aByte(h, byte(ft.Proto))
@@ -66,9 +65,7 @@ func BucketShift(n int) uint {
 }
 
 // trailingZeros is math/bits.TrailingZeros64 restricted to the
-// power-of-two inputs Bucket accepts (n == 1<<k, k in [0,63]); written
-// out so the packet hot path keeps zero out-of-module calls for the
-// allocfree/blockfree proofs.
+// power-of-two inputs Bucket accepts (n == 1<<k, k in [0,63]).
 func trailingZeros(v uint64) int {
 	n := 0
 	for v > 1 {

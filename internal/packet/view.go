@@ -342,11 +342,8 @@ func (v *View) SetSACKEnd(i int, e uint32) {
 	putBE32(v.b, v.sackOff+6+8*i, e)
 }
 
-// be16/be32/putBE16/putBE32 are local big-endian codecs: pure index
-// arithmetic instead of encoding/binary, so the allocfree/blockfree
-// provers can scan the bodies (out-of-module calls are unprovable by
-// policy, and ParseView and the accessors above are on the proven
-// hot-path region).
+// be16/be32/putBE16/putBE32 are local big-endian codecs: plain index
+// arithmetic on the frame, which ParseView has already bounds-checked.
 func be16(b []byte, off int) uint16 {
 	return uint16(b[off])<<8 | uint16(b[off+1])
 }

@@ -5,13 +5,11 @@
 # sweep. The observability checks of an instrumented reconfiguration
 # run (span, histograms, causal DAG, critical path, same-seed replay)
 # are internal/lab tests and run in `go test -race ./...`. The lint run
-# lands its machine-readable findings in LINT_report.json and the module
-# call graph (the input to the allocfree/blockfree hot-path proofs) in
-# LINT_callgraph.txt; the fault sweep's per-run results
-# (event/schedule/DAG hashes, oracles) land in FAULT_sweep.json; the
-# per-scenario reconfiguration critical paths land in CRITPATH.json,
-# gated on byte-identical re-extraction. CI archives all four as
-# workflow artifacts. The figure regression
+# lands its machine-readable findings in LINT_report.json; the fault
+# sweep's per-run results (event/schedule/DAG hashes, oracles) land in
+# FAULT_sweep.json; the per-scenario reconfiguration critical paths land
+# in CRITPATH.json, gated on byte-identical re-extraction. CI archives all
+# three as workflow artifacts. The figure regression
 # regenerates every quick-scale figure and diffs it byte for byte
 # against experiments_output.txt (the longest step: about 1.5-2.5 min on a
 # 2-vCPU host). Everything here must pass before a change lands; CI and
@@ -40,7 +38,6 @@ go test -race ./...
 go -C bench test ./...
 
 go run ./cmd/dyscolint -json ./... > LINT_report.json || { cat LINT_report.json; exit 1; }
-go run ./cmd/dyscolint -callgraph ./... > LINT_callgraph.txt
 
 # Fuzz smoke: the codec tests cut every frame and message at every byte;
 # these runs probe the decoders beyond those cuts, from the checked-in
