@@ -1,13 +1,14 @@
 // Quickstart: a three-host Dysco deployment — client, one monitoring
 // middlebox, server — showing service-chain establishment, the original
 // session header at the application, and the subsession five-tuples on
-// the wire.
+// the wire. It exits 1 if the server did not receive every byte sent.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -34,6 +35,7 @@ func main() {
 	env.ChainPolicy(client, 80, mb)
 
 	// A plain TCP server and client — no application changes.
+	const sent = 256 << 10
 	var received int
 	server.Stack.Listen(80, func(c *tcp.Conn) {
 		fmt.Printf("server accepted session %v (the ORIGINAL header)\n", c.Tuple())
@@ -42,7 +44,7 @@ func main() {
 	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
 	conn.OnEstablished = func() {
 		fmt.Printf("client established %v\n", conn.Tuple())
-		if err := conn.Send(make([]byte, 256<<10)); err != nil {
+		if err := conn.Send(make([]byte, sent)); err != nil {
 			fmt.Println("send:", err)
 		}
 	}
@@ -66,4 +68,8 @@ func main() {
 	}
 	fmt.Println("\npackets between hosts carried subsession five-tuples;")
 	fmt.Println("applications and the TCP stacks saw only the original session.")
+	if received != sent {
+		fmt.Fprintf(os.Stderr, "quickstart: server received %d of %d bytes\n", received, sent)
+		os.Exit(1)
+	}
 }

@@ -1,13 +1,16 @@
 // Scrubber insertion: the policy server redirects ongoing sessions through
 // a packet scrubber when traffic looks suspicious (§1, §2.2) — no
 // controller rules, no connection resets; the client-side agent anchors a
-// reconfiguration that inserts the scrubber into the live chain.
+// reconfiguration that inserts the scrubber into the live chain. It exits 1
+// unless one session was triggered, the signature was dropped, and the
+// session is still ESTABLISHED.
 //
 //	go run ./examples/scrubber
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/lab"
@@ -63,9 +66,12 @@ func main() {
 		fmt.Println("send:", err)
 	}
 	env.RunFor(2 * time.Second)
-	fmt.Printf("malicious payload dropped by scrubber: %v (dropped=%d)\n",
-		scrubApp.Dropped > 0, scrubApp.Dropped)
-	_ = before
-	fmt.Printf("\nthe session was never reset: state=%v, chain now client→monitor? no —\n", conn.State())
-	fmt.Println("the scrubber was inserted between client and server while the session ran.")
+	dropped := scrubApp.Dropped > 0 && received == before
+	fmt.Printf("malicious payload dropped by scrubber: %v (dropped=%d)\n", dropped, scrubApp.Dropped)
+	fmt.Printf("\nthe session was never reset: state=%v; the scrubber now sits\n", conn.State())
+	fmt.Println("between the client and the monitor, inserted while the session ran.")
+	if n != 1 || !dropped || conn.State() != tcp.StateEstablished {
+		fmt.Fprintf(os.Stderr, "scrubber: triggered=%d (want 1), signature dropped=%v, state=%v\n", n, dropped, conn.State())
+		os.Exit(1)
+	}
 }

@@ -44,9 +44,9 @@ func BenchmarkReconfiguration(b *testing.B) {
 		c.OnEstablished = func() { c.Send(make([]byte, 256<<10)) }
 		env.eng.Run(5 * time.Millisecond)
 		ok := false
+		env.aClient.OnReconfigDone = func(_ packet.FiveTuple, o bool, d sim.Time) { ok = o }
 		env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 			RightAnchor: env.server.Addr,
-			OnDone:      func(o bool, d sim.Time) { ok = o },
 		})
 		env.eng.Run(10 * time.Second)
 		if !ok {

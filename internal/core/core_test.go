@@ -322,9 +322,9 @@ func TestReconfigDeleteMiddlebox(t *testing.T) {
 	env.runFor(20 * time.Millisecond)
 	done := false
 	var took sim.Time
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok; took = d }
 	err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor: env.server.Addr,
-		OnDone:      func(ok bool, d sim.Time) { done = ok; took = d },
 	})
 	if err != nil {
 		t.Fatalf("StartReconfig: %v", err)
@@ -373,10 +373,10 @@ func TestReconfigInsertMiddlebox(t *testing.T) {
 
 	scrubber := env.apps[0]
 	done := false
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok }
 	err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor:    env.server.Addr,
 		NewMiddleboxes: []packet.Addr{env.mboxes[0].Addr},
-		OnDone:         func(ok bool, d sim.Time) { done = ok },
 	})
 	if err != nil {
 		t.Fatalf("StartReconfig: %v", err)
@@ -429,9 +429,9 @@ func TestReconfigSurvivesControlLoss(t *testing.T) {
 	c.OnEstablished = func() { c.Send(data) }
 	env.runFor(50 * time.Millisecond)
 	done := false
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok }
 	env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor: env.server.Addr,
-		OnDone:      func(ok bool, d sim.Time) { done = ok },
 	})
 	env.runFor(120 * time.Second)
 	if got.Len() != len(data) {
@@ -458,14 +458,14 @@ func TestReconfigFailsWhenNewPathDead(t *testing.T) {
 	c.OnEstablished = func() { c.Send(sent) }
 	env.runFor(10 * time.Millisecond)
 	var ok, called = false, false
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, o bool, d sim.Time) { ok, called = o, true }
 	env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor:    env.server.Addr,
 		NewMiddleboxes: []packet.Addr{packet.MakeAddr(66, 66, 66, 66)}, // no such host
-		OnDone:         func(o bool, d sim.Time) { ok, called = o, true },
 	})
 	env.runFor(60 * time.Second)
 	if !called {
-		t.Fatal("OnDone never called")
+		t.Fatal("OnReconfigDone never called")
 	}
 	if ok {
 		t.Fatal("reconfig claimed success with dead new path")
@@ -504,13 +504,13 @@ func TestContentionExactlyOneWins(t *testing.T) {
 	// Client deletes both middleboxes; mbox1 (as left anchor) deletes
 	// mbox2. Fired at the same instant.
 	env.eng.Schedule(0, func() {
+		env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { results["client"] = ok }
 		env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 			RightAnchor: env.server.Addr,
-			OnDone:      func(ok bool, d sim.Time) { results["client"] = ok },
 		})
+		env.aMbox[0].OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { results["mbox1"] = ok }
 		env.aMbox[0].StartReconfig(sessAtM1.IDRight, ReconfigOptions{
 			RightAnchor: env.server.Addr,
-			OnDone:      func(ok bool, d sim.Time) { results["mbox1"] = ok },
 		})
 	})
 	env.runFor(60 * time.Second)
@@ -626,9 +626,9 @@ func TestReconfigIdleSession(t *testing.T) {
 	env.runFor(100 * time.Millisecond)
 	done := false
 	var took sim.Time
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done, took = ok, d }
 	env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor: env.server.Addr,
-		OnDone:      func(ok bool, d sim.Time) { done, took = ok, d },
 	})
 	env.runFor(10 * time.Second)
 	if !done {
@@ -754,14 +754,14 @@ func TestConcurrentDisjointReconfigs(t *testing.T) {
 	}
 	env.runFor(200 * time.Millisecond)
 	done := 0
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) {
+		if ok {
+			done++
+		}
+	}
 	for _, c := range conns {
 		err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 			RightAnchor: env.server.Addr,
-			OnDone: func(ok bool, d sim.Time) {
-				if ok {
-					done++
-				}
-			},
 		})
 		if err != nil {
 			t.Fatalf("StartReconfig: %v", err)
@@ -792,7 +792,7 @@ func TestReconfigureTwiceSequentially(t *testing.T) {
 	do := func(opt ReconfigOptions) {
 		t.Helper()
 		ok := false
-		opt.OnDone = func(o bool, d sim.Time) { ok = o }
+		env.aClient.OnReconfigDone = func(_ packet.FiveTuple, o bool, d sim.Time) { ok = o }
 		if err := env.aClient.StartReconfig(c.Tuple(), opt); err != nil {
 			t.Fatalf("StartReconfig: %v", err)
 		}
@@ -831,12 +831,12 @@ func TestAPIErrorPaths(t *testing.T) {
 	if err := env.aClient.ReportDelta(bogus, Deltas{}); err == nil {
 		t.Error("ReportDelta on unknown session did not error")
 	}
-	if err := env.aClient.TriggerRemoval(bogus); err == nil {
-		t.Error("TriggerRemoval on unknown session did not error")
+	if err := env.aClient.TriggerReplace(bogus, nil, 0, 0); err == nil {
+		t.Error("TriggerReplace on unknown session did not error")
 	}
 	// An end-host cannot remove itself (no neighbors on both sides).
-	if err := env.aClient.TriggerRemoval(c.Tuple()); err == nil {
-		t.Error("TriggerRemoval at an end did not error")
+	if err := env.aClient.TriggerReplace(c.Tuple(), nil, 0, 0); err == nil {
+		t.Error("TriggerReplace at an end did not error")
 	}
 	if err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{}); err == nil {
 		t.Error("StartReconfig without a right anchor did not error")
@@ -846,9 +846,9 @@ func TestAPIErrorPaths(t *testing.T) {
 	}
 	// Double reconfiguration of the same session is refused while active.
 	ok1 := false
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, o bool, d sim.Time) { ok1 = o }
 	if err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor: env.server.Addr,
-		OnDone:      func(o bool, d sim.Time) { ok1 = o },
 	}); err != nil {
 		t.Fatalf("first StartReconfig: %v", err)
 	}
@@ -912,7 +912,7 @@ func TestHeldOldPathFINPostsNoEvents(t *testing.T) {
 	right := &stuckConn{tuple: packet.FiveTuple{
 		SrcIP: env.mboxes[0].Addr, DstIP: env.server.Addr, SrcPort: 5000, DstPort: 80, Proto: packet.ProtoTCP,
 	}}
-	if err := hop.Splice(left, right); err != nil {
+	if err := hop.splice(left, right); err != nil {
 		t.Fatal(err)
 	}
 	if n := env.eng.Pending(); n != 0 {

@@ -204,9 +204,6 @@ type ReconfigOptions struct {
 	// path is used (replacement of a stateful middlebox, Figure 15).
 	StateFrom packet.Addr
 	StateTo   packet.Addr
-	// OnDone reports completion. ok=false means nacked, cancelled, or the
-	// new path could not be set up (§3.6).
-	OnDone func(ok bool, took sim.Time)
 }
 
 // StartReconfig makes this agent the left anchor of a reconfiguration of
@@ -269,7 +266,6 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 		NewList:   append(append([]packet.Addr(nil), opt.NewMiddleboxes...), opt.RightAnchor),
 		StateFrom: opt.StateFrom,
 		StateTo:   opt.StateTo,
-		onDone:    opt.OnDone,
 	}
 	d.addAnchor(rc)
 	a.Stats.ReconfigsStarted++
@@ -469,9 +465,6 @@ func (d *daemon) closeReconfig(rc *Reconfig, ok bool) {
 		// One duration sample per reconfiguration, at the initiating anchor.
 		d.a.mReconfigDur.Observe(float64(took) / float64(time.Millisecond))
 	}
-	if rc.onDone != nil {
-		rc.onDone(ok, took)
-	}
 	if d.a.OnReconfigDone != nil {
 		d.a.OnReconfigDone(rc.Sess.IDLeft, ok, took)
 	}
@@ -481,29 +474,17 @@ func (d *daemon) closeReconfig(rc *Reconfig, ok bool) {
 
 // ---------- trigger ----------
 
-// TriggerRemoval asks this middlebox's left neighbor to become left anchor
-// and delete this host from the session's chain (§3.1: "if a middlebox
-// wants to delete itself, it sends a triggering packet to the agent on its
-// left with the address list [myRightNeighbor]").
-func (a *Agent) TriggerRemoval(sessID packet.FiveTuple) error {
-	return a.TriggerReplace(sessID, nil)
-}
-
-// TriggerReplace asks this middlebox's left neighbor to replace this host
-// (and anything up to its right neighbor) with the given middlebox list —
-// the maintenance command of §2.2. An empty list deletes the hop. The
-// trigger is re-sent (bounded) until the resulting lock request is seen
-// passing through this hop, so a lost trigger does not silently drop the
-// reconfiguration.
-func (a *Agent) TriggerReplace(sessID packet.FiveTuple, replacement []packet.Addr) error {
-	return a.daemon.trigger(sessID, replacement, 0, 0, 0)
-}
-
-// TriggerReplaceWithState is TriggerReplace plus middlebox state transfer:
-// the left anchor will move this session's state from stateFrom to stateTo
-// before switching paths (the §2.2 maintenance command for stateful
-// middleboxes; Figure 15).
-func (a *Agent) TriggerReplaceWithState(sessID packet.FiveTuple, replacement []packet.Addr, stateFrom, stateTo packet.Addr) error {
+// TriggerReplace asks this middlebox's left neighbor to become left anchor
+// and replace this host (and anything up to its right neighbor) with the
+// given middlebox list — the maintenance command of §2.2. An empty list
+// deletes the hop (§3.1: "if a middlebox wants to delete itself, it sends a
+// triggering packet to the agent on its left with the address list
+// [myRightNeighbor]"). Nonzero stateFrom and stateTo ask the left anchor to
+// move this session's middlebox state from stateFrom to stateTo before
+// switching paths (Figure 15). The trigger is re-sent (bounded) until the
+// resulting lock request is seen passing through this hop, so a lost
+// trigger does not silently drop the reconfiguration.
+func (a *Agent) TriggerReplace(sessID packet.FiveTuple, replacement []packet.Addr, stateFrom, stateTo packet.Addr) error {
 	return a.daemon.trigger(sessID, replacement, 0, stateFrom, stateTo)
 }
 

@@ -203,10 +203,10 @@ func TestNewPathPortsExhaustedKeepsOldPath(t *testing.T) {
 			exhaustPorts(a, env.server.Addr)
 			sessions := env.aClient.Sessions()
 			finished, ok := false, true
+			env.aClient.OnReconfigDone = func(_ packet.FiveTuple, done bool, _ sim.Time) { finished, ok = true, done }
 			err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 				RightAnchor:    env.server.Addr,
 				NewMiddleboxes: newList,
-				OnDone:         func(done bool, _ sim.Time) { finished, ok = true, done },
 			})
 			if err != nil {
 				t.Fatalf("StartReconfig: %v", err)

@@ -43,9 +43,9 @@ func TestReconfigDeleteNAT(t *testing.T) {
 	}
 
 	done := false
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok }
 	err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor: env.server.Addr,
-		OnDone:      func(ok bool, d sim.Time) { done = ok },
 	})
 	if err != nil {
 		t.Fatalf("StartReconfig: %v", err)

@@ -264,5 +264,4 @@ type Reconfig struct {
 	// lastMsg is retransmitted by rtxTimer until the awaited reply arrives.
 	lastMsg   *ctrlMsg
 	lastMsgTo packet.Addr
-	onDone    func(ok bool, took sim.Time)
 }

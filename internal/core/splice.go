@@ -27,17 +27,23 @@ type SpliceConn interface {
 	Detach()
 }
 
-// Splice links a TCP-terminating proxy's two sessions so the proxy can be
-// deleted from the chain (§2.4, §4.2 dysco_splice). left is the
-// connection facing the client (accepted with the session header), right
-// the connection the proxy opened toward the server.
-//
-// Splice computes the sequence, timestamp, and window-scale deltas (§3.4)
-// and records the session continuation for control-message translation;
-// SpliceAndRemove then triggers the removal at the left neighbor. Data
-// keeps flowing through the proxy's TCP stacks until the old path drains;
-// the connections are detached when the old path is torn down.
+// Splice links a TCP-terminating proxy's two sessions and triggers the
+// proxy's removal from the chain at its left neighbor (§2.4, §4.2: the
+// intercepted splice() call). left is the connection facing the client
+// (accepted with the session header), right the connection the proxy
+// opened toward the server. Data keeps flowing through the proxy's TCP
+// stacks until the old path drains; the connections are detached when the
+// old path is torn down.
 func (a *Agent) Splice(left, right SpliceConn) error {
+	if err := a.splice(left, right); err != nil {
+		return err
+	}
+	return a.TriggerReplace(left.Tuple().Reverse(), nil, 0, 0)
+}
+
+// splice computes the sequence, timestamp, and window-scale deltas (§3.4)
+// and records the session continuation for control-message translation.
+func (a *Agent) splice(left, right SpliceConn) error {
 	// The client-side connection was accepted: its local tuple is the
 	// reverse of the session's forward tuple.
 	sessID := left.Tuple().Reverse()
@@ -88,14 +94,4 @@ func (a *Agent) Splice(left, right SpliceConn) error {
 		LeftWinTo:    right.RcvWScale(), // proxy's offer on the server side
 	}
 	return nil
-}
-
-// SpliceAndRemove splices the two proxy connections and immediately
-// triggers this host's removal from the chain (the common "splice system
-// call intercepted" flow of §4.2).
-func (a *Agent) SpliceAndRemove(left, right SpliceConn) error {
-	if err := a.Splice(left, right); err != nil {
-		return err
-	}
-	return a.TriggerRemoval(left.Tuple().Reverse())
 }

@@ -83,9 +83,9 @@ func TestEdgeRouterChainsForNonDyscoClient(t *testing.T) {
 		t.Fatal("edge has no session record")
 	}
 	done := false
+	edgeAgent.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok }
 	err := edgeAgent.StartReconfig(c.Tuple(), ReconfigOptions{
 		RightAnchor: server.Addr,
-		OnDone:      func(ok bool, d sim.Time) { done = ok },
 	})
 	if err != nil {
 		t.Fatalf("StartReconfig at edge: %v", err)

@@ -80,26 +80,17 @@ func Fig12(sc Scale, seed int64) *Result {
 		}
 	}
 	// Schedule the staged removals: at each mark, every session of one
-	// client-server pair splices out of the proxy (retrying briefly for
-	// sessions whose backend handshake is still in flight).
+	// client-server pair splices out of the proxy (a session whose backend
+	// handshake is still in flight splices once it is up).
 	for i, at := range reconfigAt {
 		target := in.Servers[i].Addr()
-		var splicePair func()
-		splicePair = func() {
-			again := false
+		env.Eng.At(at, func() {
 			for _, pr := range in.Proxy.Pairs() {
 				if pr.Server.Tuple().DstIP == target {
 					pr.Splice()
-					if !pr.Spliced() {
-						again = true
-					}
 				}
 			}
-			if again {
-				env.Eng.Schedule(100*time.Millisecond, splicePair)
-			}
-		}
-		env.Eng.At(at, splicePair)
+		})
 	}
 	env.RunUntil(duration)
 

@@ -67,20 +67,11 @@ func Fig13(sc Scale, seed int64) *Result {
 		}
 	}
 	env.RunFor(2 * time.Second)
-	// Stagger the splices slightly so daemons are not synchronized, and
-	// retry any session whose backend handshake is still in flight.
-	i := 0
-	for _, pr := range in.Proxy.Pairs() {
-		pp := pr
-		var try func()
-		try = func() {
-			pp.Splice()
-			if !pp.Spliced() {
-				env.Eng.Schedule(50*time.Millisecond, try)
-			}
-		}
-		env.Eng.Schedule(time.Duration(i)*100*time.Microsecond, try)
-		i++
+	// Stagger the splices slightly so daemons are not synchronized; a
+	// session whose backend handshake is still in flight splices once it
+	// is up.
+	for i, pr := range in.Proxy.Pairs() {
+		env.Eng.Schedule(time.Duration(i)*100*time.Microsecond, func() { pr.Splice() })
 	}
 	env.RunFor(30 * time.Second)
 

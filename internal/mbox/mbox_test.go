@@ -229,9 +229,9 @@ func TestPadderShiftsStreamAndReportsDelta(t *testing.T) {
 	// Now DELETE the padder mid-session: its +3 byte delta must transfer
 	// to the anchors so the rest of the stream still lines up (§3.4).
 	done := false
+	client.Agent.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok }
 	err := client.Agent.StartReconfig(c.Tuple(), core.ReconfigOptions{
 		RightAnchor: server.Addr(),
-		OnDone:      func(ok bool, d sim.Time) { done = ok },
 	})
 	if err != nil {
 		t.Fatalf("StartReconfig: %v", err)
@@ -417,6 +417,75 @@ func TestProxySpliceRemovalMidTransfer(t *testing.T) {
 	}
 }
 
+// dropFirstBackendSYN loses the proxy's first SYN to the server, so the
+// backend connection stays in SYN-SENT for one retransmission timeout
+// while the client streams into the proxy.
+func dropFirstBackendSYN(pe *proxyEnv) {
+	dropped := false
+	pe.proxyN.Host.AddEgressHook(func(p *packet.Packet, _ netsim.Direction) netsim.Verdict {
+		if !dropped && p.Flags == packet.FlagSYN && p.Tuple.DstIP == pe.server.Addr() {
+			dropped = true
+			return netsim.Drop
+		}
+		return netsim.Pass
+	})
+}
+
+// TestProxySpliceWaitsForLateBackend: the splice point passes while the
+// backend handshake is still in flight. The request is kept and carried
+// out when the backend comes up, although no relay follows.
+func TestProxySpliceWaitsForLateBackend(t *testing.T) {
+	pe := newProxyEnv(t, 9, fastLink())
+	pe.proxy.AutoSpliceAfter = 50 << 10
+	dropFirstBackendSYN(pe)
+	data := make([]byte, 200<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	c := pe.client.Stack.Connect(pe.server.Addr(), 80, tcp.Config{})
+	c.OnEstablished = func() { c.Send(data) }
+	reconfigOK := false
+	pe.client.Agent.OnReconfigDone = func(_ packet.FiveTuple, ok bool, _ sim.Time) { reconfigOK = ok }
+	pe.env.RunFor(10 * time.Second)
+	if !bytes.Equal(pe.recvBuf.Bytes(), data) {
+		t.Fatalf("stream mismatch: %d of %d bytes (first diff %d)", pe.recvBuf.Len(), len(data), firstDiff(pe.recvBuf.Bytes(), data))
+	}
+	if pe.proxy.Spliced != 1 || !reconfigOK {
+		t.Fatalf("spliced=%d reconfig ok=%v, want 1 and true", pe.proxy.Spliced, reconfigOK)
+	}
+}
+
+// TestProxyHalfClosedBeforeBackendIsNotSpliced: a client that sends its
+// whole stream and half-closes before the backend is up is relayed to the
+// end, FIN included, and never spliced, although the splice point passed.
+func TestProxyHalfClosedBeforeBackendIsNotSpliced(t *testing.T) {
+	pe := newProxyEnv(t, 9, fastLink())
+	pe.proxy.AutoSpliceAfter = 16 << 10
+	dropFirstBackendSYN(pe)
+	data := bytes.Repeat([]byte("half-closed "), 4<<10)
+	finAtServer := false
+	pe.server.Stack.Listen(80, func(c *tcp.Conn) {
+		c.OnData = func(b []byte) { pe.recvBuf.Write(b) }
+		c.OnPeerFIN = func() { finAtServer = true }
+	})
+	c := pe.client.Stack.Connect(pe.server.Addr(), 80, tcp.Config{})
+	c.OnEstablished = func() {
+		c.Send(data)
+		c.Close()
+	}
+	pe.client.Agent.OnReconfigDone = func(packet.FiveTuple, bool, sim.Time) { t.Error("a half-closed session was reconfigured") }
+	pe.env.RunFor(10 * time.Second)
+	if pair := pe.proxy.Pairs()[0]; pair.Client.State() != tcp.StateCloseWait {
+		t.Fatalf("the client was not half-closed at the proxy (%v)", pair.Client.State())
+	}
+	if !bytes.Equal(pe.recvBuf.Bytes(), data) || !finAtServer {
+		t.Fatalf("server got %d of %d bytes, FIN=%v", pe.recvBuf.Len(), len(data), finAtServer)
+	}
+	if pe.proxy.Spliced != 0 {
+		t.Fatalf("spliced = %d, want 0", pe.proxy.Spliced)
+	}
+}
+
 // TestSplicedHopOutlivesOldPathStragglers: the deleted proxy keeps its
 // spliced connections until the old path is quiet. A pure ACK the server
 // sends on the old sub-session 100 ms after both oldPathFINs have passed
@@ -514,12 +583,12 @@ func TestFirewallReplacementWithStateTransfer(t *testing.T) {
 	env.RunFor(20 * time.Millisecond)
 
 	done := false
+	client.Agent.OnReconfigDone = func(_ packet.FiveTuple, ok bool, d sim.Time) { done = ok }
 	err := client.Agent.StartReconfig(c.Tuple(), core.ReconfigOptions{
 		RightAnchor:    server.Addr(),
 		NewMiddleboxes: []packet.Addr{m2.Addr()},
 		StateFrom:      m1.Addr(),
 		StateTo:        m2.Addr(),
-		OnDone:         func(ok bool, d sim.Time) { done = ok },
 	})
 	if err != nil {
 		t.Fatalf("StartReconfig: %v", err)

@@ -40,12 +40,16 @@ type Proxy struct {
 // ProxyPair is one proxied session: the client-facing and backend-facing
 // connections.
 type ProxyPair struct {
-	Client  *tcp.Conn
-	Server  *tcp.Conn
-	proxy   *Proxy
-	right   uint64 // client→server bytes relayed
-	left    uint64
+	Client *tcp.Conn
+	Server *tcp.Conn
+	proxy  *Proxy
+	right  uint64 // client→server bytes relayed
+	left   uint64
+	// wanted latches a Splice request until both connections are up;
+	// spliced is set once it was carried out, err is what it returned.
+	wanted  bool
 	spliced bool
+	err     error
 }
 
 // NewProxy wires a proxy onto a host's stack and agent, listening on port.
@@ -67,8 +71,25 @@ func (p *Proxy) accept(client *tcp.Conn) {
 
 	client.OnData = func(b []byte) { pair.relay(b, server, true) }
 	server.OnData = func(b []byte) { pair.relay(b, client, false) }
-	client.OnPeerFIN = func() { server.Close() }
+	// Closing a connection still in SYN-SENT would drop it and the bytes
+	// it holds, so a client FIN that beats the backend handshake is passed
+	// on once the backend is up.
+	client.OnPeerFIN = func() {
+		if server.State() != tcp.StateSynSent {
+			server.Close()
+		}
+	}
 	server.OnPeerFIN = func() { client.Close() }
+	// accept runs with the client connection already up: the backend is
+	// the only side a Splice request can wait for. A client that
+	// half-closed first is relayed to the end and never spliced.
+	server.OnEstablished = func() {
+		if client.State() == tcp.StateCloseWait {
+			server.Close()
+		} else if pair.wanted {
+			pair.Splice()
+		}
+	}
 	client.OnReset = func() { server.Abort() }
 	server.OnReset = func() { client.Abort() }
 }
@@ -86,7 +107,7 @@ func (pair *ProxyPair) relay(b []byte, to *tcp.Conn, rightward bool) {
 	}
 	//lint:ignore errdrop the outbound side may be closing mid-relay; the sender's TCP retransmission covers the gap
 	to.Send(b)
-	if rightward && !pair.spliced && p.AutoSpliceAfter > 0 && pair.right >= uint64(p.AutoSpliceAfter) {
+	if rightward && !pair.wanted && p.AutoSpliceAfter > 0 && pair.right >= uint64(p.AutoSpliceAfter) {
 		pair.Splice()
 	}
 }
@@ -94,15 +115,17 @@ func (pair *ProxyPair) relay(b []byte, to *tcp.Conn, rightward bool) {
 // Spliced reports whether this session has been spliced out.
 func (pair *ProxyPair) Spliced() bool { return pair.spliced }
 
-// Splice triggers this session's splice-and-removal (idempotent).
+// Splice requests this session's splice-and-removal. It is carried out at
+// once if both connections are ESTABLISHED, else when the backend
+// connection comes up; a session whose client half-closed before that is
+// never spliced. Splice returns the error of the splice once it was
+// carried out, nil before; repeated calls change nothing.
 func (pair *ProxyPair) Splice() error {
-	if pair.spliced {
-		return nil
+	pair.wanted = true
+	if !pair.spliced && pair.Server.State() == tcp.StateEstablished && pair.Client.State() == tcp.StateEstablished {
+		pair.spliced = true
+		pair.proxy.Spliced++
+		pair.err = pair.proxy.Agent.Splice(pair.Client, pair.Server)
 	}
-	if pair.Server.State() != tcp.StateEstablished || pair.Client.State() != tcp.StateEstablished {
-		return nil // try again later; both sides must be up
-	}
-	pair.spliced = true
-	pair.proxy.Spliced++
-	return pair.proxy.Agent.SpliceAndRemove(pair.Client, pair.Server)
+	return pair.err
 }

@@ -455,7 +455,6 @@ func (h *Host) transmit(p *packet.Packet, baseCost sim.Time) {
 	cost := baseCost
 	if !h.ChecksumOffload {
 		cost += sim.Time(int64(h.Cost.ChecksumPerKB) * int64(p.Size()) / 1024)
-		p.Checksum = softwareChecksum(p)
 	}
 	done := h.CPU.Acquire(cost)
 	le := h.routes[p.Tuple.DstIP]
@@ -466,39 +465,6 @@ func (h *Host) transmit(p *packet.Packet, baseCost sim.Time) {
 	h.Stats.PacketsOut++
 	h.Stats.BytesOut += uint64(p.Size())
 	le.send(p, done)
-}
-
-// softwareChecksum computes a transport checksum over the fields a real
-// stack would cover, without allocating a full wire image. It is stable
-// under RewriteTuple/RewriteSeqAck incremental updates in the sense that
-// the packet tests verify against full serialization.
-func softwareChecksum(p *packet.Packet) uint16 {
-	var hdr [24]byte
-	hdr[0] = byte(p.Tuple.SrcIP >> 24)
-	hdr[1] = byte(p.Tuple.SrcIP >> 16)
-	hdr[2] = byte(p.Tuple.SrcIP >> 8)
-	hdr[3] = byte(p.Tuple.SrcIP)
-	hdr[4] = byte(p.Tuple.DstIP >> 24)
-	hdr[5] = byte(p.Tuple.DstIP >> 16)
-	hdr[6] = byte(p.Tuple.DstIP >> 8)
-	hdr[7] = byte(p.Tuple.DstIP)
-	hdr[8] = byte(p.Tuple.SrcPort >> 8)
-	hdr[9] = byte(p.Tuple.SrcPort)
-	hdr[10] = byte(p.Tuple.DstPort >> 8)
-	hdr[11] = byte(p.Tuple.DstPort)
-	hdr[12] = byte(p.Seq >> 24)
-	hdr[13] = byte(p.Seq >> 16)
-	hdr[14] = byte(p.Seq >> 8)
-	hdr[15] = byte(p.Seq)
-	hdr[16] = byte(p.Ack >> 24)
-	hdr[17] = byte(p.Ack >> 16)
-	hdr[18] = byte(p.Ack >> 8)
-	hdr[19] = byte(p.Ack)
-	hdr[20] = byte(p.Flags)
-	hdr[21] = byte(p.Tuple.Proto)
-	hdr[22] = byte(p.Window >> 8)
-	hdr[23] = byte(p.Window)
-	return packet.Checksum(hdr[:], p.Payload)
 }
 
 // send models the transmit queue and the wire for one link direction.

@@ -74,10 +74,10 @@ type Packet struct {
 	// drops the packet, as real hardware/software checksumming would.
 	Corrupted bool
 
-	// Checksum is the transport checksum as carried on the wire. The
-	// simulator computes it on transmit unless the sending NIC models
-	// checksum offload, in which case it is filled with the correct value
-	// at zero modeled CPU cost (as hardware would).
+	// Checksum is the transport checksum as carried on the wire: Parse
+	// reads it, Serialize computes it, and the rewrites update it
+	// incrementally. Simulated hosts never compute it; they charge its
+	// cost (netsim.CostModel.ChecksumPerKB) unless the NIC offloads it.
 	Checksum uint16
 }
 

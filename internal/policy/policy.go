@@ -210,19 +210,16 @@ func (s *Server) ReplaceInstanceEverywhere(old *core.Agent, newInst packet.Addr)
 	// A stateful middlebox migrates its per-session state to the
 	// replacement instance; without that the new instance would drop the
 	// mid-stream sessions (Figure 15).
-	_, stateful := old.App.(core.StatefulApp)
+	var from, to packet.Addr
+	if _, stateful := old.App.(core.StatefulApp); stateful {
+		from, to = old.Host.Addr, newInst
+	}
 	n := 0
 	old.EachSession(func(sess *core.Session) {
 		if sess.LeftHost == 0 || sess.RightHost == 0 {
 			return
 		}
-		var err error
-		if stateful {
-			err = old.TriggerReplaceWithState(sess.IDLeft, []packet.Addr{newInst}, old.Host.Addr, newInst)
-		} else {
-			err = old.TriggerReplace(sess.IDLeft, []packet.Addr{newInst})
-		}
-		if err == nil {
+		if old.TriggerReplace(sess.IDLeft, []packet.Addr{newInst}, from, to) == nil {
 			n++
 		}
 	})

@@ -30,6 +30,12 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go test -race ./...
 
+# The examples check their own claims (bytes delivered; the scrubber
+# inserted through the policy server, the signature dropped, the session
+# still up) and exit 1 when one fails.
+go run ./examples/quickstart
+go run ./examples/scrubber
+
 # bench/ is its own module (bench/go.mod), so the commands above only
 # vet it (root TestBenchModuleVets): run its smoke too (all five
 # workloads at 1/20 scale plus the BENCHMARK.json schema pin, ~12 s) so
