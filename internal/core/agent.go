@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -204,6 +205,10 @@ type Agent struct {
 	ingress  map[packet.FiveTuple]*rewriteEntry
 	egress   map[packet.FiveTuple]*rewriteEntry
 	sessions map[packet.FiveTuple]*Session // by IDLeft (and IDRight when different)
+	// live lists every record a sessions key reaches, once, at its
+	// Session.idx (bind/unbind keep it): the GC sweep and EachSession
+	// scan it, not the map.
+	live     []*Session
 	nextPort packet.Port
 	nextTag  uint32
 	tagged   map[uint32]*Session
@@ -318,28 +323,78 @@ func (a *Agent) RestartDaemon() {
 // side), or nil.
 func (a *Agent) Session(id packet.FiveTuple) *Session { return a.sessions[id] }
 
-// Sessions returns the number of tracked sessions.
-func (a *Agent) Sessions() int { return len(a.sessions) }
+// Sessions returns the number of tracked sessions: records, not keys, so
+// a session a NAT renames counts once.
+func (a *Agent) Sessions() int { return len(a.live) }
 
 // EachSession visits every distinct session record at this hop, in
 // five-tuple order. Callers schedule events and send packets (keepalives,
-// bulk reconfiguration), so visiting in randomized map order would make
-// two runs with the same seed diverge.
+// bulk reconfiguration), so visiting in list or map order would make two
+// runs with the same seed diverge. fn may remove sessions: it walks a
+// sorted copy of the list.
 func (a *Agent) EachSession(fn func(*Session)) {
-	seen := make(map[*Session]bool, len(a.sessions))
-	var sessions []*Session
-	for _, sess := range a.sessions {
-		if !seen[sess] {
-			seen[sess] = true
-			sessions = append(sessions, sess)
-		}
-	}
-	sort.Slice(sessions, func(i, j int) bool {
-		return sessions[i].IDLeft.Less(sessions[j].IDLeft)
-	})
+	sessions := slices.Clone(a.live)
+	slices.SortFunc(sessions, byIDLeft)
 	for _, sess := range sessions {
 		fn(sess)
 	}
+}
+
+// byIDLeft orders session records by IDLeft five-tuple.
+func byIDLeft(x, y *Session) int {
+	switch {
+	case x.IDLeft.Less(y.IDLeft):
+		return -1
+	case y.IDLeft.Less(x.IDLeft):
+		return 1
+	}
+	return 0
+}
+
+// bind is the one place a key enters the session table: it points key at
+// sess and lists sess. A record displaced from key by another keeps its
+// other key, if it has one, and leaves the list when its last key goes:
+// no lookup and no sweep can reach it any more.
+func (a *Agent) bind(key packet.FiveTuple, sess *Session) {
+	old := a.sessions[key]
+	a.sessions[key] = sess
+	if old == sess {
+		return
+	}
+	if old != nil {
+		a.unlistUnkeyed(old)
+	}
+	if !a.listed(sess) {
+		sess.idx = len(a.live)
+		a.live = append(a.live, sess)
+	}
+}
+
+// unbind drops key from the session table if it reaches sess; sess leaves
+// the list with its last key.
+func (a *Agent) unbind(key packet.FiveTuple, sess *Session) {
+	if a.sessions[key] == sess {
+		delete(a.sessions, key)
+		a.unlistUnkeyed(sess)
+	}
+}
+
+// listed reports whether sess is in the live list.
+func (a *Agent) listed(sess *Session) bool {
+	return sess.idx < len(a.live) && a.live[sess.idx] == sess
+}
+
+// unlistUnkeyed swap-removes the listed sess from the live list once
+// neither of its keys reaches it.
+func (a *Agent) unlistUnkeyed(sess *Session) {
+	if a.sessions[sess.IDLeft] == sess || a.sessions[sess.IDRight] == sess {
+		return
+	}
+	n := len(a.live) - 1
+	last := a.live[n]
+	a.live[sess.idx], last.idx = last, sess.idx
+	a.live[n] = nil
+	a.live = a.live[:n]
 }
 
 // install is the one place an entry enters a rewrite table (a.ingress or
@@ -437,7 +492,7 @@ func (a *Agent) egressSYN(p *packet.Packet) netsim.Verdict {
 			// identity on our right is whatever emerged.
 			sess.IDRight = p.Tuple
 			if sess.IDRight != sess.IDLeft {
-				a.sessions[sess.IDRight] = sess
+				a.bind(sess.IDRight, sess)
 			}
 			if cl, ok := a.App.(Classifier); ok {
 				// §2.2: the classifier injects the next middlebox(es)
@@ -479,7 +534,7 @@ func (a *Agent) egressSYN(p *packet.Packet) netsim.Verdict {
 func (a *Agent) openSession(sess *Session, origin string, reqID uint64) *Session {
 	sess.lastActive = a.eng.Now()
 	sess.obs = a.obs
-	a.sessions[sess.IDLeft] = sess
+	a.bind(sess.IDLeft, sess)
 	a.obs.Emit(obs.Event{Kind: obs.KSessionOpen, Sess: sess.IDLeft, ReqID: reqID, Detail: origin})
 	return sess
 }
@@ -779,17 +834,18 @@ func (a *Agent) ReportDelta(sessID packet.FiveTuple, d Deltas) error {
 	return nil
 }
 
-// removeSession drops all state for a session at this hop (idempotent).
-// A spliced record takes its partner and both proxy connections with it.
+// removeSession drops all state for a listed session at this hop
+// (idempotent). A spliced record takes its partner and both proxy
+// connections with it. A key another record has taken over stays.
 func (a *Agent) removeSession(sess *Session) {
-	if a.sessions[sess.IDLeft] == nil && a.sessions[sess.IDRight] == nil {
+	if !a.listed(sess) {
 		return
 	}
 	for len(sess.entries) > 0 {
 		a.uninstall(sess.entries[len(sess.entries)-1])
 	}
-	delete(a.sessions, sess.IDLeft)
-	delete(a.sessions, sess.IDRight)
+	a.unbind(sess.IDLeft, sess)
+	a.unbind(sess.IDRight, sess)
 	a.Stats.SessionsCollected++
 	a.obs.Emit(obs.Event{Kind: obs.KSessionClose, Sess: sess.IDLeft})
 	if sess.Splice != nil {
@@ -830,17 +886,25 @@ func (a *Agent) EachSubsession(fn func(dir string, from, to packet.FiveTuple, pk
 // fully-closed sessions, and force-releases locks held past LockTimeout
 // (orphaned by a requestor crash or a lost cancelLock). Experiments call
 // it periodically; the paper's agents time out subsessions the same way
-// (§2.1). Visits sessions in sorted order (EachSession): removal and the
-// forced unlock emit events, so map order would leak into the event hash.
+// (§2.1). A tick costs what is due, not what is held: one read-only pass
+// over the live list picks the records with work (due), and only those
+// are sorted, by IDLeft as EachSession would visit them: removal and the
+// forced unlock emit events, so list order would leak into the event hash.
 func (a *Agent) CollectIdle() int {
 	n := 0
 	now := a.eng.Now()
-	a.EachSession(func(sess *Session) {
-		if a.sessions[sess.IDLeft] == nil {
-			return // removed with its splice partner
+	var due []*Session
+	for _, sess := range a.live {
+		if a.due(sess, now) {
+			due = append(due, sess)
 		}
-		if sess.Reconfig == nil && a.Cfg.LockTimeout >= 0 &&
-			sess.Lock != Unlocked && now-sess.lockSince > a.Cfg.LockTimeout {
+	}
+	slices.SortFunc(due, byIDLeft)
+	for _, sess := range due {
+		if !a.listed(sess) {
+			continue // removed with its splice partner
+		}
+		if sess.Reconfig == nil && a.lockOrphaned(sess, now) {
 			// Orphaned lock: no local anchor state references it and the
 			// holder has gone quiet for longer than any legitimate attempt
 			// runs. Release it and let blocked requests proceed.
@@ -848,14 +912,29 @@ func (a *Agent) CollectIdle() int {
 			a.daemon.processBlocked(sess)
 		}
 		if sess.Reconfig != nil {
-			return
+			continue
 		}
-		idle := now-sess.lastActive > a.Cfg.IdleTimeout &&
-			now-sess.lastKeepalive > a.Cfg.IdleTimeout
-		if a.closed(sess) || idle {
+		if a.closed(sess) || a.idle(sess, now) {
 			a.removeSession(sess)
 			n++
 		}
-	})
+	}
 	return n
+}
+
+// due reports whether CollectIdle has work on sess at now: the three
+// conditions its body acts on, none while a reconfiguration holds sess.
+func (a *Agent) due(sess *Session, now sim.Time) bool {
+	return sess.Reconfig == nil && (a.lockOrphaned(sess, now) || a.closed(sess) || a.idle(sess, now))
+}
+
+// lockOrphaned reports whether sess's lock has been held past LockTimeout.
+func (a *Agent) lockOrphaned(sess *Session, now sim.Time) bool {
+	return a.Cfg.LockTimeout >= 0 && sess.Lock != Unlocked && now-sess.lockSince > a.Cfg.LockTimeout
+}
+
+// idle reports whether sess has seen neither a packet nor a neighbor's
+// keepalive for IdleTimeout.
+func (a *Agent) idle(sess *Session, now sim.Time) bool {
+	return now-sess.lastActive > a.Cfg.IdleTimeout && now-sess.lastKeepalive > a.Cfg.IdleTimeout
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -79,5 +80,31 @@ func BenchmarkAgentRewrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.applyEgress(p, e)
+	}
+}
+
+// BenchmarkCollectIdle measures one GC tick over 4 096 live sessions, with
+// none due and with 400 due (closed and quiet): the per-tick cost of the
+// agent's idle state, which the sweep keeps to the due records.
+func BenchmarkCollectIdle(b *testing.B) {
+	for _, due := range []int{0, 400} {
+		b.Run(fmt.Sprintf("sessions=4096/due=%d", due), func(b *testing.B) {
+			a := sweepAgent()
+			for i := due; i < 4096; i++ {
+				openSweep(a, 1000+i, false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < due; j++ {
+					openSweep(a, 1000+j, true)
+				}
+				b.StartTimer()
+				if n := a.CollectIdle(); n != due {
+					b.Fatalf("CollectIdle removed %d, want %d", n, due)
+				}
+			}
+		})
 	}
 }

@@ -279,6 +279,16 @@ func TestNATMiddleboxWithTag(t *testing.T) {
 	if env.aMbox[0].Stats.TagsApplied == 0 || env.aMbox[0].Stats.TagsMatched == 0 {
 		t.Errorf("tagging not exercised: %+v", env.aMbox[0].Stats)
 	}
+	// The NAT hop keys its one record by both session ids; it is still one
+	// session.
+	if sess := env.aMbox[0].Session(c.Tuple()); sess == nil || sess.IDRight == sess.IDLeft {
+		t.Errorf("NAT hop record %+v is not keyed by a renamed IDRight", sess)
+	}
+	for _, a := range []*Agent{env.aClient, env.aMbox[0], env.aServer} {
+		if n := a.Sessions(); n != 1 {
+			t.Errorf("%s: Sessions() = %d for one session, want 1", a.Host.Name, n)
+		}
+	}
 	env.checkOwnership(t)
 }
 

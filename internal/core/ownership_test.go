@@ -14,11 +14,13 @@ import (
 // checkOwnership asserts the table invariant install/uninstall maintain at
 // each agent — every installed entry is listed, at its idx, by a session
 // that is in the session table, and every listed entry is installed — and
-// then that removing every session leaves both tables empty. It consumes
-// the agents' sessions, so it goes last in a test.
+// the live list's (checkList), and then that removing every session leaves
+// both tables and the list empty. It consumes the agents' sessions, so it
+// goes last in a test.
 func checkOwnership(t *testing.T, agents ...*Agent) {
 	t.Helper()
 	for _, a := range agents {
+		checkList(t, a)
 		listed := 0
 		a.EachSession(func(s *Session) {
 			for i, e := range s.entries {
@@ -39,8 +41,8 @@ func checkOwnership(t *testing.T, agents ...*Agent) {
 			t.Errorf("%s: sessions list %d entries, tables hold %d", a.Host.Name, listed, installed)
 		}
 		a.EachSession(a.removeSession)
-		if n := len(a.ingress) + len(a.egress); n != 0 || a.Sessions() != 0 {
-			t.Errorf("%s: %d entries and %d sessions outlive removeSession", a.Host.Name, n, a.Sessions())
+		if n := len(a.ingress) + len(a.egress); n != 0 || a.Sessions() != 0 || len(a.sessions) != 0 {
+			t.Errorf("%s: %d entries, %d sessions and %d session keys outlive removeSession", a.Host.Name, n, a.Sessions(), len(a.sessions))
 		}
 	}
 }

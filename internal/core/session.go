@@ -96,6 +96,9 @@ type Session struct {
 	// Agent.install/uninstall: forgetting the session is uninstalling
 	// these, never a search of the tables.
 	entries []*rewriteEntry
+	// idx is the record's position in Agent.live while a session-table
+	// key reaches it (Agent.bind/unbind).
+	idx int
 
 	// Lock protocol state for the subsession on our right (§3.2).
 	Lock      LockState

@@ -15,9 +15,9 @@ import (
 // of the simulation. It is never related to the wall clock.
 type Time = time.Duration
 
-// Event is a scheduled callback. The queue holds exactly the events that
+// Event is a scheduled callback. The heaps hold exactly the events that
 // will fire: cancelling one removes it. Its (at, seq) key lives in the
-// queue slot, not here.
+// heap slot, not here.
 type Event struct {
 	fn    func()
 	lane  *Lane // set on a lane's own event, which stands for the lane's head
@@ -25,13 +25,14 @@ type Event struct {
 	index int // slot index, -1 when not queued
 }
 
-// Cancel removes the event from its engine's queue so it never fires. It
-// is a no-op when the event is not queued — it already ran (or is running:
-// an event is dequeued before its callback), was removed before, or e is
-// nil — so it is safe to call any number of times.
+// Cancel removes the event from its engine's cold heap so it never fires.
+// It is a no-op when the event is not queued — it already ran (or is
+// running: an event is dequeued before its callback), was removed before,
+// or e is nil — so it is safe to call any number of times. Only handle
+// events have a handle to cancel; a lane's own event is never cancelled.
 func (e *Event) Cancel() {
 	if e != nil && e.index >= 0 {
-		e.eng.queue.remove(e.index)
+		e.eng.cold.remove(e.index)
 	}
 }
 
@@ -122,8 +123,13 @@ func (q *eventQueue) remove(i int) *Event {
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all model code runs inside event callbacks.
 type Engine struct {
-	now   Time
+	now Time
+	// queue holds the lanes' heads, which fire and re-key at every packet
+	// hop; cold holds the handle events (At, Schedule, Timer), mostly
+	// far-off timers, so a lane's sift never walks past them. run fires
+	// whichever root is first under (at, seq).
 	queue eventQueue
+	cold  eventQueue
 	// behind counts the lane items queued behind their lane's head: they
 	// will fire, but hold no heap slot.
 	behind  int
@@ -168,7 +174,7 @@ func (e *Engine) push(ev *Event, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
 	}
-	e.queue.push(slot{at: t, seq: e.nextSeq, ev: ev})
+	e.cold.push(slot{at: t, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
 }
 
@@ -177,14 +183,14 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events, every lane item included;
 // every one of them will fire unless cancelled first.
-func (e *Engine) Pending() int { return len(e.queue) + e.behind }
+func (e *Engine) Pending() int { return len(e.queue) + len(e.cold) + e.behind }
 
 // Run executes events in timestamp order until the queue is empty, the
 // clock would pass until, or Stop is called. It returns the virtual time
 // at which it stopped. Events scheduled exactly at until are executed.
 func (e *Engine) Run(until Time) Time {
 	e.run(until)
-	if e.now < until && (len(e.queue) == 0 || !e.stopped) {
+	if e.now < until && (e.next() == nil || !e.stopped) {
 		e.now = until
 	}
 	return e.now
@@ -201,20 +207,40 @@ func (e *Engine) RunUntilIdle() Time {
 // order up to and including until.
 func (e *Engine) run(until Time) {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= until {
-		e.now = e.queue[0].at
+	for !e.stopped {
+		q := e.next()
+		if q == nil || (*q)[0].at > until {
+			return
+		}
+		e.now = (*q)[0].at
 		e.Processed++
-		if l := e.queue[0].ev.lane; l != nil {
+		if l := (*q)[0].ev.lane; l != nil {
 			l.fire()
 		} else {
-			e.queue.remove(0).fn()
+			q.remove(0).fn()
 		}
 	}
 }
 
+// next returns the heap whose root fires first, or nil when both are
+// empty. (at, seq) is a total order, so two heaps pop the same sequence
+// one would.
+func (e *Engine) next() *eventQueue {
+	switch {
+	case len(e.cold) == 0:
+		if len(e.queue) == 0 {
+			return nil
+		}
+		return &e.queue
+	case len(e.queue) == 0 || e.cold[0].before(e.queue[0]):
+		return &e.cold
+	}
+	return &e.queue
+}
+
 // Lane is a FIFO of events whose firing times never decrease, such as one
 // link's deliveries or one CPU's completions. Only the lane's head is in the
-// engine's heap, keyed by the head item's own (at, seq), so a lane costs one
+// engine's lane heap, keyed by the head item's own (at, seq), so a lane costs one
 // heap slot however many items it holds, and lane items fire in exactly the
 // (time, scheduling order) they would with a slot each. Items have no
 // handle and cannot be cancelled. The items sit in a ring that grows to the
@@ -278,7 +304,7 @@ func (l *Lane) Post(t Time, arg any) {
 // once, rounded up to a power of two (at least 16).
 func (l *Lane) Cap() int { return len(l.buf) }
 
-// fire runs the lane's head, whose event is at the heap's root. The next
+// fire runs the lane's head, whose event is at the lane heap's root. The next
 // item, if any, takes the root slot under its own key and sifts down once.
 // The fired item is cleared before its callback runs (which may post
 // again): a fired event must not keep its packet alive.

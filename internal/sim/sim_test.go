@@ -551,6 +551,43 @@ func TestLanesHoldOneHeapSlotEach(t *testing.T) {
 	}
 }
 
+// TestTimersStayOutOfTheLaneHeap: 4 096 armed timers and handle events
+// wait in the cold heap, so the lane heap holds only the three lane
+// heads that every packet hop re-keys, while Pending() counts everything
+// and the whole set still fires in (at, seq) order.
+func TestTimersStayOutOfTheLaneHeap(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	const timers = 4096
+	for i := 0; i < timers; i++ {
+		d := time.Second + Time(i%97)*time.Millisecond // TIME-WAIT-like, out of order
+		if i%2 == 0 {
+			NewTimer(e, record).Reset(d)
+		} else {
+			e.Schedule(d, record)
+		}
+	}
+	var ls [3]*Lane
+	for k := range ls {
+		ls[k] = e.NewLane(func(any) { record() })
+		for i := 0; i < 10; i++ {
+			ls[k].Post(Time(i)*time.Millisecond*Time(k+1), e)
+		}
+	}
+	if len(e.queue) != 3 || e.Pending() != timers+30 {
+		t.Fatalf("lane heap holds %d slots, Pending() = %d; want 3, %d", len(e.queue), e.Pending(), timers+30)
+	}
+	e.RunUntilIdle()
+	inOrder := sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
+	if len(fired) != timers+30 || !inOrder {
+		t.Errorf("%d events fired, in time order %v; want %d, true", len(fired), inOrder, timers+30)
+	}
+	if e.Pending() != 0 || len(e.queue) != 0 || len(e.cold) != 0 {
+		t.Errorf("Pending() = %d, heaps %d and %d after draining", e.Pending(), len(e.queue), len(e.cold))
+	}
+}
+
 // TestLanePostOutOfOrderPanics: a lane is a FIFO, so a post earlier than
 // its last item — or, on an empty lane, earlier than now — is a model bug.
 func TestLanePostOutOfOrderPanics(t *testing.T) {
