@@ -1,8 +1,11 @@
 // dyscofault sweeps the reconfiguration scenarios under the built-in
 // fault plans and checks the safety oracles (internal/fault): byte
 // streams intact (P2/P4), every lock released and every session drained
-// after the quiet period (P5, §3.6 cleanup), and reconfiguration success
-// under every plan that cannot defeat the new path (P3).
+// after the quiet period (P5, §3.6 cleanup), reconfiguration success
+// under every plan that cannot defeat the new path (P3), and every lock
+// and reconfiguration transition an edge of the verified model (§3.7).
+// After the runs it prints how many of the model's edges they took and
+// names any edge none took; the JSON carries the per-edge counts.
 //
 // The sweep is deterministic end to end: for a fixed flag set the text
 // and JSON outputs are byte-identical across invocations, so CI can diff
@@ -85,6 +88,18 @@ func main() {
 		}
 	}
 	fmt.Printf("\n%d runs, %d violation(s)\n", len(res.Runs), res.Violations)
+	taken := 0
+	for _, e := range res.ModelEdges {
+		if e.Count > 0 {
+			taken++
+		}
+	}
+	fmt.Printf("model edges taken: %d/%d\n", taken, len(res.ModelEdges))
+	for _, e := range res.ModelEdges {
+		if e.Count == 0 {
+			fmt.Printf("    untaken: %s %s -> %s\n", e.Machine, e.From, e.To)
+		}
+	}
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(res, "", "  ")

@@ -6,12 +6,11 @@
 //
 // Usage:
 //
-//	dyscolint [-rules walltime,seqarith,...] [-json] [-fsm] [packages]
+//	dyscolint [-rules walltime,seqarith,...] [-json] [packages]
 //
 // The only package patterns supported are "./..." (the whole module, the
 // default) and directory paths relative to the module root. -json switches
-// the report to a machine-readable array; -fsm prints the statically
-// extracted state machines instead of running the analyzers.
+// the report to a machine-readable array.
 package main
 
 import (
@@ -29,7 +28,6 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated rule list (default: all)")
 	list := flag.Bool("list", false, "list available rules and exit")
 	asJSON := flag.Bool("json", false, "emit findings as JSON")
-	fsm := flag.Bool("fsm", false, "print the extracted state machines and exit")
 	flag.Parse()
 
 	if *list {
@@ -81,18 +79,6 @@ func main() {
 			}
 			pkgs = append(pkgs, pkg)
 		}
-	}
-
-	if *fsm {
-		fsms, finds := lint.ExtractFSMs(pkgs, lint.DefaultFSMSpecs())
-		fmt.Print(lint.FormatFSMs(fsms))
-		for _, f := range finds {
-			fmt.Fprintln(os.Stderr, "dyscolint:", f.Msg)
-		}
-		if len(finds) > 0 {
-			os.Exit(1)
-		}
-		return
 	}
 
 	findings := lint.Run(pkgs, analyzers)

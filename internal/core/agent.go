@@ -930,7 +930,7 @@ func (a *Agent) due(sess *Session, now sim.Time) bool {
 
 // lockOrphaned reports whether sess's lock has been held past LockTimeout.
 func (a *Agent) lockOrphaned(sess *Session, now sim.Time) bool {
-	return a.Cfg.LockTimeout >= 0 && sess.Lock != Unlocked && now-sess.lockSince > a.Cfg.LockTimeout
+	return a.Cfg.LockTimeout >= 0 && sess.lockState != Unlocked && now-sess.lockSince > a.Cfg.LockTimeout
 }
 
 // idle reports whether sess has seen neither a packet nor a neighbor's

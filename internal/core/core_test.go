@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -485,7 +487,7 @@ func TestReconfigFailsWhenNewPathDead(t *testing.T) {
 	}
 	// The segment must be unlocked again for future attempts.
 	sess := env.aClient.Session(c.Tuple())
-	if sess == nil || sess.Lock != Unlocked {
+	if sess == nil || sess.lockState != Unlocked {
 		t.Errorf("segment not unlocked after cancel: %+v", sess)
 	}
 	// And more data still flows.
@@ -535,6 +537,66 @@ func TestContentionExactlyOneWins(t *testing.T) {
 	}
 	if wins != 1 {
 		t.Fatalf("exactly one contending reconfiguration must win, got %d (%v)", wins, results)
+	}
+	env.checkOwnership(t)
+}
+
+// TestContentionNackResetsMidPathLock: the client reconfigures
+// [client..server] while mbox2 reconfigures [mbox2..server], both at the
+// same instant. mbox2 locks its own segment first, so the client's request
+// is blocked there and nacked once mbox2's lock is granted; on its way
+// back the nack passes mbox1, which holds LockPending for the client's
+// request and must release it. Exactly one attempt wins, every hop ends
+// unlocked, and the event log agrees: the last lock transition each hop
+// logged for a record still there is the state the record is in.
+func TestContentionNackResetsMidPathLock(t *testing.T) {
+	env := newChainEnv(t, 3, netsim.LinkConfig{Delay: 500 * time.Microsecond}, 12)
+	hub := obs.NewHub(env.eng)
+	agents := append([]*Agent{env.aClient, env.aServer}, env.aMbox...)
+	names := []string{"client", "server", "mbox1", "mbox2", "mbox3"}
+	for i, a := range agents {
+		a.SetRecorder(hub.Recorder(names[i]))
+	}
+	env.sServer.Listen(80, func(c *tcp.Conn) {})
+	c := env.sClient.Connect(env.server.Addr, 80, tcp.Config{})
+	env.runFor(100 * time.Millisecond)
+	sessAtM2 := env.aMbox[1].Session(c.Tuple())
+	if sessAtM2 == nil {
+		t.Fatal("mbox2 has no session record")
+	}
+
+	results := map[string]bool{}
+	env.aClient.OnReconfigDone = func(_ packet.FiveTuple, ok bool, _ sim.Time) { results["client"] = ok }
+	env.aMbox[1].OnReconfigDone = func(_ packet.FiveTuple, ok bool, _ sim.Time) { results["mbox2"] = ok }
+	env.eng.Schedule(0, func() {
+		if err := env.aClient.StartReconfig(c.Tuple(), ReconfigOptions{RightAnchor: env.server.Addr}); err != nil {
+			t.Error(err)
+		}
+		if err := env.aMbox[1].StartReconfig(sessAtM2.IDRight, ReconfigOptions{RightAnchor: env.server.Addr}); err != nil {
+			t.Error(err)
+		}
+	})
+	env.runFor(60 * time.Second)
+	if len(results) != 2 || results["client"] == results["mbox2"] {
+		t.Fatalf("exactly one contending reconfiguration must win: %v", results)
+	}
+
+	logged := map[string]string{} // host/session -> last lock state logged
+	for _, e := range hub.Events() {
+		if e.Kind == obs.KLock {
+			logged[fmt.Sprint(e.Host, e.Sess)] = e.To
+		}
+	}
+	for i, a := range agents {
+		host := names[i]
+		a.EachSession(func(s *Session) {
+			if s.lockState != Unlocked {
+				t.Errorf("%s: session %v ends %v", host, s.IDLeft, s.lockState)
+			}
+			if to, ok := logged[fmt.Sprint(host, s.IDLeft)]; ok && to != s.lockState.String() {
+				t.Errorf("%s: session %v is %v, its last logged lock transition enters %s", host, s.IDLeft, s.lockState, to)
+			}
+		})
 	}
 	env.checkOwnership(t)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -240,17 +241,15 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 	if err != nil {
 		return err
 	}
-	if sess.Reconfig != nil && sess.Reconfig.State != RcDone && sess.Reconfig.State != RcFailed {
+	if sess.Reconfig != nil && sess.Reconfig.rcState != RcDone && sess.Reconfig.rcState != RcFailed {
 		return fmt.Errorf("core: session %v already reconfiguring", sessID)
 	}
-	now := d.eng.Now() // before the guard: a call would kill the dataflow fact
-	if sess.Lock != Unlocked {
-		return fmt.Errorf("core: session %v segment is %v", sessID, sess.Lock)
+	now := d.eng.Now()
+	if sess.lockState != Unlocked {
+		return fmt.Errorf("core: session %v segment is %v", sessID, sess.lockState)
 	}
-	// Assign the request id before the transition (assignments keep the
-	// dataflow fact alive) so the lock event carries it, and transition
-	// directly under the guard so the static conformance check
-	// (lint/fsm.go) can see that only Unlocked reaches this acquisition.
+	// Assign the request id before the transition so the lock event
+	// carries it.
 	d.nextReqID++
 	reqID := uint64(a.Host.Addr)<<24 | d.nextReqID
 	sess.LockReqID = reqID
@@ -259,7 +258,7 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 	sess.setLock(LockPending)
 	rc := &Reconfig{
 		ID:        reqID,
-		State:     RcLocking,
+		rcState:   RcLocking,
 		IsLeft:    true,
 		Sess:      sess,
 		PeerAddr:  opt.RightAnchor,
@@ -358,7 +357,7 @@ func (d *daemon) backoff(n int) sim.Time { return d.a.Cfg.ControlRTO << min(n, 6
 // nothing more to this anchor: while it still delivers, the peer's FIN
 // may be held behind a draining hop, so the count restarts.
 func (d *daemon) onCtrlTimeout(rc *Reconfig) {
-	if rc.State == RcDone || rc.State == RcFailed {
+	if rc.rcState == RcDone || rc.rcState == RcFailed {
 		return
 	}
 	if rc.lastMsg == nil {
@@ -404,7 +403,7 @@ func (d *daemon) addAnchor(rc *Reconfig) {
 	rc.rtxTimer = sim.NewTimer(d.eng, func() { d.onCtrlTimeout(rc) })
 	rc.Sess.Reconfig = rc
 	d.reconfigs[rc.ID] = rc
-	d.a.obs.Emit(obs.Event{Kind: obs.KReconfig, Sess: rc.Sess.IDLeft, ReqID: rc.ID, To: rc.State.String()})
+	d.a.obs.Emit(obs.Event{Kind: obs.KReconfig, Sess: rc.Sess.IDLeft, ReqID: rc.ID, To: rc.rcState.String()})
 }
 
 // ackReceived stops the retransmission cycle for the outstanding message.
@@ -416,11 +415,11 @@ func (rc *Reconfig) ackReceived() {
 // abortReconfig cancels a failed attempt: the session continues on the old
 // path and the locked subsessions are released with cancelLock (§3.6).
 func (d *daemon) abortReconfig(rc *Reconfig) {
-	if rc.State == RcDone || rc.State == RcFailed {
+	if rc.rcState == RcDone || rc.rcState == RcFailed {
 		return
 	}
 	sess := rc.Sess
-	if rc.State != RcLocking {
+	if rc.rcState != RcLocking {
 		// Segment was locked: release it along the old path.
 		d.send(sess.RightHost, &ctrlMsg{
 			Type: msgCancelLock, ReqID: rc.ID, Session: sess.IDRight,
@@ -435,7 +434,7 @@ func (d *daemon) abortReconfig(rc *Reconfig) {
 // two-path phase can complete (the §3.5 drain conditions are checked by
 // the caller, finalizeAnchor).
 func (d *daemon) completeReconfig(rc *Reconfig) {
-	if rc.State != RcTwoPath {
+	if rc.rcState != RcTwoPath {
 		return
 	}
 	rc.setState(RcDone)
@@ -446,7 +445,7 @@ func (d *daemon) completeReconfig(rc *Reconfig) {
 // failReconfig finishes a nacked/cancelled/timed-out attempt from any
 // non-final phase (§3.6).
 func (d *daemon) failReconfig(rc *Reconfig) {
-	if rc.State == RcDone || rc.State == RcFailed {
+	if rc.rcState == RcDone || rc.rcState == RcFailed {
 		return
 	}
 	rc.setState(RcFailed)
@@ -502,7 +501,7 @@ func (d *daemon) trigger(sessID packet.FiveTuple, replacement []packet.Addr, att
 	if sess.LeftHost == 0 || right.RightHost == 0 {
 		return fmt.Errorf("core: TriggerReplace: %v has no neighbors on both sides", sessID)
 	}
-	if attempt > 0 && sess.Lock != Unlocked {
+	if attempt > 0 && sess.lockState != Unlocked {
 		return nil // the lock request came through: trigger delivered
 	}
 	if attempt > maxControlRetries {
@@ -548,23 +547,31 @@ func (d *daemon) onReqLock(m *ctrlMsg) {
 		return // unknown session: drop; left anchor will time out
 	}
 	// Retransmission of the request we already forwarded: forward again.
-	if (sess.Lock == LockPending || sess.Lock == Locked) && sess.LockReqID == m.ReqID {
+	if (sess.lockState == LockPending || sess.lockState == Locked) && sess.LockReqID == m.ReqID {
 		d.forwardReqLock(sess, m)
 		return
 	}
-	now := d.eng.Now() // before the guard: a call would kill the dataflow fact
-	if sess.Lock != Unlocked {
+	c := sess.contention
+	if c != nil && slices.Contains(c.nacked, m.ReqID) {
+		d.nack(m) // a copy of a request this hop rejected
+		return
+	}
+	now := d.eng.Now()
+	if sess.lockState != Unlocked {
 		// Contention: block the request until our own resolves (§3.2).
-		for _, b := range sess.blocked {
+		if c == nil {
+			c = &lockContention{}
+			sess.contention = c
+		}
+		for _, b := range c.blocked {
 			if b.ReqID == m.ReqID {
 				return // duplicate of an already-blocked request
 			}
 		}
-		sess.blocked = append(sess.blocked, m)
+		c.blocked = append(c.blocked, m)
 		return
 	}
-	// Request id first so the lock event carries it (plain assignments do
-	// not disturb the conformance dataflow between guard and transition).
+	// Request id first so the lock event carries it.
 	sess.LockReqID = m.ReqID
 	sess.Requestor = m.LeftAnchor
 	sess.lockSince = now
@@ -601,7 +608,7 @@ func (d *daemon) reqLockAtRightAnchor(m *ctrlMsg) {
 		return // already the anchor of something else
 	}
 	rc := &Reconfig{
-		ID: m.ReqID, State: RcSettingUp, IsLeft: false, Sess: sess,
+		ID: m.ReqID, rcState: RcSettingUp, IsLeft: false, Sess: sess,
 		PeerAddr: m.LeftAnchor,
 		Delta:    m.D.Right, TSDelta: m.D.RightTS,
 		WinFrom: m.D.RightWinFrom, WinTo: m.D.RightWinTo,
@@ -630,7 +637,7 @@ func (d *daemon) onAckLock(m *ctrlMsg) {
 	}
 	// Left anchor?
 	if rc, ok := d.reconfigs[m.ReqID]; ok && rc.IsLeft {
-		if rc.State != RcLocking || sess.Lock != LockPending {
+		if rc.rcState != RcLocking || sess.lockState != LockPending {
 			return // duplicate
 		}
 		sess.setLock(Locked)
@@ -646,10 +653,10 @@ func (d *daemon) onAckLock(m *ctrlMsg) {
 	// session id; the lock state lives on the left-side session of a
 	// splice.
 	lockSess := sess.across()
-	if lockSess.Lock == LockPending && lockSess.LockReqID == m.ReqID {
+	if lockSess.lockState == LockPending && lockSess.LockReqID == m.ReqID {
 		lockSess.setLock(Locked)
 		d.nackBlocked(lockSess)
-	} else if !(lockSess.Lock == Locked && lockSess.LockReqID == m.ReqID) {
+	} else if !(lockSess.lockState == Locked && lockSess.LockReqID == m.ReqID) {
 		return // stale
 	}
 	fwd := *m
@@ -658,30 +665,47 @@ func (d *daemon) onAckLock(m *ctrlMsg) {
 	d.send(lockSess.LeftHost, &fwd)
 }
 
-// nackBlocked rejects all requests blocked behind a now-locked subsession.
+// nackBlocked rejects all requests blocked behind a now-locked subsession
+// and remembers them, so a retransmitted copy that arrives later is
+// rejected again instead of blocked and then granted to an attempt its
+// requester has already failed.
 func (d *daemon) nackBlocked(sess *Session) {
-	for _, b := range sess.blocked {
-		d.send(b.from, &ctrlMsg{
-			Type: msgNackLock, ReqID: b.ReqID, Session: b.Session,
-			LeftAnchor: b.LeftAnchor, RightAnchor: b.RightAnchor,
-		})
+	c := sess.contention
+	if c == nil {
+		return
 	}
-	sess.blocked = nil
+	for _, b := range c.blocked {
+		c.nacked = append(c.nacked, b.ReqID)
+		d.nack(b)
+	}
+	c.blocked = nil
+}
+
+// nack rejects the lock request m back toward its sender.
+func (d *daemon) nack(m *ctrlMsg) {
+	d.send(m.from, &ctrlMsg{
+		Type: msgNackLock, ReqID: m.ReqID, Session: m.Session,
+		LeftAnchor: m.LeftAnchor, RightAnchor: m.RightAnchor,
+	})
 }
 
 // processBlocked forwards the oldest blocked request once the subsession
 // unlocks.
 func (d *daemon) processBlocked(sess *Session) {
-	if sess.Lock != Unlocked || len(sess.blocked) == 0 {
+	c := sess.contention
+	if sess.lockState != Unlocked || c == nil || len(c.blocked) == 0 {
 		return
 	}
-	next := sess.blocked[0]
-	sess.blocked = sess.blocked[1:]
+	next := c.blocked[0]
+	c.blocked = c.blocked[1:]
 	d.onReqLock(next)
 }
 
 func (d *daemon) onNackLock(m *ctrlMsg) {
 	if rc, ok := d.reconfigs[m.ReqID]; ok && rc.IsLeft {
+		if rc.switched {
+			return // stale: this request's ackLock came back through every hop
+		}
 		// Our request lost the contention: exactly one of the contending
 		// left anchors wins (§3.2, verified property P1).
 		rc.Sess.setLock(Unlocked)
@@ -697,7 +721,7 @@ func (d *daemon) onNackLock(m *ctrlMsg) {
 		return
 	}
 	lockSess := sess.across()
-	if lockSess.Lock == LockPending && lockSess.LockReqID == m.ReqID {
+	if lockSess.lockState == LockPending && lockSess.LockReqID == m.ReqID {
 		lockSess.setLock(Unlocked)
 		d.processBlocked(lockSess)
 	}
@@ -714,14 +738,17 @@ func (d *daemon) onCancelLock(m *ctrlMsg) {
 		return
 	}
 	if m.RightAnchor == d.a.Host.Addr {
-		if rc, ok := d.reconfigs[m.ReqID]; ok {
+		// A left anchor cancels only before it switches, so a switched
+		// attempt never meets its own cancelLock; one that does meets a
+		// leftover of an earlier attempt under a reused request id.
+		if rc, ok := d.reconfigs[m.ReqID]; ok && !rc.switched {
 			d.teardownNewPathEntries(rc)
 			d.failReconfig(rc)
 		}
 		d.send(m.from, &ctrlMsg{Type: msgAckCancel, ReqID: m.ReqID, Session: sess.IDLeft})
 		return
 	}
-	if sess.LockReqID == m.ReqID && sess.Lock != Unlocked {
+	if sess.LockReqID == m.ReqID && sess.lockState != Unlocked {
 		sess.setLock(Unlocked)
 		d.processBlocked(sess)
 	}
@@ -735,7 +762,7 @@ func (d *daemon) onCancelLock(m *ctrlMsg) {
 
 func (d *daemon) beginNewPath(rc *Reconfig) {
 	a := d.a
-	if rc.State != RcLocking {
+	if rc.rcState != RcLocking {
 		return // attempt already failed or completed
 	}
 	rc.setState(RcSettingUp)
@@ -869,7 +896,7 @@ func (d *daemon) onNewPathSYN(m *ctrlMsg) {
 func (d *daemon) onNewPathSYNACK(m *ctrlMsg) {
 	a := d.a
 	if rc, ok := d.reconfigs[m.ReqID]; ok && rc.IsLeft {
-		if rc.State != RcSettingUp {
+		if rc.rcState != RcSettingUp {
 			return // duplicate
 		}
 		if rc.StateFrom != 0 {
@@ -911,7 +938,7 @@ func (d *daemon) onNewPathACK(m *ctrlMsg) {
 // activateSwitch enters the two-path phase (§3.5): freeze oldSent and
 // start steering new data onto the new path.
 func (d *daemon) activateSwitch(rc *Reconfig) {
-	if rc.switched || (rc.State != RcSettingUp && rc.State != RcStateWait) {
+	if rc.switched || (rc.rcState != RcSettingUp && rc.rcState != RcStateWait) {
 		return
 	}
 	rc.switched = true
@@ -939,7 +966,7 @@ func (d *daemon) teardownNewPathEntries(rc *Reconfig) {
 // is complete. track() calls it per packet while a reconfiguration is in
 // two-path state (§3.5); the FIN it sends once is control-plane work.
 func (d *daemon) checkOldPathDone(rc *Reconfig) {
-	if !rc.switched || rc.State != RcTwoPath {
+	if !rc.switched || rc.rcState != RcTwoPath {
 		return
 	}
 	if !rc.sentOldFIN && packet.SeqGEQ(rc.Sess.sentAckedHi, rc.oldSent) {
@@ -1121,7 +1148,7 @@ func (d *daemon) onStateInstalled(m *ctrlMsg) {
 }
 
 func (d *daemon) onStateReady(m *ctrlMsg) {
-	if rc, ok := d.reconfigs[m.ReqID]; ok && rc.IsLeft && rc.State == RcStateWait {
+	if rc, ok := d.reconfigs[m.ReqID]; ok && rc.IsLeft && rc.rcState == RcStateWait {
 		rc.ackReceived()
 		d.leftAnchorSwitch(rc)
 	}

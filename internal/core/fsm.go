@@ -12,18 +12,17 @@ import (
 // package funnels through setLock / setState, and the legal steps are
 // enumerated by lockStep / reconfigStep.
 //
-// The step functions are deliberately written as flat switches over the
-// enum: `dyscolint`'s fsmconform analyzer evaluates them statically for
-// every (from, to) pair and checks the resulting relation is exactly the
-// transition relation exported by internal/model (the Spin-equivalent
-// checker of §3.7). A transition added here that the model does not verify
-// — or a model transition this file drops — is a build-gate finding, not a
-// code review comment. Runtime enforcement backs the static check: an
-// invalid step panics rather than silently corrupting protocol state.
+// The step functions are pure functions over two small enums, so
+// TestStepTablesMatchModel calls them on every (from, to) pair and
+// requires exactly the edges of internal/model's tables (the
+// Spin-equivalent checker of §3.7); TestStateFieldsHaveOneWriter holds the
+// funnel, and every fault run checks that the transitions the agents emit
+// are model edges. An invalid step panics at run time rather than
+// silently corrupting protocol state.
 //
-// When core legitimately gains a transition, change model first (so the
-// new relation is re-verified by exhaustive exploration), then mirror it
-// here; see DESIGN.md §6.
+// When core legitimately gains a transition, change the model first (so
+// the new relation is re-verified by exhaustive exploration), re-run
+// dyscoverify, then mirror it here; see DESIGN.md §6.
 
 // lockStep reports whether the subsession lock machine may step from → to.
 // Self-steps (from == to) are handled by setLock and are not part of the
@@ -47,18 +46,18 @@ func lockStep(from, to LockState) bool {
 // right. A self-step is a no-op; an undeclared step is a protocol bug and
 // panics.
 func (s *Session) setLock(to LockState) {
-	if to != s.Lock && !lockStep(s.Lock, to) {
-		panic(fmt.Sprintf("core: invalid lock transition %v -> %v", s.Lock, to))
+	if to != s.lockState && !lockStep(s.lockState, to) {
+		panic(fmt.Sprintf("core: invalid lock transition %v -> %v", s.lockState, to))
 	}
-	if to != s.Lock {
+	if to != s.lockState {
 		// Emission lives in the funnel so the event log can never lag the
 		// machine (dyscolint obsexhaust checks the setter emits).
 		s.obs.Emit(obs.Event{
 			Kind: obs.KLock, Sess: s.IDLeft, ReqID: s.LockReqID,
-			From: s.Lock.String(), To: to.String(),
+			From: s.lockState.String(), To: to.String(),
 		})
 	}
-	s.Lock = to
+	s.lockState = to
 }
 
 // reconfigStep reports whether the per-anchor reconfiguration machine may
@@ -78,8 +77,10 @@ func reconfigStep(from, to ReconfigState) bool {
 		// stateReady (or the peer's oldPathFIN) enters two-path.
 		return to == RcTwoPath || to == RcFailed
 	case RcTwoPath:
-		// Old path drained on both sides completes; cancellation fails.
-		return to == RcDone || to == RcFailed
+		// Old path drained on both sides completes. A switched attempt
+		// cannot fail: both cancelLock and nackLock ignore it (DESIGN.md
+		// §6, "A switched anchor does not fail").
+		return to == RcDone
 	case RcDone, RcFailed:
 		return false
 	}
@@ -89,14 +90,14 @@ func reconfigStep(from, to ReconfigState) bool {
 // setState moves the reconfiguration machine of this anchor. A self-step
 // is a no-op; an undeclared step is a protocol bug and panics.
 func (rc *Reconfig) setState(to ReconfigState) {
-	if to != rc.State && !reconfigStep(rc.State, to) {
-		panic(fmt.Sprintf("core: invalid reconfig transition %v -> %v", rc.State, to))
+	if to != rc.rcState && !reconfigStep(rc.rcState, to) {
+		panic(fmt.Sprintf("core: invalid reconfig transition %v -> %v", rc.rcState, to))
 	}
-	if to != rc.State && rc.Sess != nil {
+	if to != rc.rcState && rc.Sess != nil {
 		rc.Sess.obs.Emit(obs.Event{
 			Kind: obs.KReconfig, Sess: rc.Sess.IDLeft, ReqID: rc.ID,
-			From: rc.State.String(), To: to.String(),
+			From: rc.rcState.String(), To: to.String(),
 		})
 	}
-	rc.State = to
+	rc.rcState = to
 }

@@ -86,7 +86,7 @@ func TestRewritePathZeroAlloc(t *testing.T) {
 	out := &rewriteEntry{sess: anchor, Rule: Rule{To: to}, anchorTrack: true, dirRight: true}
 	in := &rewriteEntry{sess: anchor, Rule: Rule{To: to}, anchorTrack: true}
 	twoPath := &Session{IDLeft: ft, IDRight: ft}
-	twoPath.Reconfig = &Reconfig{Sess: twoPath, State: RcTwoPath, switched: true, sentOldFIN: true}
+	twoPath.Reconfig = &Reconfig{Sess: twoPath, rcState: RcTwoPath, switched: true, sentOldFIN: true}
 	inTwoPath := &rewriteEntry{sess: twoPath, Rule: Rule{To: to}, anchorTrack: true}
 	unseen := func(s *Session) { s.sentHiOK, s.sentAckedOK, s.rcvdHiOK, s.rcvdAckedOK = false, false, false, false }
 

@@ -100,11 +100,14 @@ type Session struct {
 	// key reaches it (Agent.bind/unbind).
 	idx int
 
-	// Lock protocol state for the subsession on our right (§3.2).
-	Lock      LockState
+	// lockState is the lock protocol state for the subsession on our
+	// right (§3.2). Only setLock writes it (TestStateFieldsHaveOneWriter).
+	lockState LockState
 	LockReqID uint64
 	Requestor packet.Addr
-	blocked   []*ctrlMsg
+	// contention is allocated when a second request meets this lock;
+	// most sessions never see one.
+	contention *lockContention
 	// lockSince is the virtual time the current lock acquisition began
 	// (stamped when the hop enters LockPending). CollectIdle reclaims
 	// locks held past Config.LockTimeout: a requestor that crashed
@@ -169,6 +172,12 @@ type Session struct {
 	obs *obs.Recorder
 }
 
+// lockContention is the lock requests a hop holds back or has refused.
+type lockContention struct {
+	blocked []*ctrlMsg // waiting for this hop's lock to resolve (§3.2)
+	nacked  []uint64   // the requests nackBlocked rejected
+}
+
 // IsLeftEnd reports whether this host is the left end of the chain.
 func (s *Session) IsLeftEnd() bool { return s.LeftHost == 0 }
 
@@ -189,8 +198,8 @@ type ReconfigState int
 // RcLocking (left anchor) or RcSettingUp (right anchor, which accepts the
 // lock and skips the locking phase); there is no idle state — an idle
 // session simply has Sess.Reconfig == nil. The legal transitions are
-// declared in fsm.go (reconfigStep) and checked against internal/model by
-// dyscolint's fsmconform analyzer.
+// declared in fsm.go (reconfigStep), and TestStepTablesMatchModel holds
+// them to internal/model's table.
 const (
 	RcLocking   ReconfigState = iota // requestLock sent, waiting for ackLock
 	RcSettingUp                      // new-path SYN sent, waiting for SYN-ACK
@@ -221,8 +230,10 @@ func (s ReconfigState) String() string {
 
 // Reconfig is the per-anchor state of one reconfiguration attempt.
 type Reconfig struct {
-	ID        uint64
-	State     ReconfigState
+	ID uint64
+	// rcState is the attempt's phase at this anchor. Only setState
+	// writes it after the birth literal (TestStateFieldsHaveOneWriter).
+	rcState   ReconfigState
 	IsLeft    bool
 	Sess      *Session
 	PeerAddr  packet.Addr   // the other anchor

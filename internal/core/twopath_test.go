@@ -50,7 +50,7 @@ func steerOne(t *testing.T, oldSent, oldRcvd, oldRcvdAcked uint32, p *packet.Pac
 	newSub := packet.FiveTuple{Proto: packet.ProtoTCP, SrcIP: ha.Addr, DstIP: hn.Addr, SrcPort: 40002, DstPort: 40003}
 	sess := &Session{IDLeft: id, IDRight: id, RightHost: ho.Addr, SubRight: oldSub}
 	rc := &Reconfig{
-		ID: 1, State: RcTwoPath, IsLeft: true, Sess: sess, PeerAddr: hn.Addr,
+		ID: 1, rcState: RcTwoPath, IsLeft: true, Sess: sess, PeerAddr: hn.Addr,
 		newSub: newSub, newPeerHost: hn.Addr,
 		newEgressEntry: &rewriteEntry{Rule: Rule{To: newSub}, sess: sess, dirRight: true, anchorTrack: true, newPath: true},
 		oldSent:        oldSent, oldRcvd: oldRcvd, oldRcvdAcked: oldRcvdAcked,

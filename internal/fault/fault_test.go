@@ -134,7 +134,7 @@ func TestMultiPair(t *testing.T) {
 		if got, want := run.Received(), pairs*p.Bytes; got != want {
 			t.Errorf("%s: servers received %d bytes, want %d", sc.Name, got, want)
 		}
-		if done, _ := reconfigOutcomes(hub.Events()); len(done) != pairs {
+		if done, _, _ := reconfigOutcomes(hub.Events()); len(done) != pairs {
 			t.Errorf("%s: %d reconfigurations done, want one per pair", sc.Name, len(done))
 		}
 	}
@@ -230,7 +230,9 @@ func TestUnobservedInstance(t *testing.T) {
 // TestSweep replays every scenario under every built-in plan. Benign
 // plans must let the reconfiguration succeed (P3); crash and blackhole
 // plans may abort it, but every run must keep the byte streams intact
-// (P2/P4) and drain all session, lock, and reconfiguration state (P5).
+// (P2/P4), drain all session, lock, and reconfiguration state (P5), and
+// take only model edges; together the runs must take every edge of the
+// model's lock and reconfiguration tables.
 //
 // The seed-1 runs are also pinned hash by hash against a checked-in
 // golden, so a refactor of the simulated path that claims "same
@@ -257,7 +259,65 @@ func TestSweep(t *testing.T) {
 				r.Scenario, r.Plan, r.EventHash, r.ScheduleHash, r.DagHash)
 		}
 	}
+	for _, e := range res.ModelEdges {
+		if e.Count == 0 {
+			t.Errorf("no run takes the %s edge %s -> %s", e.Machine, e.From, e.To)
+		}
+	}
 	checkGolden(t, "sweep_seed1.golden", hashes.String())
+}
+
+// TestTransitionOracle feeds the model oracle one event list per fault it
+// names and a clean one that takes two edges.
+func TestTransitionOracle(t *testing.T) {
+	lock := func(host, from, to string) obs.Event {
+		return obs.Event{Kind: obs.KLock, Host: host, From: from, To: to}
+	}
+	rc := func(req uint64, from, to string) obs.Event {
+		return obs.Event{Kind: obs.KReconfig, Host: "client", ReqID: req, From: from, To: to}
+	}
+	for _, tc := range []struct {
+		events []obs.Event
+		want   string // "" when the list is clean
+	}{
+		{[]obs.Event{lock("m", "unlocked", "lockPending"), rc(1, "", "locking"), rc(1, "locking", "settingUp")}, ""},
+		{[]obs.Event{lock("m", "unlocked", "locked")}, "not an edge"},
+		{[]obs.Event{rc(1, "", "twoPath")}, "born outside"},
+		{[]obs.Event{rc(1, "locking", "settingUp")}, "no birth event"},
+		{[]obs.Event{lock("m", "locked", "unlocked")}, "starts outside"},
+		{[]obs.Event{lock("m", "unlocked", "lockPending"), lock("m", "locked", "unlocked")}, `is in "lockPending"`},
+		{[]obs.Event{lock("m", "unlocked", "lockPending"), {Kind: obs.KSessionOpen, Host: "m"}, lock("m", "unlocked", "lockPending")}, ""},
+	} {
+		taken := map[Edge]int{}
+		v := checkTransitions(machines(), tc.events, taken)
+		n := 0
+		for _, c := range taken {
+			n += c
+		}
+		if tc.want == "" && (len(v) != 0 || n != 2) {
+			t.Errorf("%v: violations %v, edges %v", tc.events, v, taken)
+		}
+		if tc.want != "" && (len(v) != 1 || !strings.Contains(v[0], tc.want)) {
+			t.Errorf("%v: violations %v, want one naming %q", tc.events, v, tc.want)
+		}
+	}
+}
+
+// TestSplitOutcomeIsAViolation: an attempt one anchor finished done and
+// the other failed is flagged whatever the plan, and it does not count
+// as failed.
+func TestSplitOutcomeIsAViolation(t *testing.T) {
+	events := []obs.Event{
+		{Kind: obs.KReconfig, Host: "client", ReqID: 7, From: "twoPath", To: "done"},
+		{Kind: obs.KReconfig, Host: "server", ReqID: 7, From: "settingUp", To: "failed"},
+	}
+	done, failed, split := reconfigOutcomes(events)
+	for _, mayFail := range []bool{false, true} {
+		v := reconfigViolations(done, failed, split, mayFail)
+		if len(v) != 1 || !strings.Contains(v[0], "attempt 7 is done at one anchor and failed at the other") {
+			t.Errorf("mayFail=%v: violations %v", mayFail, v)
+		}
+	}
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file

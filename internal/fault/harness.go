@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -44,6 +45,9 @@ type RunResult struct {
 
 	// Violations lists every failed oracle; empty means the run is safe.
 	Violations []string `json:"violations"`
+
+	// edges counts the model edges the run's transitions took.
+	edges map[Edge]int
 }
 
 // Run replays one scenario under one fault plan with one seed and checks
@@ -63,8 +67,17 @@ type RunResult struct {
 //     (!MayFailReconfig), at least one reconfiguration completes and
 //     none ends in failure. Plans that crash hosts or black-hole the
 //     control plane set MayFailReconfig: the attempt may abort (§3.6),
-//     but the abort must be clean per the oracles above.
+//     but the abort must be clean per the oracles above. Under every
+//     plan, the two anchors of an attempt agree on its outcome.
+//   - The model (§3.7): every lock and reconfiguration transition is an
+//     edge of internal/model's tables (checkTransitions).
 func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
+	return run(scenario, plan, seed, machines())
+}
+
+// run is Run with the model's machines already built (deriving the lock
+// table explores the lock model), so a sweep builds them once.
+func run(scenario string, plan Plan, seed int64, ms []machine) (*RunResult, error) {
 	sc, ok := ScenarioByName(scenario)
 	if !ok {
 		return nil, fmt.Errorf("fault: unknown scenario %q", scenario)
@@ -137,18 +150,24 @@ func Run(scenario string, plan Plan, seed int64) (*RunResult, error) {
 	}
 
 	// Oracle: reconfiguration outcome (P3).
-	done, failed := reconfigOutcomes(events)
+	done, failed, split := reconfigOutcomes(events)
 	res.ReconfigsDone, res.ReconfigsFailed = len(done), len(failed)
-	res.Violations = append(res.Violations, reconfigViolations(done, failed, plan.MayFailReconfig)...)
+	res.Violations = append(res.Violations, reconfigViolations(done, failed, split, plan.MayFailReconfig)...)
+
+	// Oracle: every lock and reconfiguration transition is a model edge
+	// (§3.7), taken by an instance that started in an initial state.
+	res.edges = map[Edge]int{}
+	res.Violations = append(res.Violations, checkTransitions(ms, events, res.edges)...)
 
 	aggregateDrops(inst, res.Drops)
 	return res, nil
 }
 
-// reconfigOutcomes returns the reqIDs any anchor reached "done" with,
-// and, sorted, those some anchor reached "failed" with and none "done".
-func reconfigOutcomes(events []obs.Event) (map[uint64]bool, []uint64) {
-	done := map[uint64]bool{}
+// reconfigOutcomes returns the reqIDs any anchor reached "done" with;
+// sorted, those some anchor reached "failed" with and none "done"; and,
+// sorted, those one anchor finished "done" and the other "failed".
+func reconfigOutcomes(events []obs.Event) (done map[uint64]bool, failed, split []uint64) {
+	done = map[uint64]bool{}
 	failedSet := map[uint64]bool{}
 	for _, e := range events {
 		if e.Kind != obs.KReconfig || e.ReqID == 0 {
@@ -161,23 +180,29 @@ func reconfigOutcomes(events []obs.Event) (map[uint64]bool, []uint64) {
 			failedSet[e.ReqID] = true
 		}
 	}
-	failed := make([]uint64, 0, len(failedSet))
 	for id := range failedSet {
-		if !done[id] {
+		if done[id] {
+			split = append(split, id)
+		} else {
 			failed = append(failed, id)
 		}
 	}
-	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
-	return done, failed
+	slices.Sort(failed)
+	slices.Sort(split)
+	return done, failed, split
 }
 
-// reconfigViolations is the P3 oracle: unless the plan may defeat the
-// new path, at least one reconfiguration completes and none fails.
-func reconfigViolations(done map[uint64]bool, failed []uint64, mayFail bool) []string {
-	if mayFail {
-		return nil
-	}
+// reconfigViolations is the P3 oracle: the two anchors of an attempt
+// agree on its outcome, and unless the plan may defeat the new path, at
+// least one reconfiguration completes and none fails.
+func reconfigViolations(done map[uint64]bool, failed, split []uint64, mayFail bool) []string {
 	var v []string
+	for _, id := range split {
+		v = append(v, fmt.Sprintf("reconfig: attempt %d is done at one anchor and failed at the other", id))
+	}
+	if mayFail {
+		return v
+	}
 	for _, id := range failed {
 		v = append(v, fmt.Sprintf("reconfig: attempt %d failed under a plan that cannot defeat the new path", id))
 	}
@@ -208,10 +233,13 @@ type SweepOptions struct {
 	Seeds     []int64  // default: 1..5
 }
 
-// SweepResult is the full grid outcome.
+// SweepResult is the full grid outcome. ModelEdges lists every edge of
+// the model's lock and reconfiguration tables with the number of times
+// the runs took it; an edge at zero is one no run exercises.
 type SweepResult struct {
 	Runs       []*RunResult `json:"runs"`
 	Violations int          `json:"violations"`
+	ModelEdges []EdgeCount  `json:"modelEdges"`
 }
 
 // RunSweep replays every (scenario, plan, seed) combination in
@@ -229,10 +257,11 @@ func RunSweep(opt SweepOptions) (*SweepResult, error) {
 		opt.Seeds = []int64{1, 2, 3, 4, 5}
 	}
 	out := &SweepResult{}
+	ms := machines()
 	for _, sc := range opt.Scenarios {
 		for _, plan := range opt.Plans {
 			for _, seed := range opt.Seeds {
-				r, err := Run(sc, plan, seed)
+				r, err := run(sc, plan, seed, ms)
 				if err != nil {
 					return nil, err
 				}
@@ -240,6 +269,13 @@ func RunSweep(opt SweepOptions) (*SweepResult, error) {
 				out.Violations += len(r.Violations)
 			}
 		}
+	}
+	for _, e := range modelEdges(ms) {
+		n := 0
+		for _, r := range out.Runs {
+			n += r.edges[e]
+		}
+		out.ModelEdges = append(out.ModelEdges, EdgeCount{e, n})
 	}
 	return out, nil
 }

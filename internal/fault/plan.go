@@ -310,6 +310,14 @@ func Builtins() []Plan {
 				{Kind: OpCtrlDrop, Msg: "ackLock", Nth: 0, At: 0, For: 600 * ms},
 			},
 		},
+		{
+			Name:            "ctrl-drop-ready",
+			Desc:            "every stateReady vanishes past the retry budget: a state transfer must abort cleanly (§3.6)",
+			MayFailReconfig: true,
+			Ops: []Op{
+				{Kind: OpCtrlDrop, Msg: "stateReady", Nth: 0, At: 0, For: 600 * ms},
+			},
+		},
 	}
 }
 

@@ -261,8 +261,8 @@ func (in *Instance) Violations() []string {
 	if hub == nil {
 		return []string{"instance not observed: call Observe before Start"}
 	}
-	done, failed := reconfigOutcomes(hub.Events())
-	return append(in.deliveryViolations(), reconfigViolations(done, failed, false)...)
+	done, failed, split := reconfigOutcomes(hub.Events())
+	return append(in.deliveryViolations(), reconfigViolations(done, failed, split, false)...)
 }
 
 // deliveryViolations checks that the scenario's own control and send

@@ -6,7 +6,7 @@ import "go/ast"
 // implement Lattice; the engine computes the fact holding at the entry of
 // every reachable block, branch-sensitively: facts are refined along
 // edges using the condition/case information the CFG records, so a client
-// can learn e.g. "rc.State == RcLocking" inside the true arm of a guard.
+// can learn e.g. "x == StateA" inside the true arm of a guard.
 
 // Lattice defines one forward analysis. F is the fact type; facts must be
 // treated as immutable by the engine's clients (Transfer/Refine return

@@ -7,10 +7,9 @@ import (
 )
 
 // The enum lattice: a branch-sensitive forward analysis tracking, for
-// stable expressions of module-local enum type (x, s.Lock, rc.State, …),
-// the set of constants the expression may currently hold. It powers both
-// statexhaust (which states can actually reach a switch) and fsmconform
-// (which from-states are possible at a transition call site).
+// stable expressions of module-local enum type (x, s.mode, p.kind, …),
+// the set of constants the expression may currently hold. It powers
+// statexhaust (which states can actually reach a switch).
 //
 // The domain is finite per expression — the enum's declared constants —
 // so ⊤ (absent key) can always be materialized into the full set when a

@@ -57,7 +57,6 @@ func All() []*Analyzer {
 		ErrdropAnalyzer,
 		StatexhaustAnalyzer,
 		RewritetaintAnalyzer,
-		FsmconformAnalyzer,
 		ObsexhaustAnalyzer,
 	}
 }

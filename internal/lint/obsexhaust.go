@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -23,8 +24,8 @@ import (
 // This rule closes both: every Kind constant needs at least one
 // obs.Event{Kind: …} emission site outside internal/obs (the test files
 // are excluded from loading, so a test-only emitter does not count), and
-// every setter named by the FSM conformance specs must contain an Emit
-// call. Intentionally retired kinds should be deleted, not left declared.
+// every state-machine setter the spec names must contain an Emit call.
+// Intentionally retired kinds should be deleted, not left declared.
 
 // ObsSpec locates the observability vocabulary the rule checks.
 type ObsSpec struct {
@@ -48,7 +49,14 @@ type ObsSpec struct {
 	CtrlKind      string
 	CtrlEmitFuncs []string
 	LCField       string
+	// Setters are the state-machine setters that must emit the transition
+	// they make, methods of types in the package SetterPkg locates.
+	SetterPkg string
+	Setters   []Setter
 }
+
+// Setter names one state-machine setter: method Func of type Type.
+type Setter struct{ Type, Func string }
 
 // DefaultObsSpec describes internal/obs.
 func DefaultObsSpec() ObsSpec {
@@ -59,6 +67,8 @@ func DefaultObsSpec() ObsSpec {
 		CtrlKind:      "KCtrl",
 		CtrlEmitFuncs: []string{"EmitCtrlSend", "EmitCtrlRecv"},
 		LCField:       "LC",
+		SetterPkg:     "internal/core",
+		Setters:       []Setter{{"Session", "setLock"}, {"Reconfig", "setState"}},
 	}
 }
 
@@ -70,17 +80,17 @@ var ObsexhaustAnalyzer = &Analyzer{
 }
 
 func runObsexhaust(pkgs []*Package) []Finding {
-	return CheckObsExhaust(pkgs, DefaultObsSpec(), DefaultFSMSpecs())
+	return CheckObsExhaust(pkgs, DefaultObsSpec())
 }
 
-// CheckObsExhaust runs both halves of the rule. A load that does not
+// CheckObsExhaust runs the rule's three checks. A load that does not
 // include the observability package (dyscolint ./internal/sim) skips the
 // kind-coverage half rather than reporting every kind missing; the setter
-// half still runs for whichever FSM packages are loaded.
-func CheckObsExhaust(pkgs []*Package, spec ObsSpec, fsmSpecs []FSMSpec) []Finding {
+// half runs when the setters' package is loaded.
+func CheckObsExhaust(pkgs []*Package, spec ObsSpec) []Finding {
 	var out []Finding
 	out = append(out, checkKindCoverage(pkgs, spec)...)
-	out = append(out, checkSetterEmits(pkgs, spec, fsmSpecs)...)
+	out = append(out, checkSetterEmits(pkgs, spec)...)
 	out = append(out, checkCtrlFunnel(pkgs, spec)...)
 	return out
 }
@@ -200,58 +210,45 @@ func eventLitKind(pkg *Package, spec ObsSpec, cl *ast.CompositeLit) (string, *ty
 	return "", nil
 }
 
-// checkSetterEmits requires each FSM setter to contain at least one call
-// to the recorder's emit function: state changes and their events are
-// produced by the same funnel or the log cannot be trusted.
-func checkSetterEmits(pkgs []*Package, spec ObsSpec, fsmSpecs []FSMSpec) []Finding {
-	var out []Finding
-	for _, fs := range fsmSpecs {
-		var pkg *Package
-		for _, p := range pkgs {
-			if pathHasSuffix(p.PkgPath, fs.PkgSuffix) {
-				pkg = p
-				break
-			}
+// checkSetterEmits requires each state-machine setter to contain at
+// least one call to the recorder's emit function: state changes and their
+// events are produced by the same funnel or the log cannot be trusted.
+func checkSetterEmits(pkgs []*Package, spec ObsSpec) []Finding {
+	var pkg *Package
+	for _, p := range pkgs {
+		if spec.SetterPkg != "" && pathHasSuffix(p.PkgPath, spec.SetterPkg) {
+			pkg = p
+			break
 		}
-		if pkg == nil {
-			continue // scoped run
-		}
-		setter := findSetterDecl(pkg, fs)
-		if setter == nil {
-			continue // fsmconform reports the missing funnel
-		}
-		if setterCallsEmit(pkg, spec, setter.Body) {
-			continue
-		}
-		out = append(out, Finding{
-			Rule: "obsexhaust",
-			Pos:  position(pkg, setter.Name),
-			Msg: fmt.Sprintf("machine %q: %s changes %s.%s without calling %s.%s; a transition the event log cannot see makes every timeline derived from it wrong — emit inside the funnel",
-				fs.Machine, fs.SetFunc, fs.StructType, fs.Field, spec.RecorderType, spec.EmitFunc),
-		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Msg < out[j].Msg })
-	return out
-}
-
-// findSetterDecl locates the spec's setter method declaration.
-func findSetterDecl(pkg *Package, fs FSMSpec) *ast.FuncDecl {
+	if pkg == nil {
+		return nil // scoped run
+	}
+	var out []Finding
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != fs.SetFunc || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
 			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			if r := recvNamed(obj); r != nil && r.Obj().Name() == fs.StructType {
-				return fd
+			r := recvNamed(obj)
+			if r == nil || !slices.Contains(spec.Setters, Setter{r.Obj().Name(), fd.Name.Name}) ||
+				setterCallsEmit(pkg, spec, fd.Body) {
+				continue
 			}
+			out = append(out, Finding{
+				Rule: "obsexhaust",
+				Pos:  position(pkg, fd.Name),
+				Msg: fmt.Sprintf("%s.%s changes state without calling %s.%s; a transition the event log cannot see makes every timeline derived from it wrong — emit inside the funnel",
+					r.Obj().Name(), fd.Name.Name, spec.RecorderType, spec.EmitFunc),
+			})
 		}
 	}
-	return nil
+	return out
 }
 
 // checkCtrlFunnel requires every control-message event literal (Kind ==

@@ -45,7 +45,7 @@ func TestObsexhaustFlagsUnemittedKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixture does not type-check: %v", err)
 	}
-	got := CheckObsExhaust([]*Package{pkg}, fixtureObsSpec(), nil)
+	got := CheckObsExhaust([]*Package{pkg}, fixtureObsSpec())
 	if len(got) != 2 {
 		t.Fatalf("got %d findings, want 2:\n%v", len(got), got)
 	}
@@ -73,10 +73,29 @@ func selfEmit(r *Recorder) {
 	if err != nil {
 		t.Fatalf("fixture does not type-check: %v", err)
 	}
-	got := CheckObsExhaust([]*Package{pkg}, fixtureObsSpec(), nil)
+	got := CheckObsExhaust([]*Package{pkg}, fixtureObsSpec())
 	if len(got) != 2 {
 		t.Fatalf("got %d findings, want 2 (self-emission must not count):\n%v", len(got), got)
 	}
+}
+
+// mutate replaces the first old in src, failing the test if there is none.
+func mutate(t *testing.T, src, old, new string) string {
+	t.Helper()
+	out := strings.Replace(src, old, new, 1)
+	if out == src {
+		t.Fatalf("mutation pattern %q not found in fixture", old)
+	}
+	return out
+}
+
+// fixtureSetterSpec is the default spec with the setter half pointed at
+// the fixture's lock setter.
+func fixtureSetterSpec() ObsSpec {
+	spec := DefaultObsSpec()
+	spec.SetterPkg = "fixture/core"
+	spec.Setters = []Setter{{"Session", "setLock"}}
+	return spec
 }
 
 func TestObsexhaustSetterMustEmit(t *testing.T) {
@@ -128,7 +147,7 @@ func (s *Session) setLock(to LockState) {
 	if err != nil {
 		t.Fatalf("fixture does not type-check: %v", err)
 	}
-	got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec(), []FSMSpec{fixtureLockSpec()})
+	got := CheckObsExhaust([]*Package{pkg}, fixtureSetterSpec())
 	if len(got) != 1 {
 		t.Fatalf("got %d findings, want 1:\n%v", len(got), got)
 	}
@@ -150,7 +169,7 @@ func (s *Session) setLock(to LockState) {
 	if err != nil {
 		t.Fatalf("loud fixture does not type-check: %v", err)
 	}
-	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec(), []FSMSpec{fixtureLockSpec()}); len(got) != 0 {
+	if got := CheckObsExhaust([]*Package{pkg}, fixtureSetterSpec()); len(got) != 0 {
 		t.Fatalf("emitting setter still flagged:\n%v", got)
 	}
 }
@@ -174,7 +193,7 @@ func sendCtrl(r *obs.Recorder) {
 	if err != nil {
 		t.Fatalf("fixture does not type-check: %v", err)
 	}
-	got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec(), nil)
+	got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec())
 	if len(got) != 1 {
 		t.Fatalf("got %d findings, want 1:\n%v", len(got), got)
 	}
@@ -191,7 +210,7 @@ func sendCtrl(r *obs.Recorder) {
 	if err != nil {
 		t.Fatalf("non-ctrl fixture does not type-check: %v", err)
 	}
-	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec(), nil); len(got) != 0 {
+	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec()); len(got) != 0 {
 		t.Fatalf("non-ctrl emission flagged:\n%v", got)
 	}
 
@@ -211,7 +230,7 @@ func sendCtrl(r *obs.Recorder) uint64 {
 	if err != nil {
 		t.Fatalf("good fixture does not type-check: %v", err)
 	}
-	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec(), nil); len(got) != 0 {
+	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec()); len(got) != 0 {
 		t.Fatalf("funneled emissions flagged:\n%v", got)
 	}
 
@@ -223,7 +242,7 @@ func sendCtrl(r *obs.Recorder) uint64 {
 	if err != nil {
 		t.Fatalf("stamped fixture does not type-check: %v", err)
 	}
-	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec(), nil); len(got) != 0 {
+	if got := CheckObsExhaust([]*Package{pkg}, DefaultObsSpec()); len(got) != 0 {
 		t.Fatalf("explicitly stamped emission flagged:\n%v", got)
 	}
 }

@@ -35,6 +35,7 @@ func alloc(file, anchor, pkg, test string) mutation {
 const (
 	pkgCore      = "internal/core"
 	pkgDataplane = "internal/dataplane"
+	pkgFault     = "internal/fault"
 	pkgPacket    = "internal/packet"
 	pkgTCP       = "internal/tcp"
 
@@ -132,12 +133,18 @@ var retiredMutations = []mutation{
 // on the tree as it is (it must pass) and once with the row's change
 // swapped in (it must fail, not just stop compiling).
 func TestRetiredMutations(t *testing.T) {
+	runMutations(t, retiredMutations)
+}
+
+// runMutations requires each row's test to pass on the tree as it is and
+// then checks each row in a subtest named after its rule and index.
+func runMutations(t *testing.T, rows []mutation) {
 	if testing.Short() {
 		t.Skip("runs go test once per mutation; not a short test")
 	}
 	root := getLoader(t).ModuleRoot
 	byPkg := map[string][]string{}
-	for _, m := range retiredMutations {
+	for _, m := range rows {
 		byPkg[m.pkg] = append(byPkg[m.pkg], m.test)
 	}
 	pkgs := make([]string, 0, len(byPkg))
@@ -153,7 +160,7 @@ func TestRetiredMutations(t *testing.T) {
 
 	// Rows build and run independently; two at a time keep a 2-core
 	// host busy while one row links and another waits on its test.
-	for i, m := range retiredMutations {
+	for i, m := range rows {
 		t.Run(fmt.Sprintf("%s/%02d", m.rule, i), func(t *testing.T) {
 			t.Parallel()
 			checkMutation(t, root, m)

@@ -1,22 +1,25 @@
 package model
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
-// This file exports the verified transition relations as data, so tooling
-// outside the checker — dyscolint's fsmconform analyzer in particular —
-// can compare the implementation in internal/core against what the model
-// actually explores. The lock table is *derived*: a recorder is attached
-// to the lock model and a battery of configurations is explored
-// exhaustively, so the exported relation is exactly the set of lock
-// micro-steps the verified executions take. The reconfiguration table is
-// declared (the two-path model abstracts anchor phases into counters
-// rather than a per-anchor enum) and documents the phase machine that the
-// lock + two-path models jointly verify.
+// This file exports the verified transition relations as data, so code
+// outside the checker can hold the implementation to them: internal/core's
+// pair test calls its step functions on every state pair against these
+// tables, and the fault harness checks every transition a run emits and
+// counts which edges the sweep takes. The lock table is *derived*: a
+// recorder is attached to the lock model and a battery of configurations
+// is explored exhaustively, so the exported relation is exactly the set of
+// lock micro-steps the verified executions take. The reconfiguration
+// table is declared (the two-path model abstracts anchor phases into
+// counters rather than a per-anchor enum) and documents the phase machine
+// that the lock + two-path models jointly verify.
 
 // FSMEdge is one transition of an exported state machine. States are
 // named with the identifiers internal/core uses for the corresponding
-// enum constants, which is what lets the conformance check join the two
-// worlds without either package importing the other's types.
+// enum constants; EventName maps them to the names the event log carries.
 type FSMEdge struct {
 	From  string
 	To    string
@@ -68,6 +71,15 @@ func (t *FSMTable) HasEdge(from, to string) bool {
 		}
 	}
 	return false
+}
+
+// EventName is the name the implementation's event log gives the model
+// state s: s without its "Rc" prefix, first letter lower-cased (RcTwoPath
+// is "twoPath", Locked is "locked"). It is the one join between the two
+// vocabularies; internal/core's pair test pins it against String().
+func EventName(s string) string {
+	s = strings.TrimPrefix(s, "Rc")
+	return strings.ToLower(s[:1]) + s[1:]
 }
 
 // lockStateNames maps the model's lock constants to core's identifiers.
@@ -140,14 +152,8 @@ func ReconfigTable() FSMTable {
 			{From: "RcStateWait", To: "RcTwoPath", Label: "stateReady"},
 			{From: "RcStateWait", To: "RcFailed", Label: "cancelLock|timeout"},
 			{From: "RcTwoPath", To: "RcDone", Label: "oldPathDrained|silentGiveUp"},
-			{From: "RcTwoPath", To: "RcFailed", Label: "cancelLock|timeout"},
 		},
 	}
 	t.sortEdges()
 	return t
-}
-
-// Tables returns every exported machine, in a fixed order.
-func Tables() []FSMTable {
-	return []FSMTable{LockTable(), ReconfigTable()}
 }
