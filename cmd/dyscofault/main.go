@@ -4,8 +4,10 @@
 // after the quiet period (P5, §3.6 cleanup), reconfiguration success
 // under every plan that cannot defeat the new path (P3), and every lock
 // and reconfiguration transition an edge of the verified model (§3.7).
-// After the runs it prints how many of the model's edges they took and
-// names any edge none took; the JSON carries the per-edge counts.
+// After the runs it prints how many of them are distinct executions (runs
+// of one scenario and plan with one event hash are one), how many of the
+// model's edges they took, and names any edge none took; the JSON carries
+// the distinct count and the per-edge counts.
 //
 // The sweep is deterministic end to end: for a fixed flag set the text
 // and JSON outputs are byte-identical across invocations, so CI can diff
@@ -87,7 +89,7 @@ func main() {
 			fmt.Printf("    !! %s\n", v)
 		}
 	}
-	fmt.Printf("\n%d runs, %d violation(s)\n", len(res.Runs), res.Violations)
+	fmt.Printf("\n%d runs (%d distinct), %d violation(s)\n", len(res.Runs), res.Distinct, res.Violations)
 	taken := 0
 	for _, e := range res.ModelEdges {
 		if e.Count > 0 {

@@ -267,6 +267,19 @@ func TestSweep(t *testing.T) {
 	checkGolden(t, "sweep_seed1.golden", hashes.String())
 }
 
+// TestSweepCountsDistinctExecutions: a seed repeated replays one
+// execution, while another plan is another execution whatever it does.
+func TestSweepCountsDistinctExecutions(t *testing.T) {
+	plans := Builtins()[:2]
+	res, err := RunSweep(SweepOptions{Scenarios: []string{"chain"}, Plans: plans, Seeds: []int64{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) != 4 || res.Distinct != 2 {
+		t.Errorf("%d runs, %d distinct; want 4 and 2", len(res.Runs), res.Distinct)
+	}
+}
+
 // TestTransitionOracle feeds the model oracle one event list per fault it
 // names and a clean one that takes two edges.
 func TestTransitionOracle(t *testing.T) {

@@ -235,11 +235,15 @@ type SweepOptions struct {
 
 // SweepResult is the full grid outcome. ModelEdges lists every edge of
 // the model's lock and reconfiguration tables with the number of times
-// the runs took it; an edge at zero is one no run exercises.
+// the runs took it; an edge at zero is one no run exercises. Distinct
+// counts the different executions among the runs: runs of one scenario
+// and plan with the same event hash are one execution, since a plan that
+// draws nothing from the seed replays the same run at every seed.
 type SweepResult struct {
 	Runs       []*RunResult `json:"runs"`
 	Violations int          `json:"violations"`
 	ModelEdges []EdgeCount  `json:"modelEdges"`
+	Distinct   int          `json:"distinct"`
 }
 
 // RunSweep replays every (scenario, plan, seed) combination in
@@ -260,6 +264,7 @@ func RunSweep(opt SweepOptions) (*SweepResult, error) {
 	ms := machines()
 	for _, sc := range opt.Scenarios {
 		for _, plan := range opt.Plans {
+			seen := map[string]bool{}
 			for _, seed := range opt.Seeds {
 				r, err := run(sc, plan, seed, ms)
 				if err != nil {
@@ -267,6 +272,10 @@ func RunSweep(opt SweepOptions) (*SweepResult, error) {
 				}
 				out.Runs = append(out.Runs, r)
 				out.Violations += len(r.Violations)
+				if !seen[r.EventHash] {
+					seen[r.EventHash] = true
+					out.Distinct++
+				}
 			}
 		}
 	}

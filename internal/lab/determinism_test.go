@@ -44,7 +44,14 @@ func TestSameSeedSameTrace(t *testing.T) {
 	// `go test ./internal/lab -run TestSameSeedSameTrace -update` only when
 	// a behaviour change is intended.
 	got := fmt.Sprintf("seed=7 %016x\nseed=8 %016x\n", h1, h3)
-	golden := filepath.Join("testdata", "trace_hash.golden")
+	checkGolden(t, "trace_hash.golden", got, "packet-capture hashes")
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update; what names the contents in the failure message.
+func checkGolden(t *testing.T, name, got, what string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -59,7 +66,7 @@ func TestSameSeedSameTrace(t *testing.T) {
 		t.Fatalf("%v (generate with -update)", err)
 	}
 	if got != string(want) {
-		t.Errorf("packet-capture hashes differ from %s:\ngot:\n%swant:\n%s", golden, got, want)
+		t.Errorf("%s differ from %s:\ngot:\n%swant:\n%s", what, golden, got, want)
 	}
 }
 

@@ -121,21 +121,37 @@ type linkEnd struct {
 	fault FaultHook
 	// drops attributes losses in this direction by cause.
 	drops DropStats
-	// txSizes holds the sizes of the packets accepted but not yet fully
-	// transmitted, oldest first; each end-of-transmission item retires the
-	// head.
-	txSizes sizeFIFO
-	// endOfTx and deliver are this direction's two per-packet lanes, at
-	// busyUntil and busyUntil+Delay: busyUntil never decreases and Delay is
-	// fixed, so each lane's times never decrease.
-	endOfTx, deliver *sim.Lane
+	// tx holds the packets counted in queued, oldest first, each with the
+	// silent key of its end of transmission; retire drops the ones the
+	// engine has passed.
+	tx txFIFO
+	// deliver is this direction's per-packet lane, at busyUntil+Delay:
+	// busyUntil never decreases and Delay is fixed, so its times never
+	// decrease.
+	deliver *sim.Lane
 }
 
 func newLinkEnd(cfg LinkConfig, from, to *Host) *linkEnd {
 	le := &linkEnd{cfg: cfg, from: from, to: to}
-	le.endOfTx = from.Net.Eng.NewLane(func(any) { le.queued -= le.txSizes.pop() })
 	le.deliver = from.Net.Eng.NewLane(le.arrive)
 	return le
+}
+
+// retire takes out of queued every packet whose end of transmission the
+// engine has passed, so queued reads exactly as if an event at each end
+// had subtracted it. Ends never decrease and their seqs increase, so the
+// passed ones are a prefix of tx. Every reader of queued calls it first.
+func (le *linkEnd) retire() {
+	eng := le.from.Net.Eng
+	for le.tx.n > 0 {
+		head := &le.tx.buf[le.tx.head]
+		if !eng.Passed(head.end, head.seq) {
+			return
+		}
+		le.queued -= head.size
+		le.tx.head = (le.tx.head + 1) & (len(le.tx.buf) - 1)
+		le.tx.n--
+	}
 }
 
 // arrive hands a packet that crossed the wire to the receiving host.
@@ -145,16 +161,24 @@ func (le *linkEnd) arrive(arg any) {
 	le.to.receive(p)
 }
 
-// sizeFIFO is a ring of packet sizes that grows to the most it ever held at
-// once.
-type sizeFIFO struct {
-	buf     []int // len is zero or a power of two
+// txEntry is one packet in a link's transmit queue: its size, and the key
+// (end, seq) at which its transmission ends.
+type txEntry struct {
+	end  sim.Time
+	seq  uint64
+	size int
+}
+
+// txFIFO is a ring of transmit-queue entries that grows to the most it ever
+// held at once.
+type txFIFO struct {
+	buf     []txEntry // len is zero or a power of two
 	head, n int
 }
 
-func (f *sizeFIFO) push(v int) {
+func (f *txFIFO) push(v txEntry) {
 	if f.n == len(f.buf) {
-		grown := make([]int, max(2*len(f.buf), 16))
+		grown := make([]txEntry, max(2*len(f.buf), 16))
 		for i := 0; i < f.n; i++ {
 			grown[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
 		}
@@ -162,13 +186,6 @@ func (f *sizeFIFO) push(v int) {
 	}
 	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
 	f.n++
-}
-
-func (f *sizeFIFO) pop() int {
-	v := f.buf[f.head]
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return v
 }
 
 // CostModel is the per-packet CPU cost charged at a host. Costs are paid
@@ -500,6 +517,7 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 		le.drops.Loss++
 		return
 	}
+	le.retire()
 	if le.queued+size > le.cfg.QueueBytes {
 		le.drops.Queue++
 		return
@@ -514,8 +532,7 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 	}
 	le.busyUntil = start + tx
 	le.queued += size
-	le.txSizes.push(size)
-	le.endOfTx.Post(le.busyUntil, nil)
+	le.tx.push(txEntry{end: le.busyUntil, seq: eng.SilentKey(le.busyUntil), size: size})
 	if extraDelay != 0 {
 		// Later packets may overtake this one, so it cannot join the lane.
 		eng.At(le.busyUntil+le.cfg.Delay+extraDelay, func() { le.arrive(p) })
@@ -670,7 +687,10 @@ func (i *LinkEndInfo) Drops() uint64 { return i.le.drops.Total() }
 func (i *LinkEndInfo) DropsByReason() DropStats { return i.le.drops }
 
 // QueuedBytes returns bytes currently in the transmit queue.
-func (i *LinkEndInfo) QueuedBytes() int { return i.le.queued }
+func (i *LinkEndInfo) QueuedBytes() int {
+	i.le.retire()
+	return i.le.queued
+}
 
 // From returns the transmitting host's address.
 func (i *LinkEndInfo) From() packet.Addr { return i.le.from.Addr }

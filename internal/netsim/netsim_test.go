@@ -77,6 +77,60 @@ func TestQueueDropTail(t *testing.T) {
 	}
 }
 
+// TestSendAtTheInstantATransmissionEnds: a packet's end of transmission is
+// a key drawn when it is queued, at (end, seq), with no event behind it. An
+// event at that exact instant keyed before it still finds the packet
+// queued, and one keyed after it finds it gone, as when an event at
+// (end, seq) took it out. With room for one packet, a send from the first
+// is dropped and one from the second admitted; QueuedBytes read from them
+// says the packet's size and zero.
+func TestSendAtTheInstantATransmissionEnds(t *testing.T) {
+	for _, tc := range []struct {
+		keyedAfter, read bool
+	}{{false, false}, {true, false}, {false, true}, {true, true}} {
+		eng, _, a, b := twoHosts(t, LinkConfig{Delay: time.Millisecond, Bandwidth: 1e9})
+		a.Cost = CostModel{}
+		p := udpTo(b, a, 9000, make([]byte, 1000))
+		size := p.Size()
+		le := a.LinkTo(b.Addr)
+		le.le.cfg.QueueBytes = size + size/2
+		delivered := 0
+		b.BindUDP(9000, func(*packet.Packet) { delivered++ })
+		queued := -1
+		tie := func() {
+			// At 1e9 bytes/s the first packet's transmission ends at size ns.
+			eng.At(sim.Time(size), func() {
+				if tc.read {
+					queued = le.QueuedBytes()
+					return
+				}
+				a.Send(udpTo(b, a, 9000, make([]byte, 1000)))
+			})
+		}
+		if !tc.keyedAfter {
+			tie()
+		}
+		a.Send(p)
+		if tc.keyedAfter {
+			tie()
+		}
+		eng.RunUntilIdle()
+		want := 1 // the tie's event finds the first packet queued
+		if tc.keyedAfter {
+			want = 0
+		}
+		switch {
+		case tc.read && queued != want*size:
+			t.Errorf("keyed after the end: %v: QueuedBytes() = %d at the tie, want %d", tc.keyedAfter, queued, want*size)
+		case !tc.read && (int(le.DropsByReason().Queue) != want || delivered != 2-want):
+			t.Errorf("keyed after the end: %v: %d queue drops, %d delivered; want %d, %d",
+				tc.keyedAfter, le.DropsByReason().Queue, delivered, want, 2-want)
+		case le.QueuedBytes() != 0:
+			t.Errorf("keyed after the end: %v: %d bytes left queued", tc.keyedAfter, le.QueuedBytes())
+		}
+	}
+}
+
 func TestRandomLoss(t *testing.T) {
 	eng, _, a, b := twoHosts(t, LinkConfig{LossProb: 0.5})
 	delivered := 0
@@ -468,11 +522,11 @@ func TestReorderedPacketIsOvertaken(t *testing.T) {
 	}
 }
 
-// TestPacketOverOneHopIsAllocationFree: the three events a packet costs per
-// hop (end of transmission, delivery, receive-side CPU) ride lanes, not
-// allocated events, and every ring — the lanes' and the end-of-transmission
-// sizes' — grows to the most packets ever in it at once, not to the traffic
-// carried.
+// TestPacketOverOneHopIsAllocationFree: a packet costs two events per hop
+// (delivery and receive-side CPU), both on lanes, not allocated events; its
+// end of transmission is a silent key in the transmit queue, not an event.
+// Every ring — the lanes' and the transmit queue's — grows to the most
+// packets ever in it at once, not to the traffic carried.
 func TestPacketOverOneHopIsAllocationFree(t *testing.T) {
 	eng, _, a, b := twoHosts(t, LinkConfig{Delay: time.Millisecond, Bandwidth: Mbps(100)})
 	delivered := 0
@@ -485,20 +539,24 @@ func TestPacketOverOneHopIsAllocationFree(t *testing.T) {
 		}
 		eng.RunUntilIdle()
 	}
-	hop() // first use allocates the events and the ring
+	hop() // first use allocates the events and the rings
+	before := eng.Processed
+	hop()
+	if n := eng.Processed - before; n != 2*burst {
+		t.Errorf("%d packets over one hop fired %d events, want %d", burst, n, 2*burst)
+	}
 	if allocs := testing.AllocsPerRun(100, hop); allocs != 0 {
 		t.Errorf("%d packets over Send → link → receive → process = %v allocs, want 0", burst, allocs)
 	}
 	le := a.LinkTo(b.Addr)
-	if delivered != 102*burst || le.QueuedBytes() != 0 || le.Drops() != 0 {
-		t.Errorf("delivered %d of %d, %d bytes still queued, %d drops", delivered, 102*burst, le.QueuedBytes(), le.Drops())
+	if delivered != 103*burst || le.QueuedBytes() != 0 || le.Drops() != 0 {
+		t.Errorf("delivered %d of %d, %d bytes still queued, %d drops", delivered, 103*burst, le.QueuedBytes(), le.Drops())
 	}
 	for _, r := range []struct {
 		name string
 		len  int
 	}{
-		{"size", len(le.le.txSizes.buf)},
-		{"end-of-transmission", le.le.endOfTx.Cap()},
+		{"transmit queue", len(le.le.tx.buf)},
 		{"delivery", le.le.deliver.Cap()},
 		{"receive CPU", b.cpuDone.Cap()},
 	} {

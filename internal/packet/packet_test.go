@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var testTuple = FiveTuple{
@@ -28,6 +29,18 @@ func TestFiveTupleReverse(t *testing.T) {
 	}
 	if r.Reverse() != testTuple {
 		t.Error("Reverse is not an involution")
+	}
+}
+
+// TestFiveTupleHasNoPadding: the fields fill the struct, so Go hashes and
+// compares a FiveTuple map key as one 16-byte word rather than field by
+// field. Narrowing Proto back to a byte would leave three padding bytes.
+func TestFiveTupleHasNoPadding(t *testing.T) {
+	var ft FiveTuple
+	fields := unsafe.Sizeof(ft.Proto) + unsafe.Sizeof(ft.SrcIP) + unsafe.Sizeof(ft.DstIP) +
+		unsafe.Sizeof(ft.SrcPort) + unsafe.Sizeof(ft.DstPort)
+	if size := unsafe.Sizeof(ft); size != 16 || fields != 16 {
+		t.Errorf("FiveTuple is %d bytes, its fields %d; want 16 and 16", size, fields)
 	}
 }
 

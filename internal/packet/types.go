@@ -26,8 +26,10 @@ func (a Addr) String() string {
 // Port is a 16-bit transport port.
 type Port uint16
 
-// Proto identifies the transport protocol of a packet.
-type Proto uint8
+// Proto identifies the transport protocol of a packet. The wire carries
+// one byte; the type is 32 bits wide so that FiveTuple has no padding (see
+// there).
+type Proto uint32
 
 // Transport protocol numbers (IANA values, for wire fidelity).
 const (
@@ -43,12 +45,18 @@ func (p Proto) String() string {
 	case ProtoUDP:
 		return "udp"
 	default:
-		return fmt.Sprintf("proto(%d)", uint8(p))
+		return fmt.Sprintf("proto(%d)", uint32(p))
 	}
 }
 
 // FiveTuple identifies a session or subsession, exactly as in the paper:
 // protocol plus source/destination address and port.
+//
+// Its fields fill its 16 bytes with no padding (Proto is 32 bits wide for
+// that alone), so Go hashes and compares it as one 16-byte word
+// (memhash128, memequal128) instead of field by field; it keys the agent's
+// session tables, the TCP demux and the middlebox tables, which every
+// packet looks up. TestFiveTupleHasNoPadding pins the layout.
 type FiveTuple struct {
 	Proto   Proto
 	SrcIP   Addr

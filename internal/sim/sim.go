@@ -134,9 +134,16 @@ type Engine struct {
 	// will fire, but hold no heap slot.
 	behind  int
 	nextSeq uint64
-	rng     *rand.Rand
-	stopped bool
-	// Processed counts events executed since construction.
+	// passedSeq bounds the keys at now that the engine has passed: (at, seq)
+	// is passed when at < now, or at == now and seq < passedSeq.
+	passedSeq uint64
+	// silentEnd is the greatest silent key drawn, its seq plus one (zero
+	// before the first); the engine is idle only once it has passed it.
+	silentEnd slot
+	rng       *rand.Rand
+	stopped   bool
+	// Processed counts events executed since construction; silent keys
+	// are not events and do not count.
 	Processed uint64
 }
 
@@ -178,28 +185,67 @@ func (e *Engine) push(ev *Event, t Time) {
 	e.nextSeq++
 }
 
+// SilentKey draws the (t, seq) key that At(t, ...) would be given and
+// returns its seq, but queues nothing: nothing runs at t. Passed(t, seq)
+// later tells whether the engine has gone past that point. It stands for
+// an event whose only effect would be state read later, such as a link's
+// end of transmission; Processed and Pending do not count it. A key in the
+// past panics, as At does.
+func (e *Engine) SilentKey(t Time) uint64 {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
+	}
+	seq := e.nextSeq
+	e.nextSeq++
+	if end := (slot{at: t, seq: seq + 1}); e.silentEnd.before(end) {
+		e.silentEnd = end
+	}
+	return seq
+}
+
+// Passed reports whether an event keyed (at, seq) has fired, or, for a
+// silent key, would have: true during the callback of any event keyed
+// after it, and after any Run or RunUntilIdle that would have fired it.
+// Before the first Run nothing has passed.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq < e.passedSeq
+}
+
+// idle reports whether nothing is left to fire, silent keys included.
+func (e *Engine) idle() bool {
+	return e.next() == nil && !(slot{at: e.now, seq: e.passedSeq}).before(e.silentEnd)
+}
+
 // Stop makes the current Run call return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events, every lane item included;
-// every one of them will fire unless cancelled first.
+// every one of them will fire unless cancelled first. Silent keys are not
+// queued and do not count.
 func (e *Engine) Pending() int { return len(e.queue) + len(e.cold) + e.behind }
 
 // Run executes events in timestamp order until the queue is empty, the
 // clock would pass until, or Stop is called. It returns the virtual time
 // at which it stopped. Events scheduled exactly at until are executed.
+// Unless a Stop leaves events behind, the clock then reads until and every
+// key drawn so far at or before until has passed.
 func (e *Engine) Run(until Time) Time {
 	e.run(until)
-	if e.now < until && (e.next() == nil || !e.stopped) {
-		e.now = until
+	if e.now <= until && (!e.stopped || e.idle()) {
+		e.now, e.passedSeq = until, e.nextSeq
 	}
 	return e.now
 }
 
 // RunUntilIdle executes events until none remain or Stop is called, with no
-// time bound, and returns the final virtual time.
+// time bound, and returns the final virtual time. Silent keys left after
+// the last event are passed too: the clock ends at the greatest of them,
+// where the events they stand for would have left it.
 func (e *Engine) RunUntilIdle() Time {
 	e.run(math.MaxInt64)
+	if !e.stopped && !e.idle() {
+		e.now, e.passedSeq = e.silentEnd.at, e.silentEnd.seq
+	}
 	return e.now
 }
 
@@ -212,7 +258,7 @@ func (e *Engine) run(until Time) {
 		if q == nil || (*q)[0].at > until {
 			return
 		}
-		e.now = (*q)[0].at
+		e.now, e.passedSeq = (*q)[0].at, (*q)[0].seq+1
 		e.Processed++
 		if l := (*q)[0].ev.lane; l != nil {
 			l.fire()

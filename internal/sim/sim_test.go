@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -174,9 +175,11 @@ type queue interface {
 	schedule(d Time, fn func()) (cancel func())
 	post(lane int, t Time, fn func()) // at t, never before the lane's last post; no handle
 	timer(fn func()) (reset func(Time), stop func())
-	step() bool        // fire the next event; false when nothing is left to fire
-	pending() int      // events that will fire
-	processed() uint64 // events fired
+	silent(t Time) (passed func() bool) // a key at t that queues nothing
+	step() bool                         // RunUntilIdle stopped after the first event; false when none fired
+	runTo(until Time, stepping bool)    // Run(until), stopped after the first event when stepping
+	pending() int                       // events that will fire
+	processed() uint64                  // events fired
 }
 
 // lanes is how many lanes the programs post to.
@@ -185,7 +188,9 @@ const lanes = 4
 // refQueue is the engine's original semantics, kept as the oracle: an
 // unordered list searched for the least (at, seq), Cancel sets a flag, the
 // entry stays queued and is skipped when it surfaces, re-arming a timer
-// abandons the old event for a new one, and nothing is ever reused.
+// abandons the old event for a new one, and nothing is ever reused. A
+// silent key is an entry too, which sets its passed flag and moves the
+// clock when it surfaces, but does not fire or count.
 // (The old loop also moved the clock to a skipped event's time, visible only
 // in RunUntilIdle's return value when the tail of the queue was cancelled;
 // nothing read it and the reference does not reproduce it.)
@@ -201,14 +206,21 @@ type refEvent struct {
 	seq    uint64
 	fn     func()
 	cancel bool
+	silent bool
+	passed bool
 }
 
 func (r *refQueue) now() Time { return r.clock }
 
-func (r *refQueue) schedule(d Time, fn func()) func() {
-	ev := &refEvent{at: r.clock + max(d, 0), seq: r.seq, fn: fn}
+func (r *refQueue) push(t Time, fn func()) *refEvent {
+	ev := &refEvent{at: t, seq: r.seq, fn: fn}
 	r.seq++
 	r.q = append(r.q, ev)
+	return ev
+}
+
+func (r *refQueue) schedule(d Time, fn func()) func() {
+	ev := r.push(r.clock+max(d, 0), fn)
 	return func() { ev.cancel = true }
 }
 
@@ -220,8 +232,17 @@ func (r *refQueue) timer(fn func()) (func(Time), func()) {
 	return func(d Time) { cancel(); cancel = r.schedule(d, fn) }, func() { cancel() }
 }
 
-func (r *refQueue) step() bool {
-	for len(r.q) > 0 {
+func (r *refQueue) silent(t Time) func() bool {
+	ev := r.push(t, nil)
+	ev.silent = true
+	return func() bool { return ev.passed }
+}
+
+// run takes entries in (at, seq) order up to until, firing events and
+// passing silent keys, and with stepping stops after the first event that
+// fires. It reports whether one fired.
+func (r *refQueue) run(until Time, stepping bool) (fired bool) {
+	for len(r.q) > 0 && !(stepping && fired) {
 		m := 0
 		for i, ev := range r.q {
 			if ev.at < r.q[m].at || ev.at == r.q[m].at && ev.seq < r.q[m].seq {
@@ -229,23 +250,47 @@ func (r *refQueue) step() bool {
 			}
 		}
 		ev := r.q[m]
+		if ev.at > until {
+			break
+		}
 		r.q[m] = r.q[len(r.q)-1]
 		r.q = r.q[:len(r.q)-1]
 		if ev.cancel {
 			continue
 		}
 		r.clock = ev.at
+		if ev.silent {
+			ev.passed = true
+			continue
+		}
 		r.fired++
+		fired = true
 		ev.fn()
-		return true
 	}
-	return false
+	return fired
+}
+
+func (r *refQueue) step() bool { return r.run(math.MaxInt64, true) }
+
+// runTo moves the clock to until afterwards unless a stop left entries
+// (silent keys included) behind.
+func (r *refQueue) runTo(until Time, stepping bool) {
+	stopped := r.run(until, stepping) && stepping
+	live := 0
+	for _, ev := range r.q {
+		if !ev.cancel {
+			live++
+		}
+	}
+	if r.clock < until && (!stopped || live == 0) {
+		r.clock = until
+	}
 }
 
 func (r *refQueue) pending() int {
 	n := 0
 	for _, ev := range r.q {
-		if !ev.cancel {
+		if !ev.cancel && !ev.silent {
 			n++
 		}
 	}
@@ -254,15 +299,16 @@ func (r *refQueue) pending() int {
 
 func (r *refQueue) processed() uint64 { return r.fired }
 
-// engQueue adapts the engine; every callback stops the run loop so step
-// fires exactly one event.
+// engQueue adapts the engine; while stepping, every callback stops the run
+// loop so a run fires exactly one event.
 type engQueue struct {
-	e     *Engine
-	lanes [lanes]*Lane
+	e        *Engine
+	lanes    [lanes]*Lane
+	stepping bool
 }
 
 func newEngQueue(e *Engine) *engQueue {
-	q := &engQueue{e: e}
+	q := &engQueue{e: e, stepping: true}
 	for i := range q.lanes {
 		q.lanes[i] = e.NewLane(q.fire)
 	}
@@ -271,25 +317,40 @@ func newEngQueue(e *Engine) *engQueue {
 
 func (q *engQueue) now() Time { return q.e.Now() }
 
+func (q *engQueue) stop() {
+	if q.stepping {
+		q.e.Stop()
+	}
+}
+
 func (q *engQueue) schedule(d Time, fn func()) func() {
-	return q.e.Schedule(d, func() { fn(); q.e.Stop() }).Cancel
+	return q.e.Schedule(d, func() { fn(); q.stop() }).Cancel
 }
 
 func (q *engQueue) post(lane int, t Time, fn func()) { q.lanes[lane].Post(t, fn) }
 
-func (q *engQueue) fire(fn any) { fn.(func())(); q.e.Stop() }
+func (q *engQueue) fire(fn any) { fn.(func())(); q.stop() }
 
 func (q *engQueue) timer(fn func()) (func(Time), func()) {
-	t := NewTimer(q.e, func() { fn(); q.e.Stop() })
+	t := NewTimer(q.e, func() { fn(); q.stop() })
 	return t.Reset, t.Stop
 }
 
+func (q *engQueue) silent(t Time) func() bool {
+	seq := q.e.SilentKey(t)
+	return func() bool { return q.e.Passed(t, seq) }
+}
+
 func (q *engQueue) step() bool {
-	if q.e.Pending() == 0 {
-		return false
-	}
+	n := q.e.Processed
 	q.e.RunUntilIdle()
-	return true
+	return q.e.Processed != n
+}
+
+func (q *engQueue) runTo(until Time, stepping bool) {
+	q.stepping = stepping
+	q.e.Run(until)
+	q.stepping = true
 }
 
 func (q *engQueue) pending() int { return q.e.Pending() }
@@ -303,6 +364,7 @@ type observed struct {
 	at        Time
 	pending   int
 	processed uint64
+	passed    uint64 // digest of which silent keys have passed, in draw order
 }
 
 const afterOp = -100
@@ -327,15 +389,31 @@ func fromBytes(b []byte) choices {
 // drive runs one program of ops operations — schedule with a handle, post to
 // one of the lanes, cancel (any event, the newest, the earliest: the last and
 // the root slot when nothing else is in the way), timer re-arm, timer stop,
-// step — with callbacks that schedule and post children, cancel themselves
-// and cancel others, then drains the queue. A lane post lands at now+d or at
-// the lane's last time, whichever is later, so lanes build runs of items at
-// one instant beside handle events and timers at that instant. It returns
-// every firing and the state after every operation, in order.
+// draw a silent key, step, run to a bound with or without stopping after
+// the first event — with callbacks that schedule and post children, draw
+// silent keys, cancel themselves and cancel others, then drains the queue.
+// A lane post lands at now+d or at the lane's last time, whichever is
+// later, so lanes build runs of items at one instant beside handle events,
+// timers and silent keys at that instant. It returns every firing and the
+// state after every operation, in order; each line says which silent keys
+// have passed, so before the first run, inside callbacks, after a stop in
+// the middle of an instant and after a run to a bound are all compared.
 func drive(q queue, intn choices, ops int) []observed {
 	delay := func(n int) Time { return Time(intn(n)-2) * time.Microsecond } // sometimes negative
 	var log []observed
-	observe := func(id int) { log = append(log, observed{id, q.now(), q.pending(), q.processed()}) }
+	var silents []func() bool
+	observe := func(id int) {
+		h := uint64(14695981039346656037)
+		for _, passed := range silents {
+			b := uint64(1)
+			if passed() {
+				b = 2
+			}
+			h = (h ^ b) * 1099511628211
+		}
+		log = append(log, observed{id, q.now(), q.pending(), q.processed(), h})
+	}
+	silent := func(d Time) { silents = append(silents, q.silent(q.now()+max(d, 0))) }
 	type shot struct {
 		cancel func() // nil for a lane item
 		at     Time
@@ -367,6 +445,9 @@ func drive(q queue, intn choices, ops int) []observed {
 			if nest {
 				spawn(delay(50), intn(2) == 0)
 			}
+			if intn(4) == 0 {
+				silent(delay(50))
+			}
 		}
 		if handle {
 			s.cancel = q.schedule(d, fn)
@@ -390,7 +471,7 @@ func drive(q queue, intn choices, ops int) []observed {
 		})
 	}
 	for op := 0; op < ops; op++ {
-		switch r := intn(14); {
+		switch r := intn(17); {
 		case r < 3:
 			spawn(delay(200), true)
 		case r < 6:
@@ -413,8 +494,12 @@ func drive(q queue, intn choices, ops int) []observed {
 			reset[intn(timers)](delay(200))
 		case r == 12:
 			stop[intn(timers)]()
-		default:
+		case r == 13:
 			q.step()
+		case r < 16:
+			silent(delay(200))
+		default:
+			q.runTo(q.now()+delay(300), intn(2) == 0)
 		}
 		observe(afterOp)
 	}
@@ -425,8 +510,8 @@ func drive(q queue, intn choices, ops int) []observed {
 }
 
 // sameAsReference runs one program on the engine and on the reference and
-// requires the same firings at the same instants with the same Pending() and
-// Processed after every firing and every operation.
+// requires the same firings at the same instants with the same Pending(),
+// Processed and passed silent keys after every firing and every operation.
 func sameAsReference(t *testing.T, intn func() choices, ops int) (fired int) {
 	t.Helper()
 	q := newEngQueue(NewEngine(1))
@@ -456,11 +541,12 @@ func sameAsReference(t *testing.T, intn func() choices, ops int) (fired int) {
 	return int(q.e.Processed)
 }
 
-// TestDifferentialAgainstFlagAndSkip: the typed heap with removal on Cancel
-// and lanes of which only the head is queued must be indistinguishable, by
-// what fires and when and by Pending() and Processed at every step, from an
-// unordered list that flags cancelled events and skips them when they
-// surface.
+// TestDifferentialAgainstFlagAndSkip: the typed heap with removal on Cancel,
+// lanes of which only the head is queued, and silent keys that queue
+// nothing must be indistinguishable, by what fires and when, by Pending()
+// and Processed, and by which silent keys have passed, at every step, from
+// an unordered list that flags cancelled events and skips them when they
+// surface and flags silent keys passed when they surface.
 func TestDifferentialAgainstFlagAndSkip(t *testing.T) {
 	const ops = 12_000
 	for seed := int64(1); seed <= 3; seed++ {

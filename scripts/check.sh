@@ -54,7 +54,8 @@ go test ./internal/core   -run '^$' -fuzz '^FuzzSynPayload$'  -fuzztime 10s
 go test ./internal/core   -run '^$' -fuzz '^FuzzCtrlMsg$'     -fuzztime 10s
 go test ./internal/dataplane -run '^$' -fuzz '^FuzzRawRewrite$' -fuzztime 10s
 # Not a decoder: random schedule/lane-post/cancel/timer programs on the event
-# queue against its flag-and-skip reference (firing order, Pending, Processed).
+# queue against its flag-and-skip reference (firing order, Pending, Processed,
+# which silent keys have passed).
 go test ./internal/sim    -run '^$' -fuzz '^FuzzQueueOrder$'  -fuzztime 10s
 # Nor this: random push/acknowledge/read programs on the TCP send queue
 # against a flat byte slice (bytes, sub-slice sharing, capped results).
