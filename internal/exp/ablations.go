@@ -119,19 +119,22 @@ func AblationRTO(sc Scale, seed int64) *Result {
 // outer header to every packet.
 func AblationEncap(seed int64) *Result {
 	r := &Result{Name: "ablation-encap", Title: "Header rewriting vs encapsulation overhead (§7 DOA/NSH)"}
-	se := buildChainEnv(1, true, true, seed)
-	sink := app.NewSink(se.env.Eng, time.Second)
-	sink.Serve(se.server.Stack, 80)
-	conn := se.client.Stack.Connect(se.server.Addr(), 80, tcp.Config{})
+	env := lab.NewEnv(seed)
+	clients, mids, servers := env.Line(lanLink(), true, 1, 1)
+	client, server := clients[0], servers[0]
+	env.ChainPolicy(client, 80, mids...)
+	sink := app.NewSink(env.Eng, time.Second)
+	sink.Serve(server.Stack, 80)
+	conn := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
 	app.NewSource(conn, 64<<20)
-	se.env.RunFor(10 * time.Second)
+	env.RunFor(10 * time.Second)
 
 	// Per-hop accounting at the sender: wire bytes out of the client for
 	// the bytes the sink delivered (headers and control are the overhead;
 	// reverse-direction ACKs are counted at the server symmetrically and
 	// excluded here).
-	wireBytes := se.client.Host.Stats.BytesOut
-	wirePkts := se.client.Host.Stats.PacketsOut
+	wireBytes := client.Host.Stats.BytesOut
+	wirePkts := client.Host.Stats.PacketsOut
 	delivered := sink.Total
 	rewriteOverhead := float64(wireBytes)/float64(delivered) - 1
 	// Encapsulation adds an outer IP (20B) + shim (8B) per packet.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/lab"
-	"repro/internal/mbox"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -17,78 +16,25 @@ func lanLink() netsim.LinkConfig {
 	return netsim.LinkConfig{Delay: 20 * time.Microsecond, Bandwidth: netsim.Gbps(10)}
 }
 
-// setupEnv builds the Figure 8 line: client, n forwarding middleboxes,
-// server. With dysco=true, agents chain sessions to port 80 through the
-// middleboxes; otherwise the middleboxes forward by IP routing (the
-// paper's Baseline) on a line topology.
-type setupEnv struct {
-	env    *lab.Env
-	client *lab.Node
-	server *lab.Node
-	mboxes []*lab.Node
-}
-
-func buildChainEnv(nMbox int, dysco, offload bool, seed int64) *setupEnv {
-	env := lab.NewEnv(seed)
-	se := &setupEnv{env: env}
-	// The baseline steers by IP routing alone, so its hosts must not have
-	// a shortcut through the router: the line is the only path.
-	se.client = env.AddNode("client", lab.HostOptions{
-		Link: lanLink(), Stack: true, Agent: dysco, NoOffload: !offload,
-		NoRouterLink: !dysco,
-	})
-	for i := 0; i < nMbox; i++ {
-		opt := lab.HostOptions{Link: lanLink(), NoOffload: !offload, NoRouterLink: !dysco}
-		if dysco {
-			opt.App = &mbox.Forwarder{}
-		}
-		m := env.AddNode(fmt.Sprintf("mbox%d", i+1), opt)
-		if !dysco {
-			// Baseline: inserted by IP routing, i.e. plain forwarders on
-			// the routed path.
-			m.Host.Forwarding = true
-		}
-		se.mboxes = append(se.mboxes, m)
-	}
-	se.server = env.AddNode("server", lab.HostOptions{
-		Link: lanLink(), Stack: true, Agent: dysco, NoOffload: !offload,
-		NoRouterLink: !dysco,
-	})
-	// Both variants chain the hosts in a line: the baseline routes through
-	// every middlebox along it, and Dysco steers by addressing over the
-	// same links so propagation distances match the baseline exactly.
-	prev := se.client
-	for _, m := range se.mboxes {
-		env.Net.Connect(prev.Host, m.Host, lanLink())
-		prev = m
-	}
-	env.Net.Connect(prev.Host, se.server.Host, lanLink())
-	if dysco {
-		env.ChainPolicy(se.client, 80, se.mboxes...)
-	}
-	env.Net.ComputeRoutes()
-	return se
-}
-
 // measureSetupLatency runs sequential connect() handshakes and returns the
 // observed latencies (the time for the TCP socket connect(), §5.1).
-func measureSetupLatency(se *setupEnv, n int) []sim.Time {
-	se.server.Stack.Listen(80, func(c *tcp.Conn) {})
+func measureSetupLatency(env *lab.Env, client, server *lab.Node, n int) []sim.Time {
+	server.Stack.Listen(80, func(c *tcp.Conn) {})
 	out := make([]sim.Time, 0, n)
 	for i := 0; i < n; i++ {
-		start := se.env.Eng.Now()
+		start := env.Eng.Now()
 		done := false
-		c := se.client.Stack.Connect(se.server.Addr(), 80, tcp.Config{})
+		c := client.Stack.Connect(server.Addr(), 80, tcp.Config{})
 		c.OnEstablished = func() {
-			out = append(out, se.env.Eng.Now()-start)
+			out = append(out, env.Eng.Now()-start)
 			done = true
 		}
-		se.env.RunFor(50 * time.Millisecond)
+		env.RunFor(50 * time.Millisecond)
 		if !done {
 			break
 		}
 		c.Close()
-		se.env.RunFor(10 * time.Millisecond)
+		env.RunFor(10 * time.Millisecond)
 	}
 	return out
 }
@@ -106,8 +52,15 @@ func Fig8(seed int64) *Result {
 	for _, offload := range []bool{true, false} {
 		for _, nm := range []int{1, 4} {
 			for _, dysco := range []bool{true, false} {
-				se := buildChainEnv(nm, dysco, offload, seed)
-				lat := measureSetupLatency(se, handshakes)
+				env := lab.NewEnv(seed)
+				clients, mids, servers := env.Line(lanLink(), dysco, 1, nm)
+				for _, h := range env.Net.Hosts() {
+					h.ChecksumOffload = offload
+				}
+				if dysco {
+					env.ChainPolicy(clients[0], 80, mids...)
+				}
+				lat := measureSetupLatency(env, clients[0], servers[0], handshakes)
 				xs := make([]float64, len(lat))
 				for i, d := range lat {
 					xs[i] = float64(d.Microseconds())

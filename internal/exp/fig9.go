@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/lab"
-	"repro/internal/mbox"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/tcp"
@@ -24,106 +22,65 @@ func fastCosts(h *netsim.Host) {
 	}
 }
 
-// driverPathCosts models a Dysco middlebox host's kernel-module fast path
-// (§4.1: packets intercepted in the device driver — no socket layer): the
-// per-packet cost matches plain kernel forwarding, and the rewrite adds a
-// hash lookup plus an incremental checksum. This is the regime in which
-// the paper measures <1.8%% end-to-end difference; the default host cost
-// model would charge a full host-stack traversal instead.
-func driverPathCosts(n *lab.Node) {
-	n.Host.Cost = netsim.CostModel{
+// driverPathCosts models a middlebox host's kernel fast path (§4.1:
+// packets handled in the device driver, no socket layer): the per-packet
+// cost matches plain kernel forwarding. The paper measures its <1.8%
+// end-to-end difference in this regime; the default host cost model would
+// charge a full host-stack traversal instead.
+func driverPathCosts(h *netsim.Host) {
+	h.Cost = netsim.CostModel{
 		RecvPacket:    150 * time.Nanosecond,
 		SendPacket:    150 * time.Nanosecond,
 		ChecksumPerKB: 100 * time.Nanosecond,
 		ForwardPacket: 200 * time.Nanosecond,
 	}
-	if n.Agent != nil {
-		n.Agent.Cfg.RewriteCost = 100 * time.Nanosecond
-	}
 }
 
-// goodputEnv is the Figure 9 testbed: four clients and four servers via a
-// single middlebox that forwards traffic.
-type goodputEnv struct {
-	env     *lab.Env
-	clients []*lab.Node
-	servers []*lab.Node
-	mb      *lab.Node
-	sinks   []*app.Sink
-	sources []*app.Source
-}
-
-func buildGoodputEnv(dysco bool, seed int64) *goodputEnv {
+// goodput runs Figure 9's testbed: four clients and four servers via one
+// forwarding middlebox. It starts n bulk sessions, spread over the four
+// client-server pairs, and measures aggregate goodput at the receivers
+// over the window.
+func goodput(dysco bool, seed int64, n int, window time.Duration) float64 {
 	env := lab.NewEnv(seed)
-	ge := &goodputEnv{env: env}
 	// Generous queues (switch-like buffering) keep thousands of flows from
 	// synchronized tail-drop collapse. Per-link rate is set so the links —
 	// not host CPUs — are the bottleneck, the regime of §5.2 ("after 100
 	// sessions the link becomes the bottleneck").
 	link := netsim.LinkConfig{Delay: 20 * time.Microsecond, Bandwidth: netsim.Gbps(1), QueueBytes: 4 << 20}
-	// The baseline steers by IP routing alone, so its hosts get no access
-	// link to the router: client—mb—server is the only path. Dysco steers
-	// by addressing over the same links.
-	for i := 0; i < 4; i++ {
-		ge.clients = append(ge.clients, env.AddNode(fmt.Sprintf("client%d", i),
-			lab.HostOptions{Link: link, Stack: true, Agent: dysco, NoRouterLink: !dysco}))
-	}
-	opt := lab.HostOptions{Link: link, NoRouterLink: !dysco}
-	if dysco {
-		opt.App = &mbox.Forwarder{}
-	}
-	ge.mb = env.AddNode("mbox", opt)
-	if !dysco {
-		ge.mb.Host.Forwarding = true
-	}
-	for i := 0; i < 4; i++ {
-		ge.servers = append(ge.servers, env.AddNode(fmt.Sprintf("server%d", i),
-			lab.HostOptions{Link: link, Stack: true, Agent: dysco, NoRouterLink: !dysco}))
-	}
-	for _, c := range ge.clients {
-		env.Net.Connect(c.Host, ge.mb.Host, link)
-		if dysco {
-			env.ChainPolicy(c, 5001, ge.mb)
-		}
-	}
-	for _, s := range ge.servers {
-		env.Net.Connect(ge.mb.Host, s.Host, link)
-	}
-	env.Net.ComputeRoutes()
+	clients, mids, servers := env.Line(link, dysco, 4, 1)
 	for _, h := range env.Net.Hosts() {
 		fastCosts(h)
 	}
-	return ge
-}
-
-// run starts n bulk sessions (spread over the 4 client-server pairs) and
-// measures aggregate goodput at the receivers over the window.
-func (ge *goodputEnv) run(n int, window time.Duration) float64 {
-	for _, s := range ge.servers {
-		sink := app.NewSink(ge.env.Eng, time.Second)
+	if dysco {
+		for _, c := range clients {
+			env.ChainPolicy(c, 5001, mids...)
+		}
+	}
+	var sinks []*app.Sink
+	for _, s := range servers {
+		sink := app.NewSink(env.Eng, time.Second)
 		sink.Serve(s.Stack, 5001)
-		ge.sinks = append(ge.sinks, sink)
+		sinks = append(sinks, sink)
 	}
 	// Stagger connection starts (as any real workload would) to avoid
 	// synchronized slow-start bursts.
 	for i := 0; i < n; i++ {
-		c := ge.clients[i%4]
-		s := ge.servers[i%4]
-		stag := time.Duration(ge.env.Eng.Rand().Int63n(int64(500 * time.Millisecond)))
-		ge.env.Eng.Schedule(stag, func() {
-			conn := c.Stack.Connect(s.Addr(), 5001, tcp.Config{})
-			ge.sources = append(ge.sources, app.NewSource(conn, 0))
+		c := clients[i%4]
+		s := servers[i%4]
+		stag := time.Duration(env.Eng.Rand().Int63n(int64(500 * time.Millisecond)))
+		env.Eng.Schedule(stag, func() {
+			app.NewSource(c.Stack.Connect(s.Addr(), 5001, tcp.Config{}), 0)
 		})
 	}
 	// Warm up, then measure.
-	ge.env.RunFor(2 * time.Second)
+	env.RunFor(2 * time.Second)
 	var before uint64
-	for _, s := range ge.sinks {
+	for _, s := range sinks {
 		before += s.Total
 	}
-	ge.env.RunFor(window)
+	env.RunFor(window)
 	var after uint64
-	for _, s := range ge.sinks {
+	for _, s := range sinks {
 		after += s.Total
 	}
 	return float64(after-before) / window.Seconds()
@@ -142,10 +99,8 @@ func Fig9(sc Scale, seed int64) *Result {
 
 	var dyscoGbps, baseGbps []float64
 	for _, n := range counts {
-		d := buildGoodputEnv(true, seed)
-		gd := d.run(n, window)
-		b := buildGoodputEnv(false, seed+1)
-		gb := b.run(n, window)
+		gd := goodput(true, seed, n, window)
+		gb := goodput(false, seed+1, n, window)
 		dyscoGbps = append(dyscoGbps, stats.Gbps(gd))
 		baseGbps = append(baseGbps, stats.Gbps(gb))
 		r.addRow("sessions=%-6d dysco=%6.2f Gbps  baseline=%6.2f Gbps  ratio=%.3f",

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/lab"
-	"repro/internal/mbox"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/tcp"
@@ -93,19 +92,9 @@ func connSegs(conns *[]*tcp.Conn) func() uint64 {
 func chain4() (*lab.Env, func() uint64, func() uint64) {
 	env := lab.NewEnv(1)
 	link := netsim.LinkConfig{Delay: 20 * time.Microsecond, Bandwidth: netsim.Gbps(1), QueueBytes: 4 << 20}
-	end := lab.HostOptions{Stack: true, Agent: true, NoRouterLink: true}
-	client := env.AddNode("client", end)
-	line := []*lab.Node{client}
-	for i := 1; i <= 4; i++ {
-		line = append(line, env.AddNode(fmt.Sprintf("m%d", i), lab.HostOptions{App: &mbox.Forwarder{}, NoRouterLink: true}))
-	}
-	server := env.AddNode("server", end)
-	line = append(line, server)
-	for i := 0; i+1 < len(line); i++ {
-		env.Net.Connect(line[i].Host, line[i+1].Host, link)
-	}
-	env.Net.ComputeRoutes()
-	env.ChainPolicy(client, 5001, line[1:5]...)
+	clients, mids, servers := env.Line(link, true, 1, 4)
+	client, server := clients[0], servers[0]
+	env.ChainPolicy(client, 5001, mids...)
 
 	var conns []*tcp.Conn
 	var delivered uint64
@@ -137,13 +126,9 @@ func chain4() (*lab.Env, func() uint64, func() uint64) {
 func churn() (*lab.Env, func() uint64, func() uint64) {
 	env := lab.NewEnv(1)
 	link := netsim.LinkConfig{Delay: 200 * time.Microsecond, Bandwidth: netsim.Gbps(10)}
-	agent := lab.HostOptions{Stack: true, Agent: true, NoRouterLink: true}
-	client, server := env.AddNode("client", agent), env.AddNode("server", agent)
-	box := env.AddNode("m1", lab.HostOptions{App: &mbox.Forwarder{}, NoRouterLink: true})
-	env.Net.Connect(client.Host, box.Host, link)
-	env.Net.Connect(box.Host, server.Host, link)
-	env.Net.ComputeRoutes()
-	env.ChainPolicy(client, 8080, box)
+	clients, mids, servers := env.Line(link, true, 1, 1)
+	client, server := clients[0], servers[0]
+	env.ChainPolicy(client, 8080, mids...)
 
 	var conns []*tcp.Conn
 	var delivered uint64

@@ -1,13 +1,15 @@
 // Package lab builds the simulated testbeds shared by the integration
 // tests, the examples, and the benchmark harness: hosts with TCP stacks
 // and Dysco agents in a star topology around a router (the shape of the
-// paper's Figure 11 testbed), plus line-chain policies.
+// paper's Figure 11 testbed), the client–middleboxes–server line of the
+// overhead figures, plus line-chain policies.
 package lab
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mbox"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -63,10 +65,8 @@ type HostOptions struct {
 	AgentCfg core.Config
 	// App is the packet-level middlebox application (implies Agent).
 	App core.App
-	// ChecksumOffload controls the NIC offload model (default true).
-	NoOffload bool
-	// NoRouterLink skips the default access link to the router; connect
-	// the host manually (used by line-topology baselines).
+	// NoRouterLink skips the default access link to the router, for a
+	// host wired otherwise (as Line wires its hosts).
 	NoRouterLink bool
 }
 
@@ -81,7 +81,6 @@ func (e *Env) AddNode(name string, opt HostOptions) *Node {
 		e.next++
 	}
 	h := e.Net.AddHost(name, addr)
-	h.ChecksumOffload = !opt.NoOffload
 	if !opt.NoRouterLink {
 		e.Net.Connect(h, e.Router, opt.Link)
 	}
@@ -108,6 +107,48 @@ func (e *Env) AddNode(name string, opt HostOptions) *Node {
 		e.attach(node)
 	}
 	return node
+}
+
+// Line adds pairs clients, n ≥ 1 middleboxes and pairs servers, in that
+// address order, wires them clients–m1–…–mn–servers over link with no
+// router links, and computes the routes: the testbed of the paper's
+// overhead figures (§5.1–§5.2). With dysco, the clients and servers run
+// agents and the middleboxes run mbox.Forwarder; the caller steers
+// sessions through mids with ChainPolicy. Without dysco, the middleboxes
+// forward by IP routing over the same links, the paper's baseline.
+func (e *Env) Line(link netsim.LinkConfig, dysco bool, pairs, n int) (clients, mids, servers []*Node) {
+	end := func(role string, i int) *Node {
+		if pairs > 1 {
+			role = fmt.Sprintf("%s%d", role, i)
+		}
+		return e.AddNode(role, HostOptions{Stack: true, Agent: dysco, NoRouterLink: true})
+	}
+	for i := range pairs {
+		clients = append(clients, end("client", i))
+	}
+	for i := 1; i <= n; i++ {
+		opt := HostOptions{NoRouterLink: true}
+		if dysco {
+			opt.App = &mbox.Forwarder{}
+		}
+		m := e.AddNode(fmt.Sprintf("m%d", i), opt)
+		m.Host.Forwarding = !dysco
+		mids = append(mids, m)
+	}
+	for i := range pairs {
+		servers = append(servers, end("server", i))
+	}
+	for _, c := range clients {
+		e.Net.Connect(c.Host, mids[0].Host, link)
+	}
+	for i := 1; i < n; i++ {
+		e.Net.Connect(mids[i-1].Host, mids[i].Host, link)
+	}
+	for _, s := range servers {
+		e.Net.Connect(mids[n-1].Host, s.Host, link)
+	}
+	e.Net.ComputeRoutes()
+	return clients, mids, servers
 }
 
 // Observe turns on structured observability for the testbed: every node

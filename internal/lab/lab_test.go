@@ -1,9 +1,13 @@
 package lab_test
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/lab"
 	"repro/internal/mbox"
 	"repro/internal/netsim"
@@ -116,5 +120,60 @@ func TestChainPolicyStacks(t *testing.T) {
 	f2 := m2.Agent.App.(*mbox.Forwarder)
 	if f1.Packets == 0 || f2.Packets == 0 {
 		t.Errorf("policies not routed distinctly: m1=%d m2=%d", f1.Packets, f2.Packets)
+	}
+}
+
+// TestLine checks the overhead figures' testbed: both variants wire the
+// same links in the same address order, and a short bulk run from every
+// client to its server crosses every middlebox, never the router.
+func TestLine(t *testing.T) {
+	link := netsim.LinkConfig{Delay: 20 * time.Microsecond, Bandwidth: netsim.Gbps(1)}
+	for _, size := range []struct{ pairs, n int }{{1, 1}, {1, 4}, {4, 1}} {
+		var wiring [2][][][2]packet.Addr
+		for v, dysco := range []bool{false, true} {
+			name := fmt.Sprintf("pairs=%d n=%d dysco=%v", size.pairs, size.n, dysco)
+			env := lab.NewEnv(1)
+			clients, mids, servers := env.Line(link, dysco, size.pairs, size.n)
+			line := slices.Concat(clients, mids, servers)
+			for i, node := range line {
+				if i > 0 && node.Addr() <= line[i-1].Addr() {
+					t.Errorf("%s: %s is not after %s in address order", name, node.Host.Name, line[i-1].Host.Name)
+				}
+				var hops [][2]packet.Addr
+				for _, l := range node.Host.Links() {
+					hops = append(hops, [2]packet.Addr{l.From(), l.To()})
+				}
+				wiring[v] = append(wiring[v], hops)
+			}
+			if dysco {
+				for _, c := range clients {
+					env.ChainPolicy(c, 5001, mids...)
+				}
+			}
+			for i, c := range clients {
+				s := servers[i]
+				app.NewSink(env.Eng, time.Second).Serve(s.Stack, 5001)
+				app.NewSource(c.Stack.Connect(s.Addr(), 5001, tcp.Config{}), 64<<10)
+			}
+			env.RunFor(50 * time.Millisecond)
+			for _, m := range mids {
+				if dysco && m.Agent.Stats.PacketsRewritten == 0 {
+					t.Errorf("%s: %s rewrote no packets", name, m.Host.Name)
+				}
+				if !dysco && m.Host.Stats.Forwarded == 0 {
+					t.Errorf("%s: %s forwarded no packets", name, m.Host.Name)
+				}
+			}
+			if got := len(env.Router.Links()); got != 0 {
+				t.Errorf("%s: the router has %d links", name, got)
+			}
+			if got := env.Router.Stats.PacketsIn; got != 0 {
+				t.Errorf("%s: %d packets crossed the router", name, got)
+			}
+		}
+		if !reflect.DeepEqual(wiring[0], wiring[1]) {
+			t.Errorf("pairs=%d n=%d: the variants' links differ:\nbaseline %v\ndysco    %v",
+				size.pairs, size.n, wiring[0], wiring[1])
+		}
 	}
 }

@@ -296,8 +296,6 @@ type Network struct {
 	Eng   *sim.Engine
 	hosts map[packet.Addr]*Host
 	order []*Host // deterministic iteration
-	// Trace, when set, observes every packet delivery (post-ingress-hook).
-	Trace func(h *Host, p *packet.Packet, dir Direction)
 }
 
 // New creates an empty network on the engine.
@@ -588,9 +586,6 @@ func (h *Host) process(p *packet.Packet) {
 	case Consume:
 		return
 	case Pass:
-	}
-	if h.Net.Trace != nil {
-		h.Net.Trace(h, p, Ingress)
 	}
 	if p.Tuple.DstIP == h.Addr {
 		h.deliverUp(p)

@@ -8,12 +8,12 @@
 # lands its machine-readable findings in LINT_report.json; the fault
 # sweep's per-run results (event/schedule/DAG hashes, oracles) land in
 # FAULT_sweep.json; the per-scenario reconfiguration critical paths land
-# in CRITPATH.json, gated on byte-identical re-extraction. CI archives all
-# three as workflow artifacts. The figure regression
-# regenerates every quick-scale figure and diffs it byte for byte
-# against experiments_output.txt (the longest step: about 1.5-2.5 min on a
-# 2-vCPU host). Everything here must pass before a change lands; CI and
-# developers run the same script.
+# in CRITPATH.json, gated on byte-identical re-extraction. The figure
+# regression regenerates every quick-scale figure into experiments_run.txt
+# and diffs it byte for byte against experiments_output.txt (the longest
+# step: about 1.5-2.5 min on a 2-vCPU host). CI archives all four files
+# as workflow artifacts. Everything here must pass before a change lands;
+# CI and developers run the same script.
 #
 # "Same behaviour as before" needs no step of its own: `go test -race
 # ./...` below compares the seed-1 fault-sweep hashes and the per-seed
@@ -64,11 +64,11 @@ go run ./cmd/dyscofault -json FAULT_sweep.json
 
 # Figure regression: every experiment at quick scale, seed 42, must print
 # exactly the checked-in experiments_output.txt (EXPERIMENTS.md); a
-# mismatch prints the moved lines as a unified diff.
-figs=$(mktemp)
-trap 'rm -f "$figs"' EXIT
-go run ./cmd/dyscobench -exp all 2>/dev/null > "$figs"
-diff -u experiments_output.txt "$figs"
+# mismatch prints the moved lines as a unified diff. The regenerated
+# figures stay in experiments_run.txt (CI archives it), so a moved line
+# can be read without a re-run.
+go run ./cmd/dyscobench -exp all 2>/dev/null > experiments_run.txt
+diff -u experiments_output.txt experiments_run.txt
 
 # Critical-path determinism gate: for every scenario, extract the
 # reconfiguration critical paths twice with the same seed and require
