@@ -696,7 +696,6 @@ func (a *Agent) track(p *packet.Packet, e *rewriteEntry, in bool) {
 			seqInit(&sess.rcvdAckedHi, &sess.rcvdAckedOK, p.Ack)
 		}
 	}
-	sess.seenData = true
 }
 
 // dataSeqEnd is SeqEnd ignoring the SYN bit (data stream positions only).

@@ -42,10 +42,9 @@ import (
 // clock value. With observability off both sides carry zero and the
 // field is causally inert.
 //
-// The checksum is what lets the fault injector's linkCorrupt op degrade
-// to loss on the control plane: a flipped bit fails verification and the
-// datagram is dropped, exactly as a corrupted JSON body failed to parse
-// in the earlier prototype encoding.
+// The checksum rejects damaged input at the decoder. The fault
+// injector's linkCorrupt op never reaches it: it marks the datagram
+// corrupted, and the receiving host drops it (netsim.Host.receive).
 
 const (
 	ctrlMagic    = 0xdc

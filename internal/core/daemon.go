@@ -253,7 +253,6 @@ func (d *daemon) startReconfig(sessID packet.FiveTuple, opt ReconfigOptions) err
 	d.nextReqID++
 	reqID := uint64(a.Host.Addr)<<24 | d.nextReqID
 	sess.LockReqID = reqID
-	sess.Requestor = a.Host.Addr
 	sess.lockSince = now
 	sess.setLock(LockPending)
 	rc := &Reconfig{
@@ -312,7 +311,6 @@ func (d *daemon) anchorSession(id packet.FiveTuple, leftSide bool) (*Session, er
 		rcvdHi:       cv.RcvNxt(),
 		rcvdAckedHi:  cv.RcvNxt(),
 		sentHiOK:     true, sentAckedOK: true, rcvdHiOK: true, rcvdAckedOK: true,
-		seenData: true,
 	}, "adopted", 0)
 	if leftSide {
 		sess.RightHost = id.DstIP
@@ -573,7 +571,6 @@ func (d *daemon) onReqLock(m *ctrlMsg) {
 	}
 	// Request id first so the lock event carries it.
 	sess.LockReqID = m.ReqID
-	sess.Requestor = m.LeftAnchor
 	sess.lockSince = now
 	sess.setLock(LockPending)
 	d.forwardReqLock(sess, m)

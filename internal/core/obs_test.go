@@ -165,7 +165,7 @@ func TestRewritePathZeroAlloc(t *testing.T) {
 	if r.Count(obs.KRewrite) != 1 {
 		t.Fatal("enabled rewrite kind did not emit")
 	}
-	if !anchor.finSeen[0] || !anchor.finSeen[1] || !anchor.seenData {
+	if !anchor.finSeen[0] || !anchor.finSeen[1] || !anchor.rcvdHiOK || !anchor.sentAckedOK {
 		t.Fatal("anchor shapes did not reach the §3.5 counters")
 	}
 }
@@ -236,7 +236,6 @@ func TestHotpathHelpersZeroAlloc(t *testing.T) {
 		{"packet.Packet.SeqEnd(SYN)", func() { _ = syn.SeqEnd() }},
 		{"packet.Packet.SeqEnd(FIN)", func() { _ = fin.SeqEnd() }},
 		{"packet.Packet.RewriteTuple", func() { p.RewriteTuple(nt) }},
-		{"packet.Packet.RewriteSeqAck", func() { p.RewriteSeqAck(300, 400) }},
 		{"packet.TCPFlags.Has", func() { _ = p.Flags.Has(packet.FlagACK) }},
 		{"packet.FiveTuple.Hash", func() { _ = ft.Hash() }},
 		{"packet.Bucket", func() { _ = packet.Bucket(ft.Hash(), 64) }},

@@ -104,7 +104,6 @@ type Session struct {
 	// right (§3.2). Only setLock writes it (TestStateFieldsHaveOneWriter).
 	lockState LockState
 	LockReqID uint64
-	Requestor packet.Addr
 	// contention is allocated when a second request meets this lock;
 	// most sessions never see one.
 	contention *lockContention
@@ -142,7 +141,6 @@ type Session struct {
 	// seeds the counter.
 	sentHi, sentAckedHi, rcvdHi, rcvdAckedHi     uint32
 	sentHiOK, sentAckedOK, rcvdHiOK, rcvdAckedOK bool
-	seenData                                     bool
 
 	// wsOfferLocal is the window-scale shift the local endpoint offered
 	// (observed from the SYN/SYN-ACK this agent forwarded or delivered);

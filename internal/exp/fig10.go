@@ -71,7 +71,7 @@ func Fig10(sc Scale, seed int64) *Result {
 		r.check(fmt.Sprintf("dysco no faster than baseline and within 5%% at %d mbox (paper: <1.8)", nm),
 			0 <= gap && gap < 5, "gap=%.2f%%", gap)
 	}
-	r.check("4 middleboxes serve slightly fewer requests than 1 (paper shape)",
+	r.check("4 middleboxes serve no more requests than 1 (paper: slightly fewer)",
 		rps[key{4, true}] <= rps[key{1, true}],
 		"1mbox=%.0f 4mbox=%.0f", rps[key{1, true}], rps[key{4, true}])
 	r.addNote("scale=%s: %d persistent connections over %v (paper: 400 conns, ~300k req/s on the testbed)",

@@ -38,9 +38,9 @@ const (
 	// OpLinkReorder delays each matching packet by Delay with
 	// probability Prob, reordering it behind its successors.
 	OpLinkReorder
-	// OpLinkCorrupt flips payload bits with probability Prob; the
-	// receiving host's checksum verification drops the packet, so
-	// applications never observe corrupted bytes (it degrades to loss).
+	// OpLinkCorrupt marks each matching packet corrupted with
+	// probability Prob; the receiving host's checksum verification drops
+	// it, so corruption degrades to loss.
 	OpLinkCorrupt
 	// OpPartition drops every packet between role groups A and B.
 	OpPartition

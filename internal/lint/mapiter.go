@@ -31,7 +31,7 @@ var MapiterAnalyzer = &Analyzer{
 
 // effectfulHostMethods transmit or deliver packets on a netsim host.
 var effectfulHostMethods = map[string]bool{
-	"Send": true, "SendVia": true, "SendDirect": true,
+	"Send": true, "SendDirect": true,
 	"InjectLocal": true, "DeliverLocal": true,
 }
 

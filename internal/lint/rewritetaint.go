@@ -21,13 +21,13 @@ import (
 // any module function named ingressHook. Their packet parameter starts
 // tainted.
 //
-// Sinks: the Send/SendVia/SendDirect/DeliverLocal methods of the
+// Sinks: the Send/SendDirect/DeliverLocal methods of the
 // module-local Host type. Passing a tainted packet to one is a finding.
 //
-// Sanitizers: Packet.RewriteTuple (the tuple+checksum translation
-// primitive) and module functions named applyIngress/applyEgress (the
-// delta appliers, which end in RewriteTuple) clear the taint of their
-// packet argument/receiver.
+// Sanitizers: Packet.RewriteTuple (the tuple translation primitive) and
+// module functions named applyIngress/applyEgress (the delta appliers,
+// which end in RewriteTuple) clear the taint of their packet
+// argument/receiver.
 //
 // Taint propagates through assignments, range statements, and the static
 // call graph (a tainted argument taints the callee's parameter, and the
@@ -46,7 +46,7 @@ var RewritetaintAnalyzer = &Analyzer{
 // taintSinkMethods are the Host methods that put a packet on the wire (or
 // hand it to the local stack, which trusts session coordinates).
 var taintSinkMethods = map[string]bool{
-	"Send": true, "SendVia": true, "SendDirect": true, "DeliverLocal": true,
+	"Send": true, "SendDirect": true, "DeliverLocal": true,
 }
 
 // isModuleLocalNamed reports whether n is defined inside the module.

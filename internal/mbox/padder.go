@@ -56,7 +56,7 @@ func (pd *Padder) Process(p *packet.Packet, dir netsim.Direction) []*packet.Pack
 	if st, ok := pd.streams[p.Tuple]; ok {
 		if p.Seq != st.first {
 			// Rightward bytes after the banner's offset: shift them.
-			p.RewriteSeqAck(packet.SeqAdd(p.Seq, delta), p.Ack)
+			p.Seq = packet.SeqAdd(p.Seq, delta)
 			return []*packet.Packet{p}
 		}
 		if p.DataLen() == 0 {
@@ -78,7 +78,7 @@ func (pd *Padder) Process(p *packet.Packet, dir netsim.Direction) []*packet.Pack
 	if st, ok := pd.streams[p.Tuple.Reverse()]; ok {
 		// Leftward packet: acknowledgments (and SACK blocks) refer to the
 		// shifted rightward stream; shift them back.
-		p.RewriteSeqAck(p.Seq, unshift(p.Ack, st.first, delta))
+		p.Ack = unshift(p.Ack, st.first, delta)
 		for i := range p.Opts.SACK {
 			p.Opts.SACK[i].Start = unshift(p.Opts.SACK[i].Start, st.first, delta)
 			p.Opts.SACK[i].End = unshift(p.Opts.SACK[i].End, st.first, delta)

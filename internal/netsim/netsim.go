@@ -94,9 +94,9 @@ type FaultDecision struct {
 	Drop bool
 	// Duplicate delivers an extra deep copy of the packet.
 	Duplicate bool
-	// Corrupt flips bits in the payload copy before delivery (the header
-	// stays routable, as with real transmission errors caught — or missed —
-	// by checksums).
+	// Corrupt marks the packet damaged in flight (Packet.Corrupted): the
+	// header stays routable, and the receiving host's checksum
+	// verification discards it.
 	Corrupt bool
 	// ExtraDelay adds one-way latency to this packet (reordering: delayed
 	// packets land behind later undelayed ones).
@@ -156,9 +156,7 @@ func (le *linkEnd) retire() {
 
 // arrive hands a packet that crossed the wire to the receiving host.
 func (le *linkEnd) arrive(arg any) {
-	p := arg.(*packet.Packet)
-	p.ArrivedFrom = le.from.Addr
-	le.to.receive(p)
+	le.to.receive(arg.(*packet.Packet))
 }
 
 // txEntry is one packet in a link's transmit queue: its size, and the key
@@ -246,7 +244,6 @@ func (c *CPU) Acquire(cost sim.Time) sim.Time {
 type Counters struct {
 	PacketsIn   uint64
 	PacketsOut  uint64
-	BytesIn     uint64
 	BytesOut    uint64
 	Forwarded   uint64
 	DeliveredUp uint64
@@ -429,30 +426,6 @@ func (h *Host) Send(p *packet.Packet) {
 	h.transmit(p, h.Cost.SendPacket)
 }
 
-// SendVia transmits a packet directly to a specific neighbor, ignoring
-// destination-based routing — the primitive an SDN-style rule table needs.
-// Returns false (dropping the packet) when no direct link to via exists.
-// A down host drops the packet (counted in DropsHostDown) without charging
-// its CPU, and still returns true when via is a neighbor: like the link's
-// own drops, that is the packet's fate, not a missing link.
-func (h *Host) SendVia(via packet.Addr, p *packet.Packet) bool {
-	for _, l := range h.links {
-		if l.to.Addr == via {
-			if h.down {
-				h.Stats.DropsHostDown++
-				return true
-			}
-			done := h.CPU.Acquire(h.Cost.ForwardPacket)
-			h.Stats.PacketsOut++
-			h.Stats.BytesOut += uint64(p.Size())
-			l.send(p, done)
-			return true
-		}
-	}
-	h.Stats.DropsNoRoute++
-	return false
-}
-
 // SendDirect transmits a packet without running egress hooks. Hook code
 // (e.g. a Dysco agent splitting a packet across two paths) uses it to emit
 // packets it has already processed, avoiding re-entering itself.
@@ -506,7 +479,9 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 			le.fault = saved
 		}
 		if fd.Corrupt {
-			corruptPayload(p)
+			// The next host's receive drops the packet before any hook,
+			// stack or capture sees it, so no byte needs to change.
+			p.Corrupted = true
 		}
 		extraDelay = fd.ExtraDelay
 	}
@@ -539,22 +514,6 @@ func (le *linkEnd) send(p *packet.Packet, ready sim.Time) {
 	le.deliver.Post(le.busyUntil+le.cfg.Delay, p)
 }
 
-// corruptPayload flips one bit per 64 payload bytes (at least one). A
-// corrupted TCP segment still parses — the damage is to the bytes the
-// application-level integrity oracles verify, and to the checksum when
-// software checksumming is modeled. The damage goes to a copy: payload
-// bytes are shared with the sender's buffer and are never written in place.
-func corruptPayload(p *packet.Packet) {
-	p.Corrupted = true
-	if len(p.Payload) == 0 {
-		return
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	for i := 0; i < len(p.Payload); i += 64 {
-		p.Payload[i] ^= 0x80
-	}
-}
-
 // receive handles a packet arriving from the wire.
 func (h *Host) receive(p *packet.Packet) {
 	if h.down {
@@ -570,7 +529,6 @@ func (h *Host) receive(p *packet.Packet) {
 		return
 	}
 	h.Stats.PacketsIn++
-	h.Stats.BytesIn += uint64(p.Size())
 	cost := h.Cost.RecvPacket
 	if !h.ChecksumOffload {
 		cost += sim.Time(int64(h.Cost.ChecksumPerKB) * int64(p.Size()) / 1024)

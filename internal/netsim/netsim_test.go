@@ -328,37 +328,6 @@ func TestComputeRoutesLineTopology(t *testing.T) {
 	}
 }
 
-func TestSendVia(t *testing.T) {
-	eng := sim.NewEngine(1)
-	n := New(eng)
-	a := n.AddHost("a", packet.MakeAddr(10, 0, 0, 1))
-	b := n.AddHost("b", packet.MakeAddr(10, 0, 0, 2))
-	c := n.AddHost("c", packet.MakeAddr(10, 0, 0, 3))
-	b.Forwarding = true
-	n.Connect(a, b, LinkConfig{})
-	n.Connect(b, c, LinkConfig{})
-	n.Connect(a, c, LinkConfig{}) // direct link exists
-	n.ComputeRoutes()
-	got := false
-	c.BindUDP(9, func(p *packet.Packet) { got = true })
-	// Force the packet via b even though a→c is direct.
-	p := udpTo(c, a, 9, nil)
-	if !a.SendVia(b.Addr, p) {
-		t.Fatal("SendVia to a neighbor failed")
-	}
-	eng.RunUntilIdle()
-	if !got {
-		t.Fatal("packet not delivered via b")
-	}
-	if b.Stats.Forwarded != 1 {
-		t.Errorf("b forwarded %d", b.Stats.Forwarded)
-	}
-	// No link to the target neighbor: refused.
-	if a.SendVia(packet.MakeAddr(9, 9, 9, 9), udpTo(c, a, 9, nil)) {
-		t.Error("SendVia to non-neighbor succeeded")
-	}
-}
-
 func TestForwardedPacketsTraverseEgressHooks(t *testing.T) {
 	eng := sim.NewEngine(2)
 	n := New(eng)
@@ -448,17 +417,30 @@ func TestFaultHookDuplicateAndCorrupt(t *testing.T) {
 		t.Fatalf("delivered = %d after duplicate fault, want 2", delivered)
 	}
 
-	// Corrupt: the receiver's checksum check discards the packet, so the
-	// application never sees damaged bytes.
+	// Corrupt: the receiver's checksum check discards the packet before
+	// its hooks or the application see it, and the sender's bytes stay as
+	// they were.
 	delivered = 0
+	hooked := 0
+	b.AddIngressHook(func(p *packet.Packet, dir Direction) Verdict {
+		hooked++
+		return Pass
+	})
 	link.SetFault(func(p *packet.Packet) FaultDecision { return FaultDecision{Corrupt: true} })
-	a.Send(udpTo(b, a, 9000, []byte("corrupt-me")))
+	payload := []byte("corrupt-me")
+	a.Send(udpTo(b, a, 9000, payload))
 	eng.RunUntilIdle()
 	if delivered != 0 {
 		t.Fatalf("delivered = %d after corrupt fault, want 0", delivered)
 	}
+	if hooked != 0 {
+		t.Errorf("receiver's ingress hook saw %d corrupted packets, want 0", hooked)
+	}
 	if b.Stats.DropsCorrupt != 1 {
 		t.Errorf("DropsCorrupt = %d, want 1", b.Stats.DropsCorrupt)
+	}
+	if string(payload) != "corrupt-me" {
+		t.Errorf("sender's payload reads %q after corruption, want it unchanged", payload)
 	}
 }
 
@@ -479,16 +461,6 @@ func TestHostDown(t *testing.T) {
 	eng.RunUntilIdle()
 	if a.Stats.DropsHostDown != 1 {
 		t.Fatalf("sender DropsHostDown=%d, want 1", a.Stats.DropsHostDown)
-	}
-	// A steered packet is sent too: a down host drops it the same way.
-	out, busy := a.Stats.PacketsOut, a.CPU.Busy
-	if !a.SendVia(b.Addr, udpTo(b, a, 9000, []byte("steered-from-down-host"))) {
-		t.Error("SendVia from a down host to a neighbor returned false")
-	}
-	eng.RunUntilIdle()
-	if delivered != 0 || a.Stats.DropsHostDown != 2 || a.Stats.PacketsOut != out || a.CPU.Busy != busy {
-		t.Fatalf("after SendVia: delivered=%d DropsHostDown=%d, sent %d more, CPU busy %v more; want 0, 2, 0, 0",
-			delivered, a.Stats.DropsHostDown, a.Stats.PacketsOut-out, a.CPU.Busy-busy)
 	}
 
 	a.SetDown(false)

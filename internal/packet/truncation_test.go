@@ -234,8 +234,7 @@ func FuzzPacketParse(f *testing.F) {
 			return
 		}
 		// ParseView takes what Parse takes, less the IHL > 5 headers and
-		// trailing bytes it rejects by design, and reads the same fields
-		// (checked before Serialize re-stamps p.Checksum).
+		// trailing bytes it rejects by design, and reads the same fields.
 		if b[0] == 0x45 && int(binary.BigEndian.Uint16(b[OffIPTotalLen:])) == len(b) {
 			v, err := ParseView(b)
 			if err != nil {

@@ -58,8 +58,7 @@ var (
 // Mutators store bytes only — checksum maintenance is the caller's job
 // (dataplane.RawRule folds every store into the checksums incrementally).
 type View struct {
-	b    []byte
-	hlen int // transport header length: TCP data-offset bytes, UDPHeaderLen for UDP
+	b []byte
 
 	// Option geometry precomputed by the ParseView walk (TCP only).
 	tsOff   int // absolute offset of the timestamp option kind byte; -1 if absent
@@ -103,7 +102,6 @@ func ParseView(b []byte) (View, error) {
 		if err != nil {
 			return v, err
 		}
-		v.hlen = hlen
 		if tsOff >= 0 {
 			v.tsOff = IPHeaderLen + OffTCPOptions + tsOff
 		}
@@ -118,7 +116,6 @@ func ParseView(b []byte) (View, error) {
 		if int(be16(t, OffUDPLen)) != len(t) {
 			return v, errViewUDPLen
 		}
-		v.hlen = UDPHeaderLen
 	default:
 		return v, errViewProto
 	}

@@ -89,13 +89,19 @@ func checkViewMatchesPacket(t *testing.T, v *View, p *Packet, b []byte) {
 	if v.TTL() != p.TTL {
 		t.Errorf("view TTL %d, Parse %d", v.TTL(), p.TTL)
 	}
-	// RFC 791 puts the header checksum at bytes 10-11; Parse verifies it
-	// there but does not return it.
+	// RFC 791 puts the header checksum at bytes 10-11, and RFC 793 and
+	// RFC 768 put the transport checksum at bytes 16-17 of the TCP header
+	// and 6-7 of the UDP header; Parse verifies both there but returns
+	// neither.
 	if got, want := v.IPChecksum(), uint16(b[10])<<8|uint16(b[11]); got != want {
 		t.Errorf("view IP checksum %#04x, header bytes 10-11 %#04x", got, want)
 	}
-	if v.TransportChecksum() != p.Checksum {
-		t.Errorf("view transport checksum %#04x, Parse %#04x", v.TransportChecksum(), p.Checksum)
+	csumOff := IPHeaderLen + 6
+	if p.IsTCP() {
+		csumOff = IPHeaderLen + 16
+	}
+	if got, want := v.TransportChecksum(), uint16(b[csumOff])<<8|uint16(b[csumOff+1]); got != want {
+		t.Errorf("view transport checksum %#04x, frame bytes %d-%d %#04x", got, csumOff, csumOff+1, want)
 	}
 	if v.IsTCP() {
 		if v.Flags() != p.Flags {

@@ -186,8 +186,8 @@ func parseOptions(b []byte, o *Options) error {
 
 // Serialize renders the packet as wire bytes: 20-byte IPv4 header plus the
 // transport header (with options) and payload. The transport checksum is
-// computed over the pseudo-header as usual; the stored Checksum field is
-// updated to match. One allocation: the exact-size frame buffer.
+// computed over the pseudo-header as usual. One allocation: the exact-size
+// frame buffer.
 func (p *Packet) Serialize() []byte {
 	return p.AppendTo(make([]byte, 0, p.Size()))
 }
@@ -242,9 +242,7 @@ func (p *Packet) appendTCP(b []byte) []byte {
 	b = appendOptions(b, &p.Opts)
 	b = append(b, p.Payload...)
 	seg := b[th:]
-	csum := Checksum(pseudoHeader(p.Tuple, len(seg)), seg)
-	binary.BigEndian.PutUint16(seg[16:], csum)
-	p.Checksum = csum
+	binary.BigEndian.PutUint16(seg[16:], Checksum(pseudoHeader(p.Tuple, len(seg)), seg))
 	return b
 }
 
@@ -258,9 +256,7 @@ func (p *Packet) appendUDP(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, 0) // checksum, back-patched below
 	b = append(b, p.Payload...)
 	seg := b[th:]
-	csum := Checksum(pseudoHeader(p.Tuple, len(seg)), seg)
-	binary.BigEndian.PutUint16(seg[6:], csum)
-	p.Checksum = csum
+	binary.BigEndian.PutUint16(seg[6:], Checksum(pseudoHeader(p.Tuple, len(seg)), seg))
 	return b
 }
 
@@ -333,7 +329,6 @@ func parseTCP(t []byte, p *Packet) error {
 	}
 	p.Flags = TCPFlags(t[13])
 	p.Window = binary.BigEndian.Uint16(t[14:])
-	p.Checksum = binary.BigEndian.Uint16(t[16:])
 	if err := parseOptions(t[20:hlen], &p.Opts); err != nil {
 		return err
 	}
@@ -354,7 +349,6 @@ func parseUDP(t []byte, p *Packet) error {
 	if ulen != len(t) {
 		return fmt.Errorf("packet: bad UDP length %d, want %d", ulen, len(t))
 	}
-	p.Checksum = binary.BigEndian.Uint16(t[6:])
 	if len(t) > 8 {
 		p.Payload = append([]byte(nil), t[8:]...)
 	}
@@ -414,8 +408,9 @@ func Checksum(chunks ...[]byte) uint16 {
 
 // ChecksumUpdate16 incrementally updates checksum old when a 16-bit field
 // changes from oldVal to newVal (RFC 1624 equation 3: HC' = ~(~HC + ~m + m')).
-// Dysco uses this on every rewritten packet to avoid recomputing the
-// checksum of the whole packet (§4.2).
+// The raw frame path (dataplane.RawRule) folds every rewritten header
+// word this way instead of recomputing the checksum of the whole frame
+// (§4.2).
 func ChecksumUpdate16(old uint16, oldVal, newVal uint16) uint16 {
 	sum := uint32(^old&0xffff) + uint32(^oldVal&0xffff) + uint32(newVal)
 	for sum>>16 != 0 {
@@ -440,28 +435,11 @@ func ChecksumUpdate32Odd(old uint16, oldVal, newVal uint32) uint16 {
 	return ChecksumUpdate32(old, oldVal<<8|oldVal>>24, newVal<<8|newVal>>24)
 }
 
-// RewriteTuple replaces the packet's five-tuple with nt and incrementally
-// adjusts the stored transport checksum for the address and port changes
-// (addresses appear in the pseudo-header, so they affect the transport
-// checksum too).
+// RewriteTuple replaces the packet's addresses and ports with nt's and
+// keeps its protocol. A struct packet carries no checksum: simulated hosts
+// charge checksum cost (netsim.CostModel.ChecksumPerKB) instead of
+// computing one, and Serialize computes it into the bytes.
 func (p *Packet) RewriteTuple(nt FiveTuple) {
-	old := p.Tuple
-	c := p.Checksum
-	c = ChecksumUpdate32(c, uint32(old.SrcIP), uint32(nt.SrcIP))
-	c = ChecksumUpdate32(c, uint32(old.DstIP), uint32(nt.DstIP))
-	c = ChecksumUpdate16(c, uint16(old.SrcPort), uint16(nt.SrcPort))
-	c = ChecksumUpdate16(c, uint16(old.DstPort), uint16(nt.DstPort))
-	p.Checksum = c
-	nt.Proto = old.Proto
+	nt.Proto = p.Tuple.Proto
 	p.Tuple = nt
-}
-
-// RewriteSeqAck replaces Seq and Ack, incrementally adjusting the checksum.
-func (p *Packet) RewriteSeqAck(seq, ack uint32) {
-	c := p.Checksum
-	c = ChecksumUpdate32(c, p.Seq, seq)
-	c = ChecksumUpdate32(c, p.Ack, ack)
-	p.Checksum = c
-	p.Seq = seq
-	p.Ack = ack
 }

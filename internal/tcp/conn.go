@@ -46,11 +46,9 @@ type Stats struct {
 	BytesSent       uint64
 	BytesRcvd       uint64
 	SegsSent        uint64
-	SegsRcvd        uint64
 	Retransmits     uint64
 	FastRetransmits uint64
 	Timeouts        uint64
-	DupAcksRcvd     uint64
 	PAWSDrops       uint64
 	BadSACKDrops    uint64
 }
@@ -122,7 +120,6 @@ type Conn struct {
 	ooo      []oooSeg
 	oooBytes int
 	lastOOO  packet.SACKBlock
-	finRcvd  bool
 	peerFIN  bool // FIN consumed in-order
 
 	// Timers.
@@ -366,7 +363,6 @@ func (c *Conn) fullClose() {
 
 // input is the single entry point for packets from the wire.
 func (c *Conn) input(p *packet.Packet) {
-	c.Stats.SegsRcvd++
 	if p.Flags.Has(packet.FlagRST) {
 		c.handleRST(p)
 		return

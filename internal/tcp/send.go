@@ -169,7 +169,6 @@ func (c *Conn) processAck(p *packet.Packet) {
 	case packet.SeqGT(ack, c.sndUna):
 		c.ackAdvance(ack, p)
 	case ack == c.sndUna && c.flight() > 0 && len(p.Payload) == 0 && !p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagFIN):
-		c.Stats.DupAcksRcvd++
 		c.dupAcks++
 		if c.inRecovery {
 			// Each dup ACK signals a segment left the network: conservation
